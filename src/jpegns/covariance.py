@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg import blas as _blas
+from scipy.linalg import lapack
 
 from . import pipeline
 from .raw_io import SensorParams  # noqa: F401  (re-exported type for callers)
@@ -122,43 +122,24 @@ def sigma_d(pm, sp):
     return CovarianceMatrix((dense + dense.T) / 2.0)
 
 
-_CHOL_PANEL = 64
-
-
-def _cholesky_lower(a):
-    """Blocked right-looking Cholesky; raises LinAlgError when not PD.
-
-    potrf/syrk run far below gemm speed on some BLAS builds, so panels of
-    64 are factored directly while the trailing matrix is updated through
-    an explicit gemm call.  The strict upper triangle of the result is
-    zeroed.
-    """
-    n = a.shape[0]
-    if n <= _CHOL_PANEL:
-        return np.linalg.cholesky(a)
-    work = a.copy()
-    for j0 in range(0, n, _CHOL_PANEL):
-        j1 = min(j0 + _CHOL_PANEL, n)
-        work[j0:j1, j0:j1] = np.linalg.cholesky(work[j0:j1, j0:j1])
-        if j1 < n:
-            # L21 = A21 L11^-t, computed as the solve L11 X = A21^t.
-            panel = _blas.dtrsm(1.0, work[j0:j1, j0:j1],
-                                work[j1:, j0:j1].T, side=0, lower=1,
-                                trans_a=0).T
-            work[j1:, j0:j1] = panel
-            work[j1:, j1:] -= _blas.dgemm(1.0, panel, panel, trans_b=1)
-    return np.tril(work)
+def _potrf(a):
+    """LAPACK Cholesky of a copy of ``a``, strict upper triangle zeroed."""
+    chol, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpotrf failed with info {info}")
+    return chol
 
 
 def cholesky(cov, context=""):
     """Lower-triangular L with L L^t = cov, adding escalating jitter if needed.
 
     Returns (L, jitter_applied).  Raises SingularCovarianceError when the
-    matrix stays indefinite after the maximum jitter.
+    matrix stays indefinite after the maximum jitter.  The input is never
+    modified.
     """
     a = cov.values if isinstance(cov, CovarianceMatrix) else np.asarray(cov, float)
     try:
-        return _cholesky_lower(a), 0.0
+        return _potrf(a), 0.0
     except np.linalg.LinAlgError:
         pass
     mean_diag = float(np.mean(np.diag(a)))
@@ -166,7 +147,7 @@ def cholesky(cov, context=""):
     for eps in JITTER_LADDER:
         shift = eps * mean_diag
         try:
-            chol = _cholesky_lower(a + shift * eye)
+            chol = _potrf(a + shift * eye)
         except np.linalg.LinAlgError:
             continue
         log.debug("cholesky%s applied jitter %.1e",

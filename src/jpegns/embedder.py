@@ -196,12 +196,9 @@ class SimulatedEmbedder:
         return float(np.sum(self.weight_sq * win))
 
     def _cross_cov(self, block_a, block_b):
-        """64x64 covariance between the DCT coefficients of two blocks."""
+        """64x64 covariance between two blocks at most one block apart."""
         (ra, ca), (rb, cb) = block_a, block_b
-        di, dj = rb - ra, cb - ca
-        if max(abs(di), abs(dj)) > 1:
-            return np.zeros((64, 64))
-        u0, u1, v0, v1, wa, wb = self._overlap[(di, dj)]
+        u0, u1, v0, v1, wa, wb = self._overlap[(rb - ra, cb - ca)]
         var = self._var_window(ra, ca, u0, u1, v0, v1).reshape(-1)
         return (wa * var) @ wb
 
@@ -213,8 +210,13 @@ class SimulatedEmbedder:
     def _joint_of(self, blocks):
         n = len(blocks)
         joint = np.zeros((64 * n, 64 * n))
-        for i in range(n):
+        for i, (ri, ci) in enumerate(blocks):
             for j in range(i, n):
+                rj, cj = blocks[j]
+                # Blocks that are not 8-connected share no photo-site
+                # support, so their cross-covariance is exactly zero.
+                if max(abs(rj - ri), abs(cj - ci)) > 1:
+                    continue
                 sub = self._cross_cov(blocks[i], blocks[j])
                 if i == j:
                     sub = (sub + sub.T) / 2.0

@@ -85,6 +85,10 @@ class RawImage:
     params: SensorParams
 
     def __post_init__(self):
+        if (not isinstance(self.bit_depth, (int, np.integer))
+                or not 1 <= self.bit_depth <= 16):
+            raise ValueError(
+                f"bit depth must be an integer in 1..16, got {self.bit_depth!r}")
         self.data = np.asarray(self.data, dtype=np.float64)
         if self.data.ndim != 2:
             raise DimensionError("photo-site data must be 2-D")

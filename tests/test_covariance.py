@@ -214,12 +214,17 @@ def test_cholesky_fails_on_indefinite():
 def test_blocked_cholesky_matches_lapack(n):
     rng = np.random.default_rng(n)
     a = rng.normal(size=(n, n + 32))
-    s = a @ a.T.copy()
-    ours = cm._cholesky_lower(s)
+    # Fortran order is the layout LAPACK would factor in place.
+    s = np.asfortranarray(a @ a.T)
+    before = s.copy()
+    ours, jitter = cholesky(s)
     ref = np.linalg.cholesky(s)
     scale = np.abs(ref).max()
     assert np.abs(ours - ref).max() <= 1e-10 * scale
     assert np.array_equal(np.triu(ours, 1), np.zeros((n, n)))
+    assert jitter == 0.0
+    # Callers reuse the joint covariance after factoring it.
+    assert np.array_equal(s, before)
 
 
 # -- chain versus direct sampling (light version) -------------------------------

@@ -60,6 +60,18 @@ def test_value_above_bit_depth_rejected(tmp_path):
         load_raw(path)
 
 
+@pytest.mark.parametrize("bit_depth", (0, 17, -3))
+def test_bit_depth_out_of_range_rejected(tmp_path, paper_params, bit_depth):
+    with pytest.raises(ValueError, match="bit depth"):
+        RawImage(data=np.zeros((8, 8)), cfa="RGGB", bit_depth=bit_depth,
+                 params=paper_params)
+    path = tmp_path / "depth.pgm"
+    write_pgm(path, np.zeros((8, 8)), 4095,
+              {**BASE_SIDECAR, "bit_depth": bit_depth})
+    with pytest.raises(ValueError, match="bit depth"):
+        load_raw(path)
+
+
 def test_missing_sidecar(tmp_path):
     path = tmp_path / "orphan.pgm"
     write_pgm(path, np.zeros((8, 8)), 4095)
