@@ -1,7 +1,7 @@
 """Photon-noise-mimicking steganography for JPEG covers.
 
 The library models a linear camera development pipeline (bilinear
-demosaicking, BT.601 luminance, pixel selection, blockwise 2-D DCT) as an
+demosaicking, BT.709 luminance, pixel selection, blockwise 2-D DCT) as an
 explicit sparse matrix, derives the exact covariance of the shot-noise stego
 signal in the DCT domain, and performs simulated embedding on quantized JPEG
 coefficients by lattice-ordered conditional Gaussian sampling.
@@ -45,17 +45,7 @@ from .covariance import (
     sigma_p,
 )
 from .lattice import LatticeAssignment, Neighborhood, neighborhood, tile
-from .sampler import (
-    ChainState,
-    Pmf,
-    chain_step,
-    costs_from_pmf,
-    entropy,
-    pmf,
-    rejection_sample_continuous,
-    run_block_chain,
-    sample_discrete,
-)
+from .sampler import Pmf, costs_from_pmf, entropy, pmf, run_block_chain
 from .jpeg_model import (
     ChecksumError,
     FormatError,

@@ -159,8 +159,7 @@ class SimulatedEmbedder:
         self.blocks_w = raw.width // 8
         self.table = jpeg_model.quant_table(cfg.qf)
         self.q_flat = self.table.flat.astype(np.float64)
-        self.dct_plane, self.cover = jpeg_model.develop_cover(
-            raw, cfg.qf, cfg.green_kernel)
+        _, self.cover = jpeg_model.develop_cover(raw, cfg.qf, cfg.green_kernel)
         var = cov_mod.photon_variance(raw.data, raw.params)
         self.var_pad = np.pad(var, 1, mode="edge")
         self.weights = pipeline.block_support_tensor(raw.cfa, cfg.green_kernel)
@@ -466,16 +465,9 @@ def export_costs(raw, cfg, path=None):
     Runs the same sampling chain as embedding (later PMFs depend on earlier
     draws).  Writes the binary container to ``path`` when given.
     """
-    result = SimulatedEmbedder(raw, cfg).run(collect_probs=True)
-    probs = result.probs
-    zero_idx = cfg.K
-    pi0 = probs[..., zero_idx]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        costs = np.log(pi0[..., np.newaxis]) - np.log(probs)
-    # 0/0 bins (dead coefficient, both masses zero) have no defined cost;
-    # export +inf there as well, matching the zero-mass sentinel.
-    costs = np.where(np.isnan(costs), np.inf, costs)
-    plane = CostPlane(costs=costs, pi_zero=pi0, qf=cfg.qf, K=cfg.K)
+    probs = SimulatedEmbedder(raw, cfg).run(collect_probs=True).probs
+    plane = CostPlane(costs=sampler.costs_from_pmf(probs),
+                      pi_zero=probs[..., cfg.K], qf=cfg.qf, K=cfg.K)
     if path is not None:
         write_costs(plane, path)
     return plane

@@ -1,10 +1,11 @@
 """Quantization tables, cover development and coefficient-plane file I/O.
 
-Covers are developed with the same bilinear demosaicking and BT.601
-luminance as the pipeline operators, level-shifted by half the dynamic
-range, transformed blockwise by the 2-D DCT and quantized with the
-standard luminance table scaled by the conventional quality-factor rule.
-Rounding is half-away-from-zero to match the sampler's bin convention.
+Covers are developed by the pipeline operator itself (bilinear
+demosaicking, BT.709 luminance and the blockwise 2-D DCT, through the
+per-block support tensor), level-shifted by half the dynamic range, and
+quantized with the standard luminance table scaled by the conventional
+quality-factor rule.  Rounding is half-away-from-zero to match the
+sampler's bin convention.
 
 Coefficient planes round-trip through a minimal binary container (magic
 "JCNS") rather than an entropy-coded JFIF bitstream.
@@ -15,6 +16,7 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import pipeline
 from .raw_io import DimensionError
@@ -140,93 +142,29 @@ def round_half_away_array(x):
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
-def _padded_channel_grid(cfa, height, width):
-    """Channel labels on the replicate-padded grid, CFA continued periodically."""
-    rows = (np.arange(-1, height + 1) % 2)[:, None]
-    cols = (np.arange(-1, width + 1) % 2)[None, :]
-    lut = np.array([[cfa[0], cfa[1]], [cfa[2], cfa[3]]])
-    return lut[rows, cols]
-
-
-def demosaic_image(data, cfa, green_kernel="cross"):
-    """Bilinear demosaicking of a full mosaic; returns (r, g, b) planes.
-
-    The image is replicate-padded by one photo-site and the CFA extended
-    periodically, matching the patch operators exactly, so kernels never
-    truncate.
-    """
-    data = np.asarray(data, dtype=np.float64)
-    h, w = data.shape
-    pad = np.pad(data, 1, mode="edge")
-    grid = _padded_channel_grid(cfa, h, w)
-
-    ctr = pad[1:-1, 1:-1]
-    north, south = pad[:-2, 1:-1], pad[2:, 1:-1]
-    west, east = pad[1:-1, :-2], pad[1:-1, 2:]
-    nw, ne = pad[:-2, :-2], pad[:-2, 2:]
-    sw, se = pad[2:, :-2], pad[2:, 2:]
-
-    cross = 0.25 * (north + south + west + east)
-    hpair = 0.5 * (west + east)
-    vpair = 0.5 * (north + south)
-    corner = 0.25 * (nw + ne + sw + se)
-
-    out = []
-    for ch in ("R", "G", "B"):
-        is_ch = grid == ch
-        native = is_ch[1:-1, 1:-1]
-        m_n, m_s = is_ch[:-2, 1:-1], is_ch[2:, 1:-1]
-        m_w, m_e = is_ch[1:-1, :-2], is_ch[1:-1, 2:]
-        use_cross = m_n & m_s & m_w & m_e
-        use_h = m_w & m_e & ~use_cross
-        use_v = m_n & m_s & ~use_cross
-        plane = np.where(native, ctr, corner)
-        if ch == "G" and green_kernel == "corner":
-            out.append(plane)
-            continue
-        plane = np.where(use_cross & ~native, cross, plane)
-        plane = np.where(use_h & ~native, hpair, plane)
-        plane = np.where(use_v & ~native, vpair, plane)
-        out.append(plane)
-    return tuple(out)
-
-
-def luminance_image(data, cfa, green_kernel="cross"):
-    """Demosaic and reduce to BT.601 luminance."""
-    r, g, b = demosaic_image(data, cfa, green_kernel)
-    w = pipeline.LUMA_WEIGHTS
-    return w["r"] * r + w["g"] * g + w["b"] * b
-
-
-def blockwise_dct(plane):
-    """2-D DCT of every 8x8 block of a plane (same scaling as the operators)."""
-    plane = np.asarray(plane, dtype=np.float64)
-    h, w = plane.shape
-    if h % 8 or w % 8:
-        raise DimensionError("plane dimensions must be multiples of 8")
-    a = pipeline.dct_matrix()
-    blocks = plane.reshape(h // 8, 8, w // 8, 8).transpose(0, 2, 1, 3)
-    coeffs = np.einsum("ij,bcjk,lk->bcil", a, blocks, a, optimize=True)
-    return coeffs.transpose(0, 2, 1, 3).reshape(h, w)
-
-
 def develop_cover(raw, qf, green_kernel="cross"):
     """Develop a RAW image into (unquantized DCT plane, cover coefficients).
 
-    The luminance plane is level-shifted by 2**(bit_depth-1) before the
-    DCT; quantization divides by the table steps and rounds half away from
-    zero.  The stego signal is zero-mean, so the shift affects the cover
-    path only.
+    Every block's DCT is the pipeline's block support tensor contracted with
+    the block's 10x10 photo-site window of the level-shifted mosaic, which
+    is replicate-padded by one site (the CFA continues periodically), so
+    edge blocks are developed by the same operator as interior ones.  The
+    level shift is 2**(bit_depth-1); quantization divides by the table
+    steps and rounds half away from zero.  The stego signal is zero-mean,
+    so the shift affects the cover path only.
     """
     if raw.height % 8 or raw.width % 8:
         raise DimensionError("image dimensions must be multiples of 8")
-    luma = luminance_image(raw.data, raw.cfa, green_kernel)
     shift = float(2 ** (raw.bit_depth - 1))
-    dct_plane = blockwise_dct(luma - shift)
+    pad = np.pad(raw.data - shift, 1, mode="edge")
+    windows = sliding_window_view(pad, (10, 10))[::8, ::8]
+    weights = pipeline.block_support_tensor(raw.cfa, green_kernel)
+    coeffs = np.einsum("kuv,ijuv->ijk", weights, windows, optimize=True)
+    coeffs = coeffs.reshape(raw.height // 8, raw.width // 8, 8, 8)
     table = quant_table(qf)
-    steps = np.tile(table.steps, (raw.height // 8, raw.width // 8))
-    quantized = round_half_away_array(dct_plane / steps).astype(np.int32)
-    cover = JpegCoefficients.from_plane(quantized, table, role="cover")
+    quantized = round_half_away_array(coeffs / table.steps).astype(np.int32)
+    cover = JpegCoefficients(coeffs=quantized, table=table, role="cover")
+    dct_plane = coeffs.transpose(0, 2, 1, 3).reshape(raw.height, raw.width)
     return dct_plane, cover
 
 

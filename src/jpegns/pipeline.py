@@ -33,7 +33,7 @@ OPERATOR_KINDS = (
     "assembled",
 )
 
-# BT.601 luminance weights; they sum to exactly 1.0 in float64.
+# BT.709 luminance weights; they sum to exactly 1.0 in float64.
 LUMA_WEIGHTS = {"r": 0.2126, "g": 0.7152, "b": 0.0722}
 
 # Position of each named block in the 3x3 grid of 8x8 blocks.
@@ -262,7 +262,7 @@ def build_demosaic(channel, cfa, side=PATCH_SIDE, green_kernel="cross"):
 
 
 def build_luminance(cfa, side=PATCH_SIDE, green_kernel="cross"):
-    """BT.601 luminance of the demosaicked channels as one operator."""
+    """BT.709 luminance of the demosaicked channels as one operator."""
     parts = [
         LUMA_WEIGHTS[ch] * build_demosaic(ch, cfa, side, green_kernel).matrix
         for ch in ("r", "g", "b")

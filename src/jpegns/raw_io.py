@@ -212,7 +212,7 @@ def load_raw(path):
     if cfa not in BAYER_PATTERNS:
         raise UnknownCfaError(f"unknown CFA pattern {cfa!r} in {sidecar_path}")
     try:
-        bit_depth = int(meta["bit_depth"])
+        bit_depth = meta["bit_depth"]
         params = SensorParams(
             a1=float(meta["a1"]),
             b1=float(meta["b1"]),
@@ -223,7 +223,18 @@ def load_raw(path):
         )
     except KeyError as exc:
         raise SidecarError(f"sidecar {sidecar_path} missing field {exc}") from exc
-    return RawImage(data=data, cfa=cfa, bit_depth=bit_depth, params=params)
+    if isinstance(bit_depth, bool) or not isinstance(bit_depth, int):
+        raise SidecarError(
+            f"sidecar {sidecar_path} bit_depth must be an integer, "
+            f"got {bit_depth!r}")
+    img = RawImage(data=data, cfa=cfa, bit_depth=bit_depth, params=params)
+    # write_raw stores maxval = 2**bit_depth - 1; checked after RawImage has
+    # validated the bit depth and the photo-site range.
+    if maxval != 2**bit_depth - 1:
+        raise PgmError(
+            f"PGM maxval {maxval} does not match the sidecar bit depth "
+            f"{bit_depth} (expected {2**bit_depth - 1})")
+    return img
 
 
 def write_raw(img, path):

@@ -1,4 +1,4 @@
-"""Per-coefficient change PMFs, discrete/continuous sampling and entropy.
+"""Per-coefficient change PMFs, the sampling chain and entropy.
 
 Each DCT coefficient of a block is visited in row-scan order.  Given the
 Cholesky factor of the block's conditional covariance and the innovations
@@ -19,16 +19,11 @@ reproducible.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
-# Acceptance probability below which the faithful accept-reject loop is
-# replaced by the statistically identical inverse-CDF draw.
-LOOP_ACCEPT_FLOOR = 0.01
-
-_MIN_BIN_PROB = 1e-300
 _SQRT_HALF = math.sqrt(0.5)
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 _TINY = 5e-324
@@ -36,10 +31,6 @@ _TINY = 5e-324
 
 class SamplerError(Exception):
     """Invalid sampling parameters."""
-
-
-class DegenerateBinError(SamplerError):
-    """Requested change bin carries (essentially) no probability."""
 
 
 def round_half_away(x):
@@ -90,27 +81,26 @@ class Pmf:
         return float(self.probs[k - self.k_min])
 
 
-def _folded_cdf(m_hat, sigma_hat, k_range):
-    """(center_round, cumulative list) of the folded PMF in scaled units.
+def _folded_pmf(m_hat, sigma_hat, k_range):
+    """(center_round, cdf, probs) of the folded PMF in scaled units.
 
-    cumulative[j] = P(change <= -K + j); the final entry is exactly 1, so
-    both tails fold into the end symbols.
+    cdf[j] = P(change <= -K + j) and its final entry is exactly 1, so both
+    tails fold into the end symbols; probs[j] is the mass of change -K + j.
+    sigma_hat = 0 (including underflow of a subnormal sigma') gives the
+    step CDF of a point mass at round(m_hat) clamped into the alphabet.
     """
     center = round_half_away(m_hat)
-    base = center - 0.5 - m_hat
-    inv = 1.0 / sigma_hat
-    cdf = [_phi((base + k) * inv) for k in range(-k_range + 1, k_range + 1)]
-    cdf.append(1.0)
-    return center, cdf
-
-
-def _point_mass(m_hat, k_range):
-    """(center, one-hot probs list, atom) for a zero-deviation signal."""
-    center = round_half_away(m_hat)
-    atom = min(max(center, -k_range), k_range)
-    probs = [0.0] * (2 * k_range + 1)
-    probs[atom + k_range] = 1.0
-    return center, probs, atom
+    if sigma_hat == 0.0:
+        atom = min(max(center, -k_range), k_range)
+        cdf = [0.0] * (atom + k_range) + [1.0] * (k_range + 1 - atom)
+    else:
+        base = center - 0.5 - m_hat
+        inv = 1.0 / sigma_hat
+        cdf = [_phi((base + k) * inv)
+               for k in range(-k_range + 1, k_range + 1)]
+        cdf.append(1.0)
+    probs = [hi - lo if hi > lo else 0.0 for lo, hi in zip([0.0] + cdf, cdf)]
+    return center, cdf, probs
 
 
 def pmf(m_prime, sigma_prime, q_step, k_range):
@@ -129,43 +119,36 @@ def pmf(m_prime, sigma_prime, q_step, k_range):
         raise SamplerError("q_step must be positive")
     if k_range < 1:
         raise SamplerError("alphabet half-width must be >= 1")
-    m_hat = m_prime / q_step
-    sigma_hat = sigma_prime / q_step
-    if sigma_hat == 0.0:  # includes underflow of a subnormal sigma_prime
-        center, probs, _ = _point_mass(m_hat, k_range)
-        return Pmf(k_min=-k_range, k_max=k_range, probs=np.array(probs),
-                   center_round=center)
-    center, cdf = _folded_cdf(m_hat, sigma_hat, k_range)
-    probs = np.maximum(np.diff(np.asarray(cdf), prepend=0.0), 0.0)
-    return Pmf(k_min=-k_range, k_max=k_range, probs=probs, center_round=center)
+    center, _, probs = _folded_pmf(m_prime / q_step, sigma_prime / q_step,
+                                   k_range)
+    return Pmf(k_min=-k_range, k_max=k_range, probs=np.array(probs),
+               center_round=center)
 
 
 def entropy(p):
-    """Shannon entropy of a folded PMF in bits, with 0 log 0 = 0."""
-    probs = p.probs if isinstance(p, Pmf) else np.asarray(p, dtype=np.float64)
+    """Shannon entropy in bits of a Pmf or probability list (0 log 0 = 0)."""
     total = 0.0
-    for q in probs:
+    for q in (p.probs if isinstance(p, Pmf) else p):
         if q > 0.0:
             total -= q * math.log2(q)
     return total
 
 
 def costs_from_pmf(p):
-    """Embedding costs rho(k) = ln(pi(0) / pi(k)); zero mass maps to +inf."""
-    p0 = p.prob(0)
-    with np.errstate(divide="ignore"):
-        return np.log(p0) - np.log(p.probs)
+    """Embedding costs rho(k) = ln(pi(0) / pi(k)) along the last axis.
 
-
-def sample_discrete(p, gen):
-    """Draw one change from the folded PMF via inverse CDF.
-
-    Zero-probability symbols can never be selected.
+    ``p`` is a Pmf or an array of folded PMFs over -K..K, shape (..., 2K+1).
+    Zero mass maps to +inf, and so does 0/0 (a coefficient without any
+    mass, such as one of a dead block).
     """
-    cdf = np.cumsum(p.probs)
-    cdf[-1] = 1.0
-    u = gen.random()
-    return p.k_min + int(np.searchsorted(cdf, u, side="right"))
+    if isinstance(p, Pmf):
+        probs, zero = p.probs, -p.k_min
+    else:
+        probs = np.asarray(p, dtype=np.float64)
+        zero = probs.shape[-1] // 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        costs = np.log(probs[..., zero : zero + 1]) - np.log(probs)
+    return np.where(np.isnan(costs), np.inf, costs)
 
 
 def _truncated_standard_normal(lo_z, hi_z, u):
@@ -189,60 +172,6 @@ def _truncated_standard_normal(lo_z, hi_z, u):
     return min(max(z, lo_z), hi_z)
 
 
-def rejection_sample_continuous(m_prime, sigma_prime, k, q_step, gen,
-                                force_loop=False, force_icdf=False,
-                                lo_override=None, hi_override=None):
-    """Continuous candidate consistent with the sampled change bin.
-
-    Draws from N(m', sigma'^2) conditioned on the scaled value falling in
-    (u_k, u_{k+1}], then returns the unscaled draw.  The faithful
-    accept-reject loop is used while the bin probability is at least 1%;
-    below that the draw switches to the identical truncated-Gaussian
-    inverse CDF (``force_loop``/``force_icdf`` select a path explicitly).
-    ``lo_override``/``hi_override`` replace the bin edges in scaled units,
-    which callers use to widen end-of-alphabet bins into full tails.
-    """
-    if sigma_prime < 0:
-        raise SamplerError("sigma_prime must be >= 0")
-    if q_step <= 0:
-        raise SamplerError("q_step must be positive")
-    m_hat = m_prime / q_step
-    sigma_hat = sigma_prime / q_step
-    center = round_half_away(m_hat)
-    lo = (center - 0.5 + k) if lo_override is None else lo_override
-    hi = (center + 0.5 + k) if hi_override is None else hi_override
-    if sigma_hat == 0.0:
-        # A zero-deviation signal is the point mass at round(m_hat); its
-        # continuous candidate is the mean itself (alphabet clamping is the
-        # chain's responsibility).
-        if k == center:
-            return m_prime
-        raise DegenerateBinError("zero-deviation signal outside requested bin")
-    lo_z = (lo - m_hat) / sigma_hat
-    hi_z = (hi - m_hat) / sigma_hat
-    accept = _phi(hi_z) - _phi(lo_z)
-    if accept < _MIN_BIN_PROB:
-        raise DegenerateBinError(f"bin probability {accept:.3e} below 1e-300")
-    use_loop = force_loop or (accept >= LOOP_ACCEPT_FLOOR and not force_icdf)
-    if use_loop:
-        while True:
-            z = _inv_phi(min(max(gen.random(), _TINY), _BELOW_ONE))
-            if lo_z < z <= hi_z:
-                return m_prime + sigma_prime * z
-    z = _truncated_standard_normal(lo_z, hi_z, gen.random())
-    return m_prime + sigma_prime * z
-
-
-@dataclass
-class ChainState:
-    """Progress of the 64-step per-block sampling chain."""
-
-    continuous_samples: list = field(default_factory=list)
-    discrete_changes: list = field(default_factory=list)
-    noise_units: list = field(default_factory=list)
-    index: int = 0
-
-
 def _step_params(chol, base_mean, noise, i):
     """Conditional (m', sigma') of coefficient i given earlier innovations."""
     sigma = abs(float(chol[i, i]))
@@ -254,57 +183,29 @@ def _step_params(chol, base_mean, noise, i):
 
 
 def _draw_coefficient(m_prime, sigma_prime, q_step, k_range, u_disc, u_cont):
-    """One chain draw from two uniforms: (center, probs, k, s, z).
+    """One chain draw from two uniforms: (probs, k, s, z).
 
-    The continuous candidate for the end symbols -K/+K is drawn from the
-    full folded tail so the chain reproduces the exact Gaussian joint.
+    The discrete change is the first symbol whose CDF exceeds ``u_disc``,
+    so a zero-mass symbol is never drawn.  A zero-deviation signal is its
+    own continuous candidate.  The candidate for the end symbols -K/+K is
+    drawn from the full folded tail so the chain reproduces the exact
+    Gaussian joint.
     """
     m_hat = m_prime / q_step
     sigma_hat = sigma_prime / q_step
-    if sigma_hat == 0.0:  # includes underflow of a subnormal sigma_prime
-        center, probs, atom = _point_mass(m_hat, k_range)
-        return center, probs, atom, m_prime, 0.0
-    center, cdf = _folded_cdf(m_hat, sigma_hat, k_range)
+    center, cdf, probs = _folded_pmf(m_hat, sigma_hat, k_range)
     j = 0
     while cdf[j] <= u_disc:
         j += 1
     k = j - k_range
+    if sigma_hat == 0.0:
+        return probs, k, m_prime, 0.0
     base = center - 0.5 - m_hat
     inv = 1.0 / sigma_hat
     lo_z = -math.inf if k == -k_range else (base + k) * inv
     hi_z = math.inf if k == k_range else (base + k + 1.0) * inv
     z = _truncated_standard_normal(lo_z, hi_z, u_cont)
-    prev = 0.0
-    probs = []
-    for value in cdf:
-        probs.append(max(value - prev, 0.0))
-        prev = value
-    return center, probs, k, m_prime + sigma_prime * z, z
-
-
-def chain_step(chol, base_mean, state, q_step_i, k_range, gen):
-    """Advance the per-block chain by one coefficient.
-
-    Returns (Pmf, k, s_continuous, state); the state is updated in place
-    and also returned for convenience.  Two uniforms are consumed from
-    ``gen`` regardless of degeneracy, matching ``run_block_chain``.
-    """
-    i = state.index
-    if i >= 64:
-        raise SamplerError("chain already complete")
-    noise = np.asarray(state.noise_units, dtype=np.float64)
-    m_prime, sigma_prime = _step_params(chol, base_mean, noise, i)
-    u_disc = gen.random()
-    u_cont = gen.random()
-    center, probs, k, s, z = _draw_coefficient(
-        m_prime, sigma_prime, q_step_i, k_range, u_disc, u_cont)
-    state.continuous_samples.append(s)
-    state.discrete_changes.append(k)
-    state.noise_units.append(z)
-    state.index = i + 1
-    p = Pmf(k_min=-k_range, k_max=k_range, probs=np.array(probs),
-            center_round=center)
-    return p, k, s, state
+    return probs, k, m_prime + sigma_prime * z, z
 
 
 def run_block_chain(chol, base_mean, q_steps, k_range, gen,
@@ -314,8 +215,8 @@ def run_block_chain(chol, base_mean, q_steps, k_range, gen,
     Returns a dict with the discrete changes, continuous candidates and
     per-coefficient entropies; ``collect_probs`` adds the folded PMFs and
     ``collect_params`` the conditional (m_hat, sigma_hat) pairs.  Draws the
-    block's 128 uniforms up front; the output is bit-identical to 64
-    ``chain_step`` calls on the same stream.
+    block's 128 uniforms up front: uniforms 2i and 2i+1 drive the discrete
+    and the continuous draw of coefficient i.
     """
     uniforms = gen.random(128)
     changes = np.zeros(64, dtype=np.int64)
@@ -327,17 +228,13 @@ def run_block_chain(chol, base_mean, q_steps, k_range, gen,
     for i in range(64):
         m_prime, sigma_prime = _step_params(chol, base_mean, noise, i)
         q = float(q_steps[i])
-        center, probs, k, s, z = _draw_coefficient(
+        probs, k, s, z = _draw_coefficient(
             m_prime, sigma_prime, q, k_range,
             float(uniforms[2 * i]), float(uniforms[2 * i + 1]))
         changes[i] = k
         samples[i] = s
         noise[i] = z
-        h = 0.0
-        for p in probs:
-            if p > 0.0:
-                h -= p * math.log2(p)
-        bits[i] = h
+        bits[i] = entropy(probs)
         if collect_probs:
             probs_out.append(np.array(probs))
         if collect_params:

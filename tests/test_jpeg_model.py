@@ -76,44 +76,57 @@ def test_develop_quantization_bound(paper_params):
     a = pl.dct_matrix()
     blocks = dequant.reshape(4, 8, 4, 8).transpose(0, 2, 1, 3)
     spatial = np.einsum("ji,bcjk,kl->bcil", a, blocks, a, optimize=True)
-    luma = jm.luminance_image(raw.data, raw.cfa) - 2048.0
+    pad = np.pad(raw.data, 1, mode="edge")
+    lum = pl.build_luminance(pl.shift_cfa(raw.cfa, -1, -1), side=34)
+    luma = lum.apply(pad.ravel()).reshape(34, 34)[1:-1, 1:-1] - 2048.0
     luma_blocks = luma.reshape(4, 8, 4, 8).transpose(0, 2, 1, 3)
     bound = 8.0 * 0.5 * cover.table.steps.max()
     assert np.abs(spatial - luma_blocks).max() <= bound
 
 
 def test_develop_matches_patch_operator(paper_params):
-    # The full-image path and the patch operator compute the same DCT
-    # values for interior blocks.
+    # Every block, edge blocks included, develops to the patch operator
+    # applied to its 26x26 patch of the replicate-padded mosaic, for all
+    # four CFAs and both green kernels.
     rng = np.random.default_rng(1)
-    raw = make_raw(np.floor(rng.uniform(500, 3500, size=(48, 48))),
-                   paper_params)
-    dct_plane, _ = develop_cover(raw, 95)
-    patch_cfa = pl.patch_cfa_for_image(raw.cfa)
-    pm = pl.assemble("L1", patch_cfa)
+    data = np.floor(rng.uniform(500, 3500, size=(48, 48)))
+    # Replicate padding by 9 sites puts every patch inside the array; only
+    # the first ring of padding reaches a central block's support.
+    padded = np.pad(data, 9, mode="edge")
     shift = 2048.0
-    # Blocks whose 26x26 patch lies fully inside the 48x48 image.
-    for bi, bj in ((2, 2), (2, 3), (3, 2), (3, 3)):
-        r0, c0 = 8 * bi - 9, 8 * bj - 9
-        patch = raw.data[r0 : r0 + 26, c0 : c0 + 26]
-        ours = pm.apply(patch.ravel() - shift).reshape(8, 8)
-        ref = dct_plane[8 * bi : 8 * bi + 8, 8 * bj : 8 * bj + 8]
-        assert np.abs(ours - ref).max() <= 1e-8
+    for cfa in ("RGGB", "BGGR", "GRBG", "GBRG"):
+        raw = make_raw(data, paper_params, cfa)
+        for kernel in ("cross", "corner"):
+            dct_plane, _ = develop_cover(raw, 95, kernel)
+            pm = pl.assemble("L1", pl.patch_cfa_for_image(cfa), kernel)
+            for bi in range(6):
+                for bj in range(6):
+                    patch = padded[8 * bi : 8 * bi + 26, 8 * bj : 8 * bj + 26]
+                    ours = pm.apply(patch.ravel() - shift).reshape(8, 8)
+                    ref = dct_plane[8 * bi : 8 * bi + 8, 8 * bj : 8 * bj + 8]
+                    assert np.abs(ours - ref).max() <= 1e-8
 
 
 @pytest.mark.parametrize("cfa", ("RGGB", "BGGR", "GRBG", "GBRG"))
 def test_demosaic_image_matches_operators(cfa, paper_params):
-    # The array-based full-image demosaicking must agree with the sparse
-    # operators on the interior of a replicate-padded patch.
+    # Developing the full image agrees with the sparse demosaicking
+    # operators applied to the whole replicate-padded mosaic, followed by
+    # the BT.709 luminance and the blockwise DCT.
     rng = np.random.default_rng(2)
-    data = rng.uniform(0, 4095, size=(12, 12))
-    planes = jm.demosaic_image(data, cfa)
-    padded = np.pad(data, 1, mode="edge")
+    data = np.floor(rng.uniform(0, 4095, size=(16, 16)))
+    dct_plane, _ = develop_cover(make_raw(data, paper_params, cfa), 95)
+    padded = np.pad(data - 2048.0, 1, mode="edge")
     patch_cfa = pl.shift_cfa(cfa, -1, -1)
-    for plane, ch in zip(planes, "rgb"):
-        op = pl.build_demosaic(ch, patch_cfa, side=14)
-        ref = op.apply(padded.ravel()).reshape(14, 14)[1:-1, 1:-1]
-        assert np.abs(plane - ref).max() <= 1e-12
+    luma = np.zeros((16, 16))
+    for ch in "rgb":
+        op = pl.build_demosaic(ch, patch_cfa, side=18)
+        plane = op.apply(padded.ravel()).reshape(18, 18)[1:-1, 1:-1]
+        luma += pl.LUMA_WEIGHTS[ch] * plane
+    a = pl.dct_matrix()
+    blocks = luma.reshape(2, 8, 2, 8).transpose(0, 2, 1, 3)
+    ref = np.einsum("ij,bcjk,lk->bcil", a, blocks, a)
+    ours = dct_plane.reshape(2, 8, 2, 8).transpose(0, 2, 1, 3)
+    assert np.abs(ours - ref).max() <= 1e-8
 
 
 def test_develop_rejects_bad_dims(paper_params):

@@ -98,7 +98,7 @@ def test_luminance_preserves_constants():
 
 def test_luminance_green_weight():
     # A native green site takes its own value only through the green plane,
-    # so its diagonal entry is exactly the BT.601 green weight.
+    # so its diagonal entry is exactly the BT.709 green weight.
     op = pl.build_luminance("RGGB", side=8).to_dense()
     grid = pl.cfa_grid("RGGB", 8)
     for r in range(1, 7):

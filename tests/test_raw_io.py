@@ -72,6 +72,21 @@ def test_bit_depth_out_of_range_rejected(tmp_path, paper_params, bit_depth):
         load_raw(path)
 
 
+def test_fractional_bit_depth_rejected(tmp_path):
+    path = tmp_path / "frac.pgm"
+    write_pgm(path, np.zeros((8, 8)), 4095,
+              {**BASE_SIDECAR, "bit_depth": 12.7})
+    with pytest.raises(SidecarError, match="bit_depth"):
+        load_raw(path)
+
+
+def test_maxval_must_match_bit_depth(tmp_path):
+    path = tmp_path / "maxval.pgm"
+    write_pgm(path, np.zeros((8, 8)), 255, BASE_SIDECAR)
+    with pytest.raises(PgmError, match="maxval 255"):
+        load_raw(path)
+
+
 def test_missing_sidecar(tmp_path):
     path = tmp_path / "orphan.pgm"
     write_pgm(path, np.zeros((8, 8)), 4095)

@@ -9,17 +9,13 @@ from scipy.stats import norm
 from jpegns import rng as streams
 from jpegns import sampler
 from jpegns.sampler import (
-    ChainState,
-    DegenerateBinError,
     Pmf,
     SamplerError,
-    chain_step,
     costs_from_pmf,
     entropy,
     pmf,
-    rejection_sample_continuous,
+    round_half_away,
     run_block_chain,
-    sample_discrete,
 )
 
 
@@ -28,6 +24,40 @@ from conftest import quadrature_change_pmf as quadrature_pmf
 
 def gen(seed=0):
     return streams.make_stream(seed, 7)
+
+
+class FixedUniforms:
+    """Stand-in block stream whose 128 uniforms are given."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.asarray(uniforms, dtype=np.float64)
+
+    def random(self, n):
+        assert n == self.uniforms.size
+        return self.uniforms
+
+
+def random_chol(seed, n=64):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n + 8))
+    return np.linalg.cholesky(a @ a.T.copy() / (n + 8))
+
+
+def iid_chain(sigma, mean, q, k_range, g, **collect):
+    """Chain with equal (m', sigma', q) on every coefficient: 64 iid draws."""
+    return run_block_chain(np.diag(np.full(64, float(sigma))),
+                           np.full(64, float(mean)), np.full(64, float(q)),
+                           k_range, g, **collect)
+
+
+def assert_samples_in_drawn_bins(out, q_steps, k_range):
+    """samples[i]/q lies in (c - 0.5 + k, c + 0.5 + k] for |k| < K."""
+    for i in range(64):
+        k = int(out["changes"][i])
+        if abs(k) == k_range:
+            continue  # end symbols carry the folded tails
+        c = round_half_away(out["params"][i, 0])
+        assert c - 0.5 + k < out["samples"][i] / q_steps[i] <= c + 0.5 + k
 
 
 # -- pmf ----------------------------------------------------------------------
@@ -137,75 +167,114 @@ def test_costs_infinite_for_zero_mass():
     assert np.all(np.isinf(rho[[0, 1, 3, 4]]))
 
 
-# -- discrete sampling ----------------------------------------------------------
+def test_costs_of_pmf_array():
+    # An array of PMFs gets the per-PMF costs; a coefficient without any
+    # mass (0/0) costs +inf everywhere.
+    pmfs = [pmf(0.7, 1.8, 2.0, 2), pmf(9.0, 0.0, 4.0, 2),
+            pmf(-3.0, 5.0, 1.0, 2)]
+    probs = np.zeros((2, 2, 5))
+    probs[0, 0], probs[0, 1], probs[1, 0] = (p.probs for p in pmfs)
+    rho = costs_from_pmf(probs)
+    assert rho.shape == probs.shape
+    for idx, p in zip(((0, 0), (0, 1), (1, 0)), pmfs):
+        assert np.array_equal(rho[idx], costs_from_pmf(p))
+    assert np.all(np.isposinf(rho[1, 1]))
 
 
-def test_sample_discrete_point_mass():
-    p = pmf(9.0, 0.0, 4.0, 3)
-    g = gen(1)
-    assert all(sample_discrete(p, g) == 2 for _ in range(50))
+# -- discrete draws of the chain -------------------------------------------
+
+
+def test_chain_point_mass_draws_clamped_atom():
+    # sigma' = 0: the change is round(m_hat) clamped into the alphabet,
+    # whatever the uniforms, and the candidate is the mean itself.
+    mean = np.tile([9.0, 100.0, -100.0, 0.0], 16)  # m_hat 2.25, 25, -25, 0
+    for seed in (1, 2):
+        out = run_block_chain(np.zeros((64, 64)), mean, np.full(64, 4.0), 3,
+                              gen(seed))
+        assert np.array_equal(out["changes"], np.tile([2, 3, -3, 0], 16))
+        assert np.array_equal(out["samples"], mean)
+        assert np.all(out["entropy_bits"] == 0.0)
 
 
 def test_sample_discrete_deterministic():
-    p = pmf(0.3, 2.0, 1.0, 3)
-    a = [sample_discrete(p, gen(9)) for _ in range(1)]
-    b = [sample_discrete(p, gen(9)) for _ in range(1)]
-    assert a == b
+    # The chain's discrete draws are a function of the stream alone.
+    a = iid_chain(2.0, 0.3, 1.0, 3, gen(9))
+    b = iid_chain(2.0, 0.3, 1.0, 3, gen(9))
+    assert np.array_equal(a["changes"], b["changes"])
 
 
-def test_sample_discrete_frequencies():
+def test_chain_discrete_frequencies():
     p = pmf(0.7, 1.8, 2.0, 2)
     g = gen(2)
-    n = 1_000_000
-    draws = np.array([sample_discrete(p, g) for _ in range(n)])
+    draws = np.concatenate(
+        [iid_chain(1.8, 0.7, 2.0, 2, g)["changes"] for _ in range(4000)])
+    n = draws.size
     for k in range(-2, 3):
         freq = np.mean(draws == k)
         se = math.sqrt(p.prob(k) * (1.0 - p.prob(k)) / n)
         assert abs(freq - p.prob(k)) <= 5.0 * se
 
 
-def test_sample_discrete_never_selects_zero_mass():
-    p = Pmf(k_min=-1, k_max=1, probs=np.array([0.5, 0.0, 0.5]), center_round=0)
+def test_chain_never_draws_zero_mass_bin():
+    # m_hat = 0.45, sigma_hat = 0.02: only changes 0 and +1 carry mass.
     g = gen(3)
-    draws = {sample_discrete(p, g) for _ in range(200)}
-    assert 0 not in draws
+    drawn = set()
+    for _ in range(300):
+        out = iid_chain(0.02, 0.45, 1.0, 5, g, collect_probs=True)
+        for i, k in enumerate(out["changes"]):
+            assert out["probs"][i][k + 5] > 0.0
+            drawn.add(int(k))
+        assert np.count_nonzero(out["probs"][0]) == 2
+    assert drawn == {0, 1}
 
 
-# -- continuous recovery ---------------------------------------------------------
+# -- continuous candidates of the chain -----------------------------------
 
 
 def test_continuous_degenerate_returns_mean():
-    assert rejection_sample_continuous(9.0, 0.0, 2, 4.0, gen(0)) == 9.0
-
-
-def test_continuous_degenerate_wrong_bin_raises():
-    with pytest.raises(DegenerateBinError):
-        rejection_sample_continuous(9.0, 0.0, -2, 4.0, gen(0))
+    out = run_block_chain(np.zeros((64, 64)), np.full(64, 9.0),
+                          np.full(64, 4.0), 3, gen(0))
+    assert np.all(out["samples"] == 9.0)
+    assert np.all(out["changes"] == 2)
 
 
 def test_continuous_zero_bin_containment():
     q = 3.0
     g = gen(4)
-    for _ in range(500):
-        s = rejection_sample_continuous(0.0, q, 0, q, g)
-        assert -0.5 * q < s < 0.5 * q
+    for _ in range(10):
+        out = iid_chain(q, 0.0, q, 5, g, collect_params=True)
+        assert_samples_in_drawn_bins(out, np.full(64, q), 5)
+        zero = out["changes"] == 0
+        assert np.all(np.abs(out["samples"][zero]) <= 0.5 * q)
 
 
 def test_continuous_bin_containment_offset_mean():
     # m_hat = 1.4 -> center 1; k = -1 covers (-0.5, 0.5] in scaled units.
     q, m = 2.0, 2.8
     g = gen(5)
-    for _ in range(500):
-        s = rejection_sample_continuous(m, 1.0, -1, q, g)
-        assert -0.5 * q < s <= 0.5 * q
+    for _ in range(10):
+        out = iid_chain(1.0, m, q, 3, g, collect_params=True)
+        assert_samples_in_drawn_bins(out, np.full(64, q), 3)
+        low = out["changes"] == -1
+        assert np.all((out["samples"][low] > -0.5 * q)
+                      & (out["samples"][low] <= 0.5 * q))
+    # Correlated coefficients with varying steps: each one has its own
+    # conditional mean and bin grid.
+    steps = np.linspace(0.5, 3.0, 64)
+    mean = np.linspace(-3.0, 3.0, 64)
+    for seed in range(20):
+        out = run_block_chain(random_chol(seed) * 2.0, mean, steps, 3, g,
+                              collect_params=True)
+        assert_samples_in_drawn_bins(out, steps, 3)
 
 
 def test_continuous_matches_truncated_normal_moments():
     m, sigma, q, k = 1.0, 2.0, 1.0, 1
     g = gen(6)
-    n = 100_000
-    draws = np.array([rejection_sample_continuous(m, sigma, k, q, g)
-                      for _ in range(n)])
+    out = [iid_chain(sigma, m, q, 5, g) for _ in range(2000)]
+    changes = np.concatenate([o["changes"] for o in out])
+    draws = np.concatenate([o["samples"] for o in out])[changes == k]
+    n = draws.size
     center = 1.0  # round(1.0)
     lo, hi = center - 0.5 + k, center + 0.5 + k
     a, b = (lo - m) / sigma, (hi - m) / sigma
@@ -219,52 +288,32 @@ def test_continuous_matches_truncated_normal_moments():
     assert np.all((draws > lo * q) & (draws <= hi * q))
 
 
-def test_loop_and_icdf_paths_agree_in_distribution():
-    m, sigma, q, k = 0.4, 1.5, 2.0, 1
-    n = 60_000
-    g1, g2 = gen(7), gen(8)
-    loop = np.array([rejection_sample_continuous(m, sigma, k, q, g1,
-                                                 force_loop=True)
-                     for _ in range(n)])
-    icdf = np.array([rejection_sample_continuous(m, sigma, k, q, g2,
-                                                 force_icdf=True)
-                     for _ in range(n)])
-    # Two-sample moment comparison.
-    pooled_se = math.sqrt(loop.var() / n + icdf.var() / n)
-    assert abs(loop.mean() - icdf.mean()) <= 5.0 * pooled_se
-
-
 def test_low_acceptance_bin_uses_bounded_path():
-    # Probability of this bin is ~1e-6; the loop would need ~1e6 draws,
-    # so the inverse-CDF path must kick in and return promptly.
-    s = rejection_sample_continuous(0.0, 1.0, 5, 1.0, gen(9))
-    assert 4.5 < s <= 5.5
-
-
-def test_unreachable_bin_raises():
-    with pytest.raises(DegenerateBinError):
-        rejection_sample_continuous(0.0, 0.01, 5, 1.0, gen(10))
+    # A discrete uniform inside the ~3e-6 bin (4.5, 5.5] of N(0, 1): the
+    # candidate comes from the truncated inverse CDF in one draw.
+    u = np.full(128, 0.5)
+    u[0] = 0.5 * (norm.cdf(4.5) + norm.cdf(5.5))
+    out = run_block_chain(np.eye(64), np.zeros(64), np.ones(64), 6,
+                          FixedUniforms(u), collect_probs=True)
+    assert out["changes"][0] == 5
+    assert out["probs"][0][5 + 6] < 1e-5
+    assert 4.5 < out["samples"][0] <= 5.5
+    assert np.all(out["changes"][1:] == 0)
 
 
 # -- the chain -------------------------------------------------------------------
 
 
-def random_chol(seed, n=64):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(n, n + 8))
-    return np.linalg.cholesky(a @ a.T.copy() / (n + 8))
-
-
 def test_chain_first_step_params():
     chol = random_chol(0)
     mean = np.linspace(-2, 2, 64)
-    state = ChainState()
-    p, k, s, state = chain_step(chol, mean, state, 1.0, 5, gen(11))
-    assert state.index == 1
+    q = 2.0
+    out = run_block_chain(chol, mean, np.full(64, q), 5, gen(11),
+                          collect_probs=True, collect_params=True)
     # First coefficient: m' = mean[0], sigma' = chol[0, 0].
-    ref = pmf(mean[0], abs(chol[0, 0]), 1.0, 5)
-    assert np.array_equal(p.probs, ref.probs)
-    assert p.center_round == ref.center_round
+    assert np.array_equal(out["params"][0], [mean[0] / q, chol[0, 0] / q])
+    ref = pmf(mean[0], abs(chol[0, 0]), q, 5)
+    assert np.array_equal(out["probs"][0], ref.probs)
 
 
 def test_chain_diagonal_chol_matches_standalone_pmfs():
@@ -276,19 +325,6 @@ def test_chain_diagonal_chol_matches_standalone_pmfs():
     for i in range(64):
         ref = pmf(mean[i], sigmas[i], 2.0, 4)
         assert np.array_equal(out["probs"][i], ref.probs)
-
-
-def test_chain_step_equals_run_block_chain():
-    chol = random_chol(13)
-    mean = np.linspace(-3, 3, 64)
-    q = np.full(64, 3.0)
-    out = run_block_chain(chol, mean, q, 5, gen(14))
-    state = ChainState()
-    g = gen(14)
-    for i in range(64):
-        _, k, s, state = chain_step(chol, mean, state, q[i], 5, g)
-    assert np.array_equal(out["changes"], np.array(state.discrete_changes))
-    assert np.array_equal(out["samples"], np.array(state.continuous_samples))
 
 
 def test_chain_determinism():
