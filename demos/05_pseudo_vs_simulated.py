@@ -27,7 +27,7 @@ n_runs = 2000
 
 emb = SimulatedEmbedder(raw, EmbedConfig(qf=qf, K=5, key=0),
                         cache_factors=True)
-analytic = emb.joint_covariance(block, [])
+analytic = emb.joint_covariance([block])
 print(f"analytic DC variance of the stego signal: {analytic[0, 0]:.1f}")
 
 sim = np.empty((n_runs, 64))

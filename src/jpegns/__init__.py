@@ -33,13 +33,11 @@ from .pipeline import (
     dct_matrix,
 )
 from .covariance import (
-    ConditionalGaussian,
     CovarianceMatrix,
     DiagonalCovariance,
     SingularCovarianceError,
     analysis_covariance,
     cholesky,
-    condition,
     photon_variance,
     sigma_d,
     sigma_p,
@@ -63,6 +61,7 @@ from .embedder import (
     EmbedConfig,
     SimulatedEmbedder,
     capacity_map,
+    condition,
     embed_simulated,
     export_costs,
     pseudo_embed,

@@ -1,10 +1,9 @@
-"""Stego-signal covariance in the DCT domain and Gaussian conditioning.
+"""Stego-signal covariance in the DCT domain and its Cholesky factor.
 
 The photo-site stego signal is independent heteroscedastic Gaussian noise,
 so its DCT-domain image under the pipeline operator M has covariance
-M diag(v) M^t.  Conditioning a block on already-sampled neighbors uses the
-standard Schur complement, solved through Cholesky factors rather than
-explicit inverses.
+M diag(v) M^t.  ``cholesky`` factors such a covariance, with escalating
+jitter for the singular blocks that clamped variances produce.
 """
 
 import logging
@@ -12,7 +11,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg import lapack
 
 from . import pipeline
@@ -77,24 +75,6 @@ class CovarianceMatrix:
         return self
 
 
-@dataclass(frozen=True)
-class ConditionalGaussian:
-    """Mean, covariance and Cholesky factor of one conditioned block."""
-
-    mean: np.ndarray
-    cov: CovarianceMatrix
-    chol: np.ndarray
-    jitter: float = 0.0
-
-    def __post_init__(self):
-        recon = self.chol @ self.chol.T
-        scale = max(np.abs(self.cov.values).max(), 1e-300)
-        err = np.abs(recon - self.cov.values).max()
-        # Reconstruction tolerance widens with applied jitter.
-        if err > 1e-8 * scale + 10.0 * self.jitter * scale + 1e-300:
-            raise CovarianceError("Cholesky factor does not reconstruct covariance")
-
-
 def photon_variance(x, params):
     """Stego-signal variance max(0, (a2-a1)*x + (b2-b1)); works elementwise."""
     gain = params.a2 - params.a1
@@ -130,14 +110,14 @@ def _potrf(a):
     return chol
 
 
-def cholesky(cov, context=""):
-    """Lower-triangular L with L L^t = cov, adding escalating jitter if needed.
+def cholesky(a, context=""):
+    """Lower-triangular L with L L^t = a, adding escalating jitter if needed.
 
-    Returns (L, jitter_applied).  Raises SingularCovarianceError when the
-    matrix stays indefinite after the maximum jitter.  The input is never
-    modified.
+    ``a`` is a square array.  Returns (L, jitter_applied).  Raises
+    SingularCovarianceError when the matrix stays indefinite after the
+    maximum jitter.  The input is never modified.
     """
-    a = cov.values if isinstance(cov, CovarianceMatrix) else np.asarray(cov, float)
+    a = np.asarray(a, dtype=np.float64)
     try:
         return _potrf(a), 0.0
     except np.linalg.LinAlgError:
@@ -155,47 +135,6 @@ def cholesky(cov, context=""):
         return chol, shift
     raise SingularCovarianceError(
         f"covariance{' for ' + context if context else ''} not PSD after max jitter")
-
-
-def _schur_factors(values, context=""):
-    """Split a joint covariance into conditional-gaussian building blocks.
-
-    Returns (gain, cond_cov, jitter22) where gain = S12 S22^-1 so that the
-    conditional mean is gain @ known and the conditional covariance is
-    S11 - gain @ S21.
-    """
-    s11 = values[:64, :64]
-    s12 = values[:64, 64:]
-    s22 = values[64:, 64:]
-    chol22, jitter22 = cholesky(CovarianceMatrix(s22), context=context)
-    gain = sla.cho_solve((chol22, True), s12.T).T
-    cond = s11 - gain @ s12.T
-    cond = (cond + cond.T) / 2.0
-    return gain, cond, jitter22
-
-
-def condition(full, known, context=""):
-    """Condition the first 64 coordinates on the remaining (n-1)*64.
-
-    ``full`` is the joint covariance with the central block first, ``known``
-    the already-sampled continuous stego values of the neighbor blocks.
-    """
-    values = full.values if isinstance(full, CovarianceMatrix) else np.asarray(full)
-    n = values.shape[0]
-    known = np.asarray(known, dtype=np.float64).ravel()
-    if n < 128 or n % 64:
-        raise CovarianceError("joint covariance must cover >= 2 blocks of 64")
-    if known.shape[0] != n - 64:
-        raise CovarianceError("known vector length does not match neighbors")
-    gain, cond, jitter22 = _schur_factors(values, context=context)
-    mean = gain @ known
-    chol, jitter = cholesky(CovarianceMatrix(cond), context=context)
-    return ConditionalGaussian(
-        mean=mean, cov=CovarianceMatrix(cond), chol=chol,
-        jitter=max(jitter, jitter22))
-
-
-SUB_BLOCK_LABELS = ("C", "NW", "N", "NE", "W", "E", "SW", "S", "SE")
 
 
 def analysis_covariance(mode="full", cfa="RGGB", green_kernel="cross"):
@@ -216,14 +155,7 @@ def analysis_covariance(mode="full", cfa="RGGB", green_kernel="cross"):
         front = pipeline.build_lowpass(side)
     else:
         raise CovarianceError(f"unknown analysis mode {mode!r}")
-    order = [pipeline.GRID_POS[lbl] for lbl in ("C",) + pipeline.NEIGHBOR_LABELS["L4"]]
-    sel = pipeline.build_selection(side, 1)
-    perm = pipeline._block_selector(order, grid_n=3)
-    dct = pipeline._dct_op(len(order))
-    m = dct.compose(perm).compose(sel).compose(front)
-    pm = pipeline.PipelineMatrix(
-        m=m, n_blocks=9, patch_side=side,
-        block_order=("C",) + pipeline.NEIGHBOR_LABELS["L4"])
+    pm = pipeline.patch_operator(front, ("C",) + pipeline.NEIGHBOR_LABELS["L4"])
     cov = sigma_d(pm, DiagonalCovariance(np.ones(side * side)))
     subs = {}
     for idx, lbl in enumerate(pm.block_order):

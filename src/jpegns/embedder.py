@@ -4,16 +4,15 @@ Embedding walks the four macro-lattices in order.  For every block it
 assembles the joint DCT covariance of the block and its not-yet-used
 neighbors directly from the per-block pipeline weight tensor and the
 photo-site variance map, conditions on the continuous stego values already
-drawn for neighboring blocks (Schur complement through Cholesky solves),
-and runs the 64-coefficient sampling chain.  Stego coefficients are the
-cover coefficients plus the sampled changes.
+drawn for neighboring blocks (``condition``: the Schur complement read off
+one Cholesky factor), and runs the 64-coefficient sampling chain.  Stego
+coefficients are the cover coefficients plus the sampled changes.
 
 Everything is a pure function of (raw image, config): per-block random
 streams are derived from the secret key, the lattice index and the block
 coordinates, so results are bit-identical for any worker count.
 """
 
-import json
 import logging
 import math
 import struct
@@ -43,7 +42,6 @@ class EmbedConfig:
     K: int = 5
     key: int = 0
     green_kernel: str = "cross"
-    report_path: str = None
     workers: int = 1
 
     def __post_init__(self):
@@ -120,6 +118,37 @@ class EmbedResult:
     params: np.ndarray = None  # (bh, bw, 64, 2) scaled (m_hat, sigma_hat)
 
 
+def condition(joint, n_known, context=""):
+    """Conditional law of the last 64 coordinates given the first ``n_known``.
+
+    ``joint`` is the joint covariance with the known blocks first and the
+    center block last.  Its Cholesky factor splits as [[L_k, 0], [C, L_c]]:
+    L_c is exactly the Cholesky factor of the Schur-complement conditional
+    covariance, and the conditional mean gain S12 S22^-1 is C L_k^-1 (one
+    triangular solve).  No matrix is ever inverted explicitly.
+
+    Returns (gain, chol, jitter): the conditional mean is ``gain @ known``
+    (``gain`` is None when nothing is known), ``chol`` factors the
+    conditional covariance and ``jitter`` is the shift the factorization
+    needed.
+    """
+    joint = np.asarray(joint, dtype=np.float64)
+    m = n_known
+    if m < 0 or m % 64 or joint.shape != (m + 64, m + 64):
+        raise cov_mod.CovarianceError(
+            f"joint covariance of shape {joint.shape} does not hold "
+            f"{n_known} known coordinates and one block of 64")
+    chol_joint, jitter = cov_mod.cholesky(joint, context=context)
+    chol = np.ascontiguousarray(chol_joint[m:, m:])
+    if m:
+        gain = sla.solve_triangular(
+            chol_joint[:m, :m].T, chol_joint[m:, :m].T,
+            lower=False, check_finite=False).T
+    else:
+        gain = None
+    return gain, chol, jitter
+
+
 class _BlockFactors:
     """Draw-independent conditioning factors of one block.
 
@@ -127,11 +156,9 @@ class _BlockFactors:
     mean; ``chol`` is the Cholesky factor of the conditional covariance.
     """
 
-    __slots__ = ("labels", "neighbors", "mean_gain", "chol", "jitter", "dead",
-                 "failed")
+    __slots__ = ("neighbors", "mean_gain", "chol", "jitter", "dead", "failed")
 
-    def __init__(self, labels, neighbors, mean_gain, chol, jitter, dead, failed):
-        self.labels = labels
+    def __init__(self, neighbors, mean_gain, chol, jitter, dead, failed):
         self.neighbors = neighbors
         self.mean_gain = mean_gain
         self.chol = chol
@@ -201,12 +228,8 @@ class SimulatedEmbedder:
         var = self._var_window(ra, ca, u0, u1, v0, v1).reshape(-1)
         return (wa * var) @ wb
 
-    def joint_covariance(self, center, neighbors):
-        """Joint covariance over [center] + neighbors (64 each), symmetric."""
-        blocks = [center] + list(neighbors)
-        return self._joint_of(blocks)
-
-    def _joint_of(self, blocks):
+    def joint_covariance(self, blocks):
+        """Joint covariance over ``blocks`` (64 coefficients each), symmetric."""
         n = len(blocks)
         joint = np.zeros((64 * n, 64 * n))
         for i, (ri, ci) in enumerate(blocks):
@@ -231,46 +254,27 @@ class SimulatedEmbedder:
             return self._factor_cache[(bi, bj)]
         nb = lattice.neighborhood(self.assign, (bi, bj))
         if self._support_trace(bi, bj) == 0.0:
-            factors = _BlockFactors((), (), None, None, 0.0, True, False)
+            factors = _BlockFactors((), None, None, 0.0, True, False)
         else:
             # Neighbors whose whole stego signal is identically zero carry
             # no information and only make the conditioning singular.
-            kept = [(lbl, blk) for lbl, blk in zip(nb.labels, nb.neighbors)
-                    if self._support_trace(*blk) > 0.0]
-            labels = tuple(lbl for lbl, _ in kept)
-            neighbors = tuple(blk for _, blk in kept)
+            neighbors = tuple(blk for blk in nb.neighbors
+                              if self._support_trace(*blk) > 0.0)
             try:
-                factors = self._compute_factors(nb, labels, neighbors)
+                gain, chol, jitter = condition(
+                    self.joint_covariance(neighbors + (nb.center,)),
+                    64 * len(neighbors),
+                    context=f"lattice {nb.lattice} block {nb.center}")
             except cov_mod.SingularCovarianceError:
                 log.warning("block (%d,%d) singular after max jitter; "
                             "embedding skipped", bi, bj)
-                factors = _BlockFactors((), (), None, None, 0.0, False, True)
+                factors = _BlockFactors((), None, None, 0.0, False, True)
+            else:
+                factors = _BlockFactors(neighbors, gain, chol, jitter,
+                                        False, False)
         if self._factor_cache is not None:
             self._factor_cache[(bi, bj)] = factors
         return factors
-
-    def _compute_factors(self, nb, labels, neighbors):
-        """Schur conditioning through one Cholesky of the joint covariance.
-
-        With the known blocks ordered first and the center last, the joint
-        factor splits as [[L_k, 0], [C, L_c]]: L_c is exactly the Cholesky
-        factor of the Schur-complement conditional covariance, and the
-        conditional mean gain S12 S22^-1 is C L_k^-1 (one triangular
-        solve).  No matrix is ever inverted explicitly.
-        """
-        context = f"lattice {nb.lattice} block {nb.center}"
-        joint = self._joint_of(list(neighbors) + [nb.center])
-        chol_joint, jitter = cov_mod.cholesky(joint, context=context)
-        m = 64 * len(neighbors)
-        chol = np.ascontiguousarray(chol_joint[m:, m:])
-        if neighbors:
-            gain = sla.solve_triangular(
-                chol_joint[:m, :m].T, chol_joint[m:, :m].T,
-                lower=False, check_finite=False).T
-        else:
-            gain = None
-        return _BlockFactors(labels, neighbors, gain, chol, jitter,
-                             False, False)
 
     # -- embedding -----------------------------------------------------------
 
@@ -411,25 +415,15 @@ class SimulatedEmbedder:
             factors.chol, np.zeros(64), self.q_flat, self.cfg.K, gen)
 
 
-def _maybe_write_report(report, cfg):
-    if cfg.report_path:
-        with open(cfg.report_path, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2)
-            fh.write("\n")
-
-
 def embed_simulated(raw, cfg):
     """Simulated embedding; returns (stego coefficients, capacity report)."""
     result = SimulatedEmbedder(raw, cfg).run()
-    _maybe_write_report(result.report, cfg)
     return result.stego, result.report
 
 
 def capacity_map(raw, cfg):
     """Capacity report of the embedding chain (sampling included)."""
-    report = SimulatedEmbedder(raw, cfg).run().report
-    _maybe_write_report(report, cfg)
-    return report
+    return SimulatedEmbedder(raw, cfg).run().report
 
 
 def pseudo_embed(raw, seed):

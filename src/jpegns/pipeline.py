@@ -350,21 +350,11 @@ def dct_matrix():
     return a
 
 
-def _transpose_permutation():
-    """64x64 commutation matrix: vec of X^t from vec of X."""
-    rows = np.arange(64)
-    cols = 8 * (rows % 8) + rows // 8
-    return sps.csr_matrix((np.ones(64), (rows, cols)), shape=(64, 64))
-
-
 @functools.lru_cache(maxsize=None)
 def _block_dct_dense():
     """Cached single-block 64x64 DCT operator on row-major vectorized blocks."""
     a = dct_matrix()
-    av = sps.block_diag([sps.csr_matrix(a)] * BLOCK, format="csr")
-    tr = _transpose_permutation()
-    tb = av @ tr @ av @ tr
-    return tb.toarray()
+    return np.kron(a, a)
 
 
 def _dct_op(n_blocks):
@@ -380,6 +370,22 @@ def build_dct(n_blocks):
     return _dct_op(n_blocks)
 
 
+def patch_operator(front, labels):
+    """DCT . block selector . interior selection . ``front`` on a 26x26 patch.
+
+    ``front`` maps the patch photo-sites to one image plane (luminance for
+    the development); ``labels`` names the blocks of the 3x3 grid to stack,
+    in order.
+    """
+    order = [GRID_POS[lbl] for lbl in labels]
+    m = (_dct_op(len(order))
+         .compose(_block_selector(order, grid_n=3))
+         .compose(build_selection(PATCH_SIDE, 1))
+         .compose(front))
+    return PipelineMatrix(m=m, n_blocks=len(order), patch_side=PATCH_SIDE,
+                          block_order=tuple(labels))
+
+
 @functools.lru_cache(maxsize=None)
 def assemble(neighborhood, cfa, green_kernel="cross"):
     """Assemble the full patch-to-DCT operator for one conditioning neighborhood.
@@ -390,19 +396,8 @@ def assemble(neighborhood, cfa, green_kernel="cross"):
     """
     if neighborhood not in NEIGHBOR_LABELS:
         raise PipelineError(f"unknown neighborhood {neighborhood!r}")
-    labels = ("C",) + NEIGHBOR_LABELS[neighborhood]
-    order = [GRID_POS[lbl] for lbl in labels]
-    lum = build_luminance(cfa, PATCH_SIDE, green_kernel)
-    sel = build_selection(PATCH_SIDE, 1)
-    perm = _block_selector(order, grid_n=3)
-    dct = _dct_op(len(order))
-    m = dct.compose(perm).compose(sel).compose(lum)
-    return PipelineMatrix(
-        m=SparseOperator.from_csr("assembled", m.matrix),
-        n_blocks=len(order),
-        patch_side=PATCH_SIDE,
-        block_order=labels,
-    )
+    return patch_operator(build_luminance(cfa, PATCH_SIDE, green_kernel),
+                          ("C",) + NEIGHBOR_LABELS[neighborhood])
 
 
 def patch_cfa_for_image(image_cfa):

@@ -21,6 +21,7 @@ from jpegns import (
     SimulatedEmbedder,
     SynthSpec,
     capacity_map,
+    condition,
     develop_cover,
     embed_simulated,
     pseudo_embed,
@@ -152,13 +153,13 @@ def test_criterion_05_schur_chain_equivalence():
     direct = rng.standard_normal((n_draws, 320)) @ chol_full.T.copy()
 
     # Lattice-ordered path: outer blocks first, center conditioned on them
-    # through the public Schur operation.
+    # through the embedder's conditioning kernel on the known-first joint.
     outer_cov = full[64:, 64:]
     chol_outer, _ = cm.cholesky(outer_cov)
     outer = rng.standard_normal((n_draws, 256)) @ chol_outer.T.copy()
-    cg = cm.condition(cm.CovarianceMatrix(full), np.zeros(256))
-    gain = np.linalg.solve(outer_cov, full[:64, 64:].T).T
-    centers = outer @ gain.T + rng.standard_normal((n_draws, 64)) @ cg.chol.T.copy()
+    known_first = np.r_[64:320, 0:64]
+    gain, chol, _ = condition(full[np.ix_(known_first, known_first)], 256)
+    centers = outer @ gain.T + rng.standard_normal((n_draws, 64)) @ chol.T.copy()
     chained = np.concatenate([centers, outer], axis=1)
 
     cov_direct = blas.dgemm(1.0, direct, direct, trans_a=1) / n_draws
@@ -222,7 +223,7 @@ def test_criterion_07_end_to_end_distribution():
         plane, _ = develop_cover(noisy, qf)
         pseudo_draws[seed] = (plane - base_plane)[16:24, 16:24].ravel()
 
-    sd = emb.joint_covariance(block, [])
+    sd = emb.joint_covariance([block])
     cov_embed = blas.dgemm(1.0, emb_draws, emb_draws, trans_a=1) / n_runs
     cov_pseudo = blas.dgemm(1.0, pseudo_draws, pseudo_draws, trans_a=1) / n_runs
     se = cov_standard_error(sd, n_runs)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import blas
 
+from jpegns import condition
 from jpegns import covariance as cm
 from jpegns import pipeline as pl
 from jpegns.covariance import (
@@ -11,7 +12,6 @@ from jpegns.covariance import (
     SingularCovarianceError,
     analysis_covariance,
     cholesky,
-    condition,
     photon_variance,
     sigma_d,
     sigma_p,
@@ -129,22 +129,23 @@ def block_cov(rng, n):
 def test_condition_zero_known_gives_schur():
     rng = np.random.default_rng(3)
     full = block_cov(rng, 128)
-    cg = condition(CovarianceMatrix(full), np.zeros(64))
-    assert np.all(cg.mean == 0.0)
-    s11, s12, s22 = full[:64, :64], full[:64, 64:], full[64:, 64:]
-    schur = s11 - s12 @ np.linalg.solve(s22, s12.T)
-    assert np.abs(cg.cov.values - schur).max() <= 1e-8 * np.abs(schur).max()
+    gain, chol, jitter = condition(full, 64)
+    assert jitter == 0.0
+    assert np.all(gain @ np.zeros(64) == 0.0)
+    s22, s21, s11 = full[:64, :64], full[64:, :64], full[64:, 64:]
+    schur = s11 - s21 @ np.linalg.solve(s22, s21.T)
+    recon = chol @ chol.T.copy()
+    assert np.abs(recon - schur).max() <= 1e-8 * np.abs(schur).max()
 
 
 def test_condition_block_diagonal_unchanged():
     rng = np.random.default_rng(4)
     full = np.zeros((128, 128))
-    full[:64, :64] = block_cov(rng, 64)
     full[64:, 64:] = block_cov(rng, 64)
-    known = rng.normal(size=64)
-    cg = condition(CovarianceMatrix(full), known)
-    assert np.all(cg.mean == 0.0)
-    assert np.abs(cg.cov.values - full[:64, :64]).max() <= 1e-10
+    full[:64, :64] = block_cov(rng, 64)
+    gain, chol, _ = condition(full, 64)
+    assert np.all(gain == 0.0)
+    assert np.abs(chol @ chol.T.copy() - full[64:, 64:]).max() <= 1e-10
 
 
 def test_condition_toy_matches_closed_form():
@@ -157,48 +158,53 @@ def test_condition_toy_matches_closed_form():
     var = 4.0 - gain @ np.array([2.0, 1.0])
     assert mean == pytest.approx(0.4, abs=1e-12)
     assert var == pytest.approx(2.6, abs=1e-12)
-    # The library operates on 64-sized blocks; embed the toy in a padded
-    # identity (center coordinate 0, conditioning coordinates 64 and 65) so
-    # the same numbers fall out of the public operation.
+    # The library operates on 64-sized blocks; embed the toy known-first in
+    # a padded identity (conditioning coordinates 0 and 1, center
+    # coordinate 128) so the same numbers fall out of the public operation.
     big = np.eye(192)
-    big[0, 0] = 4.0
-    big[0, 64], big[64, 0] = 2.0, 2.0
-    big[0, 65], big[65, 0] = 1.0, 1.0
-    big[64, 64], big[65, 65] = 3.0, 2.0
-    big[64, 65], big[65, 64] = 1.0, 1.0
+    big[128, 128] = 4.0
+    big[128, 0], big[0, 128] = 2.0, 2.0
+    big[128, 1], big[1, 128] = 1.0, 1.0
+    big[0, 0], big[1, 1] = 3.0, 2.0
+    big[0, 1], big[1, 0] = 1.0, 1.0
     known = np.zeros(128)
     known[0], known[1] = 1.0, -1.0
-    cg = condition(CovarianceMatrix(big), known)
-    assert cg.mean[0] == pytest.approx(0.4, abs=1e-10)
-    assert cg.cov.values[0, 0] == pytest.approx(2.6, abs=1e-10)
-    assert np.abs(cg.mean[1:]).max() == 0.0
+    gain, chol, _ = condition(big, 128)
+    mean = gain @ known
+    assert mean[0] == pytest.approx(0.4, abs=1e-10)
+    assert (chol @ chol.T)[0, 0] == pytest.approx(2.6, abs=1e-10)
+    assert np.abs(mean[1:]).max() == 0.0
 
 
 def test_condition_rejects_bad_shapes():
     with pytest.raises(CovarianceError):
-        condition(CovarianceMatrix(np.eye(64)), np.zeros(0))
+        condition(np.eye(128), 32)
     with pytest.raises(CovarianceError):
-        condition(CovarianceMatrix(np.eye(128)), np.zeros(32))
+        condition(np.eye(128), 0)
+    with pytest.raises(CovarianceError):
+        condition(np.eye(128), 128)
+    with pytest.raises(CovarianceError):
+        condition(np.eye(128)[:, :64], 64)
 
 
 # -- cholesky -----------------------------------------------------------------
 
 
 def test_cholesky_identity():
-    chol, eps = cholesky(CovarianceMatrix(np.eye(5)))
+    chol, eps = cholesky(np.eye(5))
     assert eps == 0.0
     assert np.array_equal(chol, np.eye(5))
 
 
 def test_cholesky_hand_example():
-    chol, eps = cholesky(CovarianceMatrix(np.array([[4.0, 2.0], [2.0, 5.0]])))
+    chol, eps = cholesky(np.array([[4.0, 2.0], [2.0, 5.0]]))
     assert eps == 0.0
     assert np.allclose(chol, [[2.0, 0.0], [1.0, 2.0]], atol=1e-15)
 
 
 def test_cholesky_rank_deficient_uses_jitter():
     cov = np.array([[1.0, 1.0], [1.0, 1.0]])
-    chol, eps = cholesky(CovarianceMatrix(cov))
+    chol, eps = cholesky(cov)
     assert eps > 0.0
     recon = chol @ chol.T.copy()
     assert np.abs(recon - cov).max() <= 10.0 * eps + 1e-15
@@ -233,9 +239,8 @@ def test_blocked_cholesky_matches_lapack(n):
 def test_schur_chain_equivalence_small():
     rng = np.random.default_rng(9)
     full = block_cov(rng, 192)
-    full_cm = CovarianceMatrix(full)
     n_draws = 40_000
-    chol_full, _ = cholesky(full_cm)
+    chol_full, _ = cholesky(full)
     z = rng.standard_normal((n_draws, 192))
     direct = z @ chol_full.T.copy()
 

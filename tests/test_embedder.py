@@ -157,9 +157,9 @@ def test_fast_covariance_matches_operator_path(bright_raw, paper_params):
     pm = pl.assemble("L4", patch_cfa)
     bi, bj = 3, 2  # interior lattice-4 block
     joint = emb.joint_covariance(
-        (bi, bj), [(bi - 1, bj - 1), (bi - 1, bj), (bi - 1, bj + 1),
-                   (bi, bj - 1), (bi, bj + 1), (bi + 1, bj - 1),
-                   (bi + 1, bj), (bi + 1, bj + 1)])
+        [(bi, bj), (bi - 1, bj - 1), (bi - 1, bj), (bi - 1, bj + 1),
+         (bi, bj - 1), (bi, bj + 1), (bi + 1, bj - 1),
+         (bi + 1, bj), (bi + 1, bj + 1)])
     patch = bright_raw.data[8 * bi - 9 : 8 * bi + 17, 8 * bj - 9 : 8 * bj + 17]
     ref = sigma_d(pm, sigma_p(patch, paper_params)).values
     assert np.abs(joint - ref).max() <= 1e-10 * np.abs(ref).max()
@@ -167,10 +167,8 @@ def test_fast_covariance_matches_operator_path(bright_raw, paper_params):
 
 def test_block_factors_match_public_conditioning(bright_raw):
     # The embedder factors one joint covariance with the center last; the
-    # public operation applies the literal Schur formulas with the center
-    # first.  Same conditional law either way.
-    from jpegns.covariance import CovarianceMatrix, condition
-
+    # literal Schur formulas with the center first give the same
+    # conditional law.
     cfg = EmbedConfig(qf=95, K=5, key=1)
     emb = SimulatedEmbedder(bright_raw, cfg)
     bi, bj = 2, 3  # interior lattice-3 block
@@ -179,15 +177,17 @@ def test_block_factors_match_public_conditioning(bright_raw):
     factors = emb._block_factors(bi, bj)
     assert factors.neighbors == tuple(neighbors)
 
-    joint_center_first = emb.joint_covariance((bi, bj), neighbors)
+    joint = emb.joint_covariance([(bi, bj)] + neighbors)
+    s11, s12, s22 = joint[:64, :64], joint[:64, 64:], joint[64:, 64:]
     rng = np.random.default_rng(0)
     known = rng.normal(scale=5.0, size=256)
-    cg = condition(CovarianceMatrix(joint_center_first), known)
+    mean = s12 @ np.linalg.solve(s22, known)
+    cond = s11 - s12 @ np.linalg.solve(s22, s12.T)
     mean_embedder = factors.mean_gain @ known
-    scale = np.abs(cg.cov.values).max()
-    assert np.abs(mean_embedder - cg.mean).max() <= 1e-8 * np.abs(cg.mean).max()
+    scale = np.abs(cond).max()
+    assert np.abs(mean_embedder - mean).max() <= 1e-8 * np.abs(mean).max()
     recon = factors.chol @ factors.chol.T.copy()
-    assert np.abs(recon - cg.cov.values).max() <= 1e-8 * scale
+    assert np.abs(recon - cond).max() <= 1e-8 * scale
 
 
 def test_first_lattice_block_matches_full_run(bright_raw):
@@ -313,14 +313,6 @@ def test_config_validation():
         EmbedConfig(qf=95, green_kernel="diag")
     with pytest.raises(ValueError):
         EmbedConfig(qf=95, workers=0)
-
-
-def test_report_path_written(bright_raw, tmp_path):
-    path = tmp_path / "report.json"
-    cfg = EmbedConfig(qf=95, K=5, key=7, report_path=str(path))
-    _, report = embed_simulated(bright_raw, cfg)
-    payload = json.loads(path.read_text())
-    assert payload["totals"]["H_bits"] == report.total_bits
 
 
 def test_green_kernel_variant_changes_output(bright_raw):
