@@ -130,11 +130,12 @@ def cmd_covariance(args):
             "lowpass": "lowpass_only"}[args.mode]
     cov, subs = covariance.analysis_covariance(mode, args.cfa,
                                                args.green_kernel)
-    n_blocks = len(pipeline.NEIGHBOR_LABELS[args.neighborhood]) + 1
     labels = ("C",) + pipeline.NEIGHBOR_LABELS[args.neighborhood]
+    order = list(subs)  # the block order of the 9-block covariance
+    rows = np.concatenate([np.arange(64) + 64 * order.index(lbl)
+                           for lbl in labels])
     written = covariance.write_covariance_csv(
-        args.output, covariance.CovarianceMatrix(
-            cov.values[: 64 * n_blocks, : 64 * n_blocks]),
+        args.output, covariance.CovarianceMatrix(cov.values[np.ix_(rows, rows)]),
         {lbl: subs[lbl] for lbl in labels})
     log.info("wrote %s", ", ".join(written))
 

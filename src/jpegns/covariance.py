@@ -144,7 +144,8 @@ def analysis_covariance(mode="full", cfa="RGGB", green_kernel="cross"):
     "demosaic_only" interpolates the red channel only, and "lowpass_only"
     replaces development by the 3x3 low-pass filter.  Returns the 576x576
     covariance over the 9-block neighborhood plus the 9 labeled 64x64
-    sub-blocks of the central block against itself and its neighbors.
+    sub-blocks of the central block against itself and its neighbors,
+    keyed in the covariance's block order.
     """
     side = pipeline.PATCH_SIDE
     if mode == "full":

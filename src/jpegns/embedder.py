@@ -113,9 +113,8 @@ class CapacityReport:
 class EmbedResult:
     stego: jpeg_model.JpegCoefficients
     report: CapacityReport
-    continuous: np.ndarray = None  # (H, W) continuous stego DCT candidates
-    probs: np.ndarray = None  # (bh, bw, 64, 2K+1) folded PMFs
-    params: np.ndarray = None  # (bh, bw, 64, 2) scaled (m_hat, sigma_hat)
+    continuous: np.ndarray  # (H, W) continuous stego DCT candidates
+    probs: np.ndarray = None  # (bh, bw, 64, 2K+1) folded PMFs, if collected
 
 
 def condition(joint, n_known, context=""):
@@ -278,7 +277,7 @@ class SimulatedEmbedder:
 
     # -- embedding -----------------------------------------------------------
 
-    def _run_block(self, bi, bj, lat, key, out, collect):
+    def _run_block(self, bi, bj, lat, key, out):
         factors = self._block_factors(bi, bj)
         if factors.dead or factors.failed:
             # Stego signal identically zero: no changes, no capacity.
@@ -294,20 +293,20 @@ class SimulatedEmbedder:
             base_mean = np.zeros(64)
         gen = rng.block_stream(key, lat, bi, bj)
         chain = sampler.run_block_chain(
-            factors.chol, base_mean, self.q_flat, self.cfg.K, gen,
-            collect_probs=collect["probs"], collect_params=collect["params"])
+            factors.chol, base_mean, self.q_flat, self.cfg.K, gen)
         out["changes"][rows, cols] = chain["changes"].reshape(8, 8)
         out["continuous"][rows, cols] = chain["samples"].reshape(8, 8)
         out["entropy"][rows, cols] = chain["entropy_bits"].reshape(8, 8)
-        if collect["probs"]:
-            out["probs"][bi, bj] = np.asarray(chain["probs"])
-        if collect["params"]:
-            out["params"][bi, bj] = chain["params"]
+        if out["probs"] is not None:
+            out["probs"][bi, bj] = chain["probs"]
         return factors
 
-    def run(self, key=None, collect_continuous=False, collect_probs=False,
-            collect_params=False):
-        """Embed with the given key (default: the config key)."""
+    def run(self, key=None, collect_probs=False):
+        """Embed with the given key (default: the config key).
+
+        ``collect_probs`` also returns every folded PMF in
+        ``EmbedResult.probs``, a plane too large to keep by default.
+        """
         t0 = time.monotonic()
         key = self.cfg.key if key is None else key
         h, w = self.raw.height, self.raw.width
@@ -317,10 +316,7 @@ class SimulatedEmbedder:
             "entropy": np.zeros((h, w)),
             "probs": (np.zeros((self.blocks_h, self.blocks_w, 64,
                                 2 * self.cfg.K + 1)) if collect_probs else None),
-            "params": (np.zeros((self.blocks_h, self.blocks_w, 64, 2))
-                       if collect_params else None),
         }
-        collect = {"probs": collect_probs, "params": collect_params}
         jitter_events = []
         failed = []
         zero_blocks = 0
@@ -329,15 +325,14 @@ class SimulatedEmbedder:
             status = {}
             if self.cfg.workers == 1 or len(blocks) < 2 * self.cfg.workers:
                 for bi, bj in blocks:
-                    status[(bi, bj)] = self._run_block(bi, bj, lat, key, out,
-                                                       collect)
+                    status[(bi, bj)] = self._run_block(bi, bj, lat, key, out)
             else:
                 chunks = np.array_split(np.arange(len(blocks)), self.cfg.workers)
                 with ThreadPoolExecutor(max_workers=self.cfg.workers) as pool:
                     futures = [
                         pool.submit(self._run_chunk,
                                     [blocks[i] for i in chunk], lat, key, out,
-                                    collect, status)
+                                    status)
                         for chunk in chunks if len(chunk)
                     ]
                     for fut in futures:
@@ -387,14 +382,13 @@ class SimulatedEmbedder:
         return EmbedResult(
             stego=stego,
             report=report,
-            continuous=out["continuous"] if collect_continuous else None,
+            continuous=out["continuous"],
             probs=out["probs"],
-            params=out["params"],
         )
 
-    def _run_chunk(self, blocks, lat, key, out, collect, status):
+    def _run_chunk(self, blocks, lat, key, out, status):
         for bi, bj in blocks:
-            status[(bi, bj)] = self._run_block(bi, bj, lat, key, out, collect)
+            status[(bi, bj)] = self._run_block(bi, bj, lat, key, out)
 
     def run_first_lattice_block(self, key, block):
         """Chain outputs of one unconditioned (lattice 1) block for ``key``.

@@ -15,19 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pipeline import NEIGHBOR_LABELS
+from .pipeline import GRID_POS, NEIGHBOR_LABELS
 
-# (row, col) offset of each named neighbor; north is one block row up.
-LABEL_OFFSETS = {
-    "N": (-1, 0),
-    "S": (1, 0),
-    "W": (0, -1),
-    "E": (0, 1),
-    "NW": (-1, -1),
-    "NE": (-1, 1),
-    "SW": (1, -1),
-    "SE": (1, 1),
-}
+# (row, col) offset of each named neighbor from the central block of the
+# 3x3 grid; north is one block row up.
+LABEL_OFFSETS = {lbl: (i - 1, j - 1) for lbl, (i, j) in GRID_POS.items()
+                 if lbl != "C"}
 
 _PARITY_TO_LATTICE = {(0, 0): 1, (1, 1): 2, (0, 1): 3, (1, 0): 4}
 

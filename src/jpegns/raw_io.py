@@ -1,9 +1,10 @@
 """RAW Bayer image ingestion, synthesis and PGM + JSON sidecar I/O.
 
-RAW files are 16-bit big-endian binary PGM (P5) with a JSON sidecar
-``<path>.json`` holding the CFA layout, bit depth and sensor noise
-parameters.  Loaded photo-site values are linear counts; no black-level or
-white-balance handling is performed.
+RAW files are binary PGM (P5) with a JSON sidecar ``<path>.json`` holding
+the CFA layout, bit depth and sensor noise parameters.  Samples are 16-bit
+big-endian, or single bytes when the bit depth is at most 8 (the PGM rule
+for maxval <= 255).  Loaded photo-site values are linear counts; no
+black-level or white-balance handling is performed.
 """
 
 import json
@@ -176,7 +177,7 @@ def _read_pgm_tokens(buf, count):
 
 
 def load_raw(path):
-    """Load a 16-bit PGM plus its JSON sidecar into a validated RawImage."""
+    """Load a binary PGM plus its JSON sidecar into a validated RawImage."""
     path = str(path)
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -238,7 +239,10 @@ def load_raw(path):
 
 
 def write_raw(img, path):
-    """Write a RawImage as 16-bit big-endian PGM plus JSON sidecar.
+    """Write a RawImage as binary PGM plus JSON sidecar.
+
+    Samples are single bytes when maxval <= 255 and 16-bit big-endian
+    otherwise, as ``load_raw`` (and the PGM format) reads them.
 
     Values are rounded to the nearest integer; the in-memory image should be
     integer-valued for a bit-exact round trip.
@@ -253,7 +257,7 @@ def write_raw(img, path):
     header = f"P5\n{img.width} {img.height}\n{maxval}\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(samples.astype(">u2").tobytes())
+        fh.write(samples.astype("u1" if maxval <= 255 else ">u2").tobytes())
     meta = {
         "cfa": img.cfa,
         "bit_depth": img.bit_depth,

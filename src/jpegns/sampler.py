@@ -126,26 +126,25 @@ def pmf(m_prime, sigma_prime, q_step, k_range):
 
 
 def entropy(p):
-    """Shannon entropy in bits of a Pmf or probability list (0 log 0 = 0)."""
-    total = 0.0
-    for q in (p.probs if isinstance(p, Pmf) else p):
-        if q > 0.0:
-            total -= q * math.log2(q)
-    return total
+    """Shannon entropy in bits along the last axis of a PMF array (0 log 0 = 0).
+
+    A 1-D probability vector gives a scalar.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    logs = np.zeros_like(p)
+    np.log2(p, out=logs, where=p > 0.0)
+    return -np.sum(p * logs, axis=-1)
 
 
 def costs_from_pmf(p):
     """Embedding costs rho(k) = ln(pi(0) / pi(k)) along the last axis.
 
-    ``p`` is a Pmf or an array of folded PMFs over -K..K, shape (..., 2K+1).
-    Zero mass maps to +inf, and so does 0/0 (a coefficient without any
-    mass, such as one of a dead block).
+    ``p`` is an array of folded PMFs over -K..K, shape (..., 2K+1).  Zero
+    mass maps to +inf, and so does 0/0 (a coefficient without any mass,
+    such as one of a dead block).
     """
-    if isinstance(p, Pmf):
-        probs, zero = p.probs, -p.k_min
-    else:
-        probs = np.asarray(p, dtype=np.float64)
-        zero = probs.shape[-1] // 2
+    probs = np.asarray(p, dtype=np.float64)
+    zero = probs.shape[-1] // 2
     with np.errstate(divide="ignore", invalid="ignore"):
         costs = np.log(probs[..., zero : zero + 1]) - np.log(probs)
     return np.where(np.isnan(costs), np.inf, costs)
@@ -208,41 +207,35 @@ def _draw_coefficient(m_prime, sigma_prime, q_step, k_range, u_disc, u_cont):
     return probs, k, m_prime + sigma_prime * z, z
 
 
-def run_block_chain(chol, base_mean, q_steps, k_range, gen,
-                    collect_probs=False, collect_params=False):
+def run_block_chain(chol, base_mean, q_steps, k_range, gen):
     """Run the full 64-coefficient chain for one block.
 
-    Returns a dict with the discrete changes, continuous candidates and
-    per-coefficient entropies; ``collect_probs`` adds the folded PMFs and
-    ``collect_params`` the conditional (m_hat, sigma_hat) pairs.  Draws the
+    Returns a dict with the discrete ``changes`` (64), the continuous
+    candidates ``samples`` (64), the folded PMFs ``probs`` (64, 2K+1), the
+    conditional ``params`` (m_hat, sigma_hat) in quantization steps (64, 2)
+    and the per-coefficient ``entropy_bits`` (64) of ``probs``.  Draws the
     block's 128 uniforms up front: uniforms 2i and 2i+1 drive the discrete
     and the continuous draw of coefficient i.
     """
-    uniforms = gen.random(128)
+    uniforms = gen.random(128).tolist()
+    steps = np.asarray(q_steps, dtype=np.float64)
     changes = np.zeros(64, dtype=np.int64)
     samples = np.zeros(64)
     noise = np.zeros(64)
-    bits = np.zeros(64)
-    probs_out = [] if collect_probs else None
-    params_out = np.zeros((64, 2)) if collect_params else None
+    means = np.zeros(64)
+    probs = []
     for i in range(64):
         m_prime, sigma_prime = _step_params(chol, base_mean, noise, i)
-        q = float(q_steps[i])
-        probs, k, s, z = _draw_coefficient(
-            m_prime, sigma_prime, q, k_range,
-            float(uniforms[2 * i]), float(uniforms[2 * i + 1]))
+        p, k, s, z = _draw_coefficient(
+            m_prime, sigma_prime, float(steps[i]), k_range,
+            uniforms[2 * i], uniforms[2 * i + 1])
         changes[i] = k
         samples[i] = s
         noise[i] = z
-        bits[i] = entropy(probs)
-        if collect_probs:
-            probs_out.append(np.array(probs))
-        if collect_params:
-            params_out[i, 0] = m_prime / q
-            params_out[i, 1] = sigma_prime / q
-    out = {"changes": changes, "samples": samples, "entropy_bits": bits}
-    if collect_probs:
-        out["probs"] = probs_out
-    if collect_params:
-        out["params"] = params_out
-    return out
+        means[i] = m_prime
+        probs.extend(p)
+    probs = np.array(probs).reshape(64, -1)
+    # sigma' is |chol[i, i]| whatever the earlier draws (_step_params).
+    params = np.column_stack((means, np.abs(np.diagonal(chol)))) / steps[:, None]
+    return {"changes": changes, "samples": samples, "probs": probs,
+            "params": params, "entropy_bits": entropy(probs)}

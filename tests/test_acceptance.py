@@ -207,7 +207,7 @@ def test_criterion_07_end_to_end_distribution():
     # The single-block chain is bit-identical to the full embedding's
     # central block (checked for one key), so the repeated runs below are
     # honest full-embedding statistics.
-    full = emb.run(key=123, collect_continuous=True)
+    full = emb.run(key=123)
     single = emb.run_first_lattice_block(123, block)
     assert np.array_equal(single["samples"],
                           full.continuous[16:24, 16:24].ravel())

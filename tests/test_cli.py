@@ -6,6 +6,7 @@ import pytest
 from jpegns import load_raw, read_coeffs
 from jpegns.cli import main
 from jpegns.embedder import read_costs
+from jpegns.pipeline import NEIGHBOR_LABELS
 
 
 @pytest.fixture
@@ -111,6 +112,21 @@ def test_covariance_l1_export(tmp_path):
                "-o", str(out)])
     assert rc == 0
     assert np.loadtxt(out, delimiter=",").shape == (64, 64)
+
+
+@pytest.mark.parametrize("nb", ["L1", "L2", "L3", "L4"])
+def test_covariance_export_block_order(tmp_path, nb):
+    # Column block k of the central rows is the sub-block of label k.
+    out = tmp_path / "cov.csv"
+    rc = main(["covariance", "--neighborhood", nb, "--mode", "lowpass",
+               "-o", str(out)])
+    assert rc == 0
+    labels = ("C",) + NEIGHBOR_LABELS[nb]
+    full = np.loadtxt(out, delimiter=",")
+    assert full.shape == (64 * len(labels),) * 2
+    for k, lbl in enumerate(labels):
+        sub = np.loadtxt(tmp_path / f"cov_{lbl}.csv", delimiter=",")
+        assert np.array_equal(full[:64, 64 * k : 64 * (k + 1)], sub), lbl
 
 
 def test_dump_operator(tmp_path):

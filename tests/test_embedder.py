@@ -21,6 +21,7 @@ from jpegns import (
 from jpegns import embedder as emb_mod
 from jpegns import pipeline as pl
 from jpegns.covariance import photon_variance, sigma_d, sigma_p
+from jpegns.sampler import costs_from_pmf, entropy
 
 
 def small_raw(params, size=48, seed=11, mu=2000.0, sigma=80.0):
@@ -193,7 +194,7 @@ def test_block_factors_match_public_conditioning(bright_raw):
 def test_first_lattice_block_matches_full_run(bright_raw):
     cfg = EmbedConfig(qf=95, K=5, key=0xFEED)
     emb = SimulatedEmbedder(bright_raw, cfg, cache_factors=True)
-    full = emb.run(collect_continuous=True)
+    full = emb.run()
     single = emb.run_first_lattice_block(0xFEED, (2, 2))
     block = full.continuous[16:24, 16:24].ravel()
     assert np.array_equal(single["samples"], block)
@@ -275,6 +276,30 @@ def test_costs_point_mass_blocks_infinite(paper_params):
     # Dead blocks export zero pi(0) and +inf costs for every change.
     assert np.all(plane.pi_zero == 0.0)
     assert np.all(np.isinf(plane.costs))
+
+
+def test_capacity_and_costs_read_one_pmf(paper_params):
+    # A ramp across the variance clamp (600 -> 1600) has dead blocks, jitter
+    # blocks and live blocks; capacity and costs both come from the chain's
+    # folded PMFs, and collecting them changes nothing else.
+    raw = RawImage(data=np.tile(np.linspace(600.0, 1600.0, 64), (64, 1)),
+                   cfa="RGGB", bit_depth=12, params=paper_params)
+    cfg = EmbedConfig(qf=95, K=5, key=0x5EED)
+    emb = SimulatedEmbedder(raw, cfg)
+    plain = emb.run(cfg.key)
+    full = emb.run(cfg.key, collect_probs=True)
+    assert full.report.zero_variance_blocks > 0
+    assert full.report.jitter_events
+    ent = full.report.entropy_plane.reshape(8, 8, 8, 8).transpose(0, 2, 1, 3)
+    assert np.array_equal(ent.reshape(8, 8, 64), entropy(full.probs))
+    assert np.array_equal(export_costs(raw, cfg).costs,
+                          costs_from_pmf(full.probs))
+    assert np.array_equal(plain.stego.coeffs, full.stego.coeffs)
+    assert plain.probs is None
+    dicts = [r.report.to_json_dict() for r in (plain, full)]
+    for d in dicts:
+        d.pop("runtime_s")
+    assert dicts[0] == dicts[1]
 
 
 # -- key separation -------------------------------------------------------------------

@@ -129,6 +129,19 @@ def test_write_then_load_round_trip(tmp_path):
     assert back.params == img.params
 
 
+@pytest.mark.parametrize("bit_depth", [1, 8, 12])
+def test_round_trip_at_bit_depth(tmp_path, bit_depth):
+    # PGM stores one byte per sample when maxval <= 255, two otherwise.
+    data = np.arange(64, dtype=np.float64).reshape(8, 8) * 3 % 2**bit_depth
+    img = RawImage(data=data, cfa="RGGB", bit_depth=bit_depth,
+                   params=SensorParams(0.0, 0.0, 1.15, -1150.0))
+    path = tmp_path / "rt.pgm"
+    write_raw(img, path)
+    back = load_raw(path)
+    assert np.array_equal(back.data, data)
+    assert back.bit_depth == bit_depth
+
+
 def test_synthesize_constant():
     spec = SynthSpec(kind="constant", mu=1000.0, sigma=0.0, width=24, height=24)
     img = synthesize_raw(spec, SensorParams(0, 0, 1, 0))

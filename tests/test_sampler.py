@@ -43,11 +43,11 @@ def random_chol(seed, n=64):
     return np.linalg.cholesky(a @ a.T.copy() / (n + 8))
 
 
-def iid_chain(sigma, mean, q, k_range, g, **collect):
+def iid_chain(sigma, mean, q, k_range, g):
     """Chain with equal (m', sigma', q) on every coefficient: 64 iid draws."""
     return run_block_chain(np.diag(np.full(64, float(sigma))),
                            np.full(64, float(mean)), np.full(64, float(q)),
-                           k_range, g, **collect)
+                           k_range, g)
 
 
 def assert_samples_in_drawn_bins(out, q_steps, k_range):
@@ -67,7 +67,7 @@ def test_pmf_point_mass_at_zero():
     p = pmf(0.0, 0.0, 4.0, 3)
     assert p.prob(0) == 1.0
     assert p.probs.sum() == 1.0
-    assert entropy(p) == 0.0
+    assert entropy(p.probs) == 0.0
 
 
 def test_pmf_point_mass_at_rounded_mean():
@@ -130,7 +130,7 @@ def test_pmf_normalization_property(m, sigma, q, k):
     p = pmf(m, sigma, q, k)
     assert abs(float(p.probs.sum()) - 1.0) <= 1e-9
     assert np.all(p.probs >= 0.0)
-    assert entropy(p) <= math.log2(2 * k + 1) + 1e-12
+    assert entropy(p.probs) <= math.log2(2 * k + 1) + 1e-12
 
 
 def test_pmf_rejects_bad_arguments():
@@ -154,7 +154,7 @@ def test_entropy_known_values():
 def test_costs_values():
     p = Pmf(k_min=-1, k_max=1, probs=np.array([0.25, 0.5, 0.25]),
             center_round=0)
-    rho = costs_from_pmf(p)
+    rho = costs_from_pmf(p.probs)
     assert rho[1] == 0.0
     assert rho[0] == pytest.approx(math.log(2.0), abs=1e-15)
     assert rho[2] == pytest.approx(math.log(2.0), abs=1e-15)
@@ -162,7 +162,7 @@ def test_costs_values():
 
 def test_costs_infinite_for_zero_mass():
     p = pmf(0.0, 0.0, 1.0, 2)  # point mass at 0
-    rho = costs_from_pmf(p)
+    rho = costs_from_pmf(p.probs)
     assert rho[2] == 0.0
     assert np.all(np.isinf(rho[[0, 1, 3, 4]]))
 
@@ -177,7 +177,7 @@ def test_costs_of_pmf_array():
     rho = costs_from_pmf(probs)
     assert rho.shape == probs.shape
     for idx, p in zip(((0, 0), (0, 1), (1, 0)), pmfs):
-        assert np.array_equal(rho[idx], costs_from_pmf(p))
+        assert np.array_equal(rho[idx], costs_from_pmf(p.probs))
     assert np.all(np.isposinf(rho[1, 1]))
 
 
@@ -220,7 +220,7 @@ def test_chain_never_draws_zero_mass_bin():
     g = gen(3)
     drawn = set()
     for _ in range(300):
-        out = iid_chain(0.02, 0.45, 1.0, 5, g, collect_probs=True)
+        out = iid_chain(0.02, 0.45, 1.0, 5, g)
         for i, k in enumerate(out["changes"]):
             assert out["probs"][i][k + 5] > 0.0
             drawn.add(int(k))
@@ -242,7 +242,7 @@ def test_continuous_zero_bin_containment():
     q = 3.0
     g = gen(4)
     for _ in range(10):
-        out = iid_chain(q, 0.0, q, 5, g, collect_params=True)
+        out = iid_chain(q, 0.0, q, 5, g)
         assert_samples_in_drawn_bins(out, np.full(64, q), 5)
         zero = out["changes"] == 0
         assert np.all(np.abs(out["samples"][zero]) <= 0.5 * q)
@@ -253,7 +253,7 @@ def test_continuous_bin_containment_offset_mean():
     q, m = 2.0, 2.8
     g = gen(5)
     for _ in range(10):
-        out = iid_chain(1.0, m, q, 3, g, collect_params=True)
+        out = iid_chain(1.0, m, q, 3, g)
         assert_samples_in_drawn_bins(out, np.full(64, q), 3)
         low = out["changes"] == -1
         assert np.all((out["samples"][low] > -0.5 * q)
@@ -263,8 +263,7 @@ def test_continuous_bin_containment_offset_mean():
     steps = np.linspace(0.5, 3.0, 64)
     mean = np.linspace(-3.0, 3.0, 64)
     for seed in range(20):
-        out = run_block_chain(random_chol(seed) * 2.0, mean, steps, 3, g,
-                              collect_params=True)
+        out = run_block_chain(random_chol(seed) * 2.0, mean, steps, 3, g)
         assert_samples_in_drawn_bins(out, steps, 3)
 
 
@@ -294,7 +293,7 @@ def test_low_acceptance_bin_uses_bounded_path():
     u = np.full(128, 0.5)
     u[0] = 0.5 * (norm.cdf(4.5) + norm.cdf(5.5))
     out = run_block_chain(np.eye(64), np.zeros(64), np.ones(64), 6,
-                          FixedUniforms(u), collect_probs=True)
+                          FixedUniforms(u))
     assert out["changes"][0] == 5
     assert out["probs"][0][5 + 6] < 1e-5
     assert 4.5 < out["samples"][0] <= 5.5
@@ -308,8 +307,7 @@ def test_chain_first_step_params():
     chol = random_chol(0)
     mean = np.linspace(-2, 2, 64)
     q = 2.0
-    out = run_block_chain(chol, mean, np.full(64, q), 5, gen(11),
-                          collect_probs=True, collect_params=True)
+    out = run_block_chain(chol, mean, np.full(64, q), 5, gen(11))
     # First coefficient: m' = mean[0], sigma' = chol[0, 0].
     assert np.array_equal(out["params"][0], [mean[0] / q, chol[0, 0] / q])
     ref = pmf(mean[0], abs(chol[0, 0]), q, 5)
@@ -320,8 +318,7 @@ def test_chain_diagonal_chol_matches_standalone_pmfs():
     sigmas = np.linspace(0.2, 3.0, 64)
     chol = np.diag(sigmas)
     mean = np.linspace(-1.5, 1.5, 64)
-    out = run_block_chain(chol, mean, np.full(64, 2.0), 4, gen(12),
-                          collect_probs=True)
+    out = run_block_chain(chol, mean, np.full(64, 2.0), 4, gen(12))
     for i in range(64):
         ref = pmf(mean[i], sigmas[i], 2.0, 4)
         assert np.array_equal(out["probs"][i], ref.probs)
@@ -349,9 +346,9 @@ def test_chain_entropy_monotone_in_alphabet_at_matched_params():
     chol = random_chol(19)
     mean = np.linspace(-2, 2, 64)
     q = np.full(64, 2.0)
-    out = run_block_chain(chol, mean, q, 5, gen(20), collect_params=True)
+    out = run_block_chain(chol, mean, q, 5, gen(20))
     for m_hat, sigma_hat in out["params"]:
-        h = [entropy(pmf(m_hat * 2.0, sigma_hat * 2.0, 2.0, k))
+        h = [entropy(pmf(m_hat * 2.0, sigma_hat * 2.0, 2.0, k).probs)
              for k in (1, 2, 3, 5)]
         assert h[0] <= h[1] + 1e-12
         assert h[1] <= h[2] + 1e-12
