@@ -58,6 +58,7 @@ from .jpeg_model import (
 )
 from .embedder import (
     CapacityReport,
+    ConfigError,
     EmbedConfig,
     SimulatedEmbedder,
     capacity_map,

@@ -23,7 +23,11 @@ log = logging.getLogger("jpegns")
 
 
 def _parse_key(text):
-    return int(text, 16) & ((1 << 64) - 1)
+    try:
+        return int(text, 16) & ((1 << 64) - 1)
+    except ValueError:
+        raise embedder.ConfigError(
+            f"key must be a hexadecimal number, got {text!r}") from None
 
 
 def _add_sensor_args(parser):
@@ -236,7 +240,8 @@ def main(argv=None):
     try:
         args.func(args)
     except (raw_io.RawIoError, jpeg_model.CoefficientsError,
-            covariance.CovarianceError, pipeline.PipelineError) as exc:
+            covariance.CovarianceError, pipeline.PipelineError,
+            embedder.ConfigError) as exc:
         log.error("error: %s", exc)
         return 1
     return 0

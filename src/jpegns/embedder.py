@@ -34,6 +34,10 @@ _COSTS_MAGIC = b"JCST"
 _COSTS_VERSION = 1
 
 
+class ConfigError(ValueError):
+    """Invalid embedding parameters."""
+
+
 @dataclass(frozen=True)
 class EmbedConfig:
     """Embedding parameters; ``key`` seeds all per-block random streams."""
@@ -46,13 +50,13 @@ class EmbedConfig:
 
     def __post_init__(self):
         if self.K < 1:
-            raise ValueError("alphabet half-width K must be >= 1")
+            raise ConfigError("alphabet half-width K must be >= 1")
         if not (1 <= self.qf <= 100):
-            raise ValueError("quality factor must be in 1..100")
+            raise ConfigError("quality factor must be in 1..100")
         if self.green_kernel not in ("cross", "corner"):
-            raise ValueError(f"unknown green kernel {self.green_kernel!r}")
+            raise ConfigError(f"unknown green kernel {self.green_kernel!r}")
         if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+            raise ConfigError("workers must be >= 1")
 
 
 @dataclass

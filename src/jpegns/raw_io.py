@@ -176,6 +176,17 @@ def _read_pgm_tokens(buf, count):
     return tokens, pos + 1  # header ends with a single whitespace byte
 
 
+def _finite_float(value):
+    """A JSON number as a finite float; None for anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return value if math.isfinite(value) else None
+
+
 def load_raw(path):
     """Load a binary PGM plus its JSON sidecar into a validated RawImage."""
     path = str(path)
@@ -205,6 +216,8 @@ def load_raw(path):
         raise SidecarError(f"missing sidecar {sidecar_path}") from exc
     except json.JSONDecodeError as exc:
         raise SidecarError(f"malformed sidecar {sidecar_path}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise SidecarError(f"sidecar {sidecar_path} is not a JSON object")
 
     cfa = meta.get("cfa")
     if cfa is None:
@@ -214,21 +227,23 @@ def load_raw(path):
         raise UnknownCfaError(f"unknown CFA pattern {cfa!r} in {sidecar_path}")
     try:
         bit_depth = meta["bit_depth"]
-        params = SensorParams(
-            a1=float(meta["a1"]),
-            b1=float(meta["b1"]),
-            a2=float(meta["a2"]),
-            b2=float(meta["b2"]),
-            iso1=int(meta.get("iso1", 100)),
-            iso2=int(meta.get("iso2", 200)),
-        )
+        coeffs = {name: _finite_float(meta[name])
+                  for name in ("a1", "b1", "a2", "b2")}
     except KeyError as exc:
         raise SidecarError(f"sidecar {sidecar_path} missing field {exc}") from exc
-    if isinstance(bit_depth, bool) or not isinstance(bit_depth, int):
-        raise SidecarError(
-            f"sidecar {sidecar_path} bit_depth must be an integer, "
-            f"got {bit_depth!r}")
-    img = RawImage(data=data, cfa=cfa, bit_depth=bit_depth, params=params)
+    for name, value in coeffs.items():
+        if value is None:
+            raise SidecarError(
+                f"sidecar {sidecar_path} {name} must be a finite number, "
+                f"got {meta[name]!r}")
+    isos = {"iso1": meta.get("iso1", 100), "iso2": meta.get("iso2", 200)}
+    for name, value in {"bit_depth": bit_depth, **isos}.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SidecarError(
+                f"sidecar {sidecar_path} {name} must be an integer, "
+                f"got {value!r}")
+    img = RawImage(data=data, cfa=cfa, bit_depth=bit_depth,
+                   params=SensorParams(**coeffs, **isos))
     # write_raw stores maxval = 2**bit_depth - 1; checked after RawImage has
     # validated the bit depth and the photo-site range.
     if maxval != 2**bit_depth - 1:

@@ -12,6 +12,13 @@ chain can continue exactly.  End-symbol candidates are drawn from the full
 folded tail, which keeps the continuous output an exact draw of the
 Gaussian joint.
 
+The draw is bracketed: the inverse normal CDF of the discrete uniform
+guesses the bin, and the CDF values at that bin's two edges settle it, so a
+coefficient usually costs two erf evaluations instead of the full CDF.  The
+chain keeps each coefficient's bin grid, and the block's folded-PMF table
+is built from the grids in one array pass after the loop, with the same
+erf arguments the draws compare against; ``pmf`` is one row of that table.
+
 Conventions: rounding is half-away-from-zero; bins are half-open on the
 left, (u_k, u_{k+1}]; the chain consumes exactly two uniforms per
 coefficient (one discrete, one continuous), so streams are positionally
@@ -35,21 +42,8 @@ class SamplerError(Exception):
 
 def round_half_away(x):
     """Round to the nearest integer, halves away from zero."""
-    return int(math.floor(abs(x) + 0.5) * (1 if x >= 0 else -1))
-
-
-def _phi(z):
-    """Standard normal CDF."""
-    return 0.5 * (1.0 + math.erf(z * _SQRT_HALF))
-
-
-def _phi_bar(z):
-    """Standard normal upper tail probability, accurate for large z."""
-    return 0.5 * math.erfc(z * _SQRT_HALF)
-
-
-def _inv_phi(p):
-    return float(ndtri(p))
+    r = math.floor(abs(x) + 0.5)
+    return r if x >= 0 else -r
 
 
 @dataclass(frozen=True)
@@ -81,26 +75,37 @@ class Pmf:
         return float(self.probs[k - self.k_min])
 
 
-def _folded_pmf(m_hat, sigma_hat, k_range):
-    """(center_round, cdf, probs) of the folded PMF in scaled units.
+def _grid(m_hat, sigma_hat, k_range):
+    """(center_round, base, inv) of the bin grid of N(m_hat, sigma_hat^2).
 
-    cdf[j] = P(change <= -K + j) and its final entry is exactly 1, so both
-    tails fold into the end symbols; probs[j] is the mass of change -K + j.
-    sigma_hat = 0 (including underflow of a subnormal sigma') gives the
-    step CDF of a point mass at round(m_hat) clamped into the alphabet.
+    The lower edge of symbol k has CDF 0.5 * (1 + erf((base + k) * inv /
+    sqrt 2)).  A zero deviation (including underflow of a subnormal sigma')
+    is a point mass at round(m_hat) clamped into the alphabet: its grid is
+    centered on that atom with inv = inf, so every edge CDF is exactly 0 or 1.
     """
     center = round_half_away(m_hat)
     if sigma_hat == 0.0:
-        atom = min(max(center, -k_range), k_range)
-        cdf = [0.0] * (atom + k_range) + [1.0] * (k_range + 1 - atom)
-    else:
-        base = center - 0.5 - m_hat
-        inv = 1.0 / sigma_hat
-        cdf = [_phi((base + k) * inv)
-               for k in range(-k_range + 1, k_range + 1)]
-        cdf.append(1.0)
-    probs = [hi - lo if hi > lo else 0.0 for lo, hi in zip([0.0] + cdf, cdf)]
-    return center, cdf, probs
+        return center, -min(max(center, -k_range), k_range) - 0.5, math.inf
+    return center, center - 0.5 - m_hat, 1.0 / sigma_hat
+
+
+def _pmf_table(base, inv, k_range):
+    """Folded PMFs (n, 2K+1) of n coefficients from their bin grids.
+
+    cdf[:, j] = P(change <= -K + j) and its final column is exactly 1, so
+    both tails fold into the end symbols.  The edge CDFs map ``math.erf``
+    over the same arguments the chain's draw evaluates, so the table agrees
+    bit for bit with the CDF values a draw compares its uniform against.
+    """
+    edges = np.arange(-k_range + 1, k_range + 1, dtype=np.float64)
+    args = (base[:, None] + edges) * inv[:, None] * _SQRT_HALF
+    erfs = np.fromiter(map(math.erf, args.ravel().tolist()), np.float64,
+                       args.size).reshape(args.shape)
+    cdf = np.ones((base.size, 2 * k_range + 1))
+    cdf[:, :-1] = 0.5 * (1.0 + erfs)
+    lo = np.zeros_like(cdf)
+    lo[:, 1:] = cdf[:, :-1]
+    return np.where(cdf > lo, cdf - lo, 0.0)
 
 
 def pmf(m_prime, sigma_prime, q_step, k_range):
@@ -119,10 +124,9 @@ def pmf(m_prime, sigma_prime, q_step, k_range):
         raise SamplerError("q_step must be positive")
     if k_range < 1:
         raise SamplerError("alphabet half-width must be >= 1")
-    center, _, probs = _folded_pmf(m_prime / q_step, sigma_prime / q_step,
-                                   k_range)
-    return Pmf(k_min=-k_range, k_max=k_range, probs=np.array(probs),
-               center_round=center)
+    center, base, inv = _grid(m_prime / q_step, sigma_prime / q_step, k_range)
+    probs = _pmf_table(np.array([base]), np.array([inv]), k_range)[0]
+    return Pmf(k_min=-k_range, k_max=k_range, probs=probs, center_round=center)
 
 
 def entropy(p):
@@ -157,54 +161,18 @@ def _truncated_standard_normal(lo_z, hi_z, u):
     accurate for bins far from the mean.
     """
     if lo_z == -math.inf and hi_z == math.inf:
-        return _inv_phi(min(max(u, _TINY), _BELOW_ONE))
+        return float(ndtri(min(max(u, _TINY), _BELOW_ONE)))
     if hi_z <= -lo_z:  # bin mass concentrated on the lower half-line
-        p_lo = _phi(lo_z)
-        p_hi = _phi(hi_z)
+        p_lo = 0.5 * (1.0 + math.erf(lo_z * _SQRT_HALF))
+        p_hi = 0.5 * (1.0 + math.erf(hi_z * _SQRT_HALF))
         p = p_lo + u * (p_hi - p_lo)
-        z = _inv_phi(min(max(p, _TINY), _BELOW_ONE))
-    else:
-        q_hi = _phi_bar(hi_z)
-        q_lo = _phi_bar(lo_z)
+        z = float(ndtri(min(max(p, _TINY), _BELOW_ONE)))
+    else:  # upper tails, accurate for large z
+        q_hi = 0.5 * math.erfc(hi_z * _SQRT_HALF)
+        q_lo = 0.5 * math.erfc(lo_z * _SQRT_HALF)
         p = q_hi + (1.0 - u) * (q_lo - q_hi)
-        z = -_inv_phi(min(max(p, _TINY), _BELOW_ONE))
+        z = -float(ndtri(min(max(p, _TINY), _BELOW_ONE)))
     return min(max(z, lo_z), hi_z)
-
-
-def _step_params(chol, base_mean, noise, i):
-    """Conditional (m', sigma') of coefficient i given earlier innovations."""
-    sigma = abs(float(chol[i, i]))
-    if i:
-        m = float(base_mean[i]) + float(np.dot(chol[i, :i], noise[:i]))
-    else:
-        m = float(base_mean[0])
-    return m, sigma
-
-
-def _draw_coefficient(m_prime, sigma_prime, q_step, k_range, u_disc, u_cont):
-    """One chain draw from two uniforms: (probs, k, s, z).
-
-    The discrete change is the first symbol whose CDF exceeds ``u_disc``,
-    so a zero-mass symbol is never drawn.  A zero-deviation signal is its
-    own continuous candidate.  The candidate for the end symbols -K/+K is
-    drawn from the full folded tail so the chain reproduces the exact
-    Gaussian joint.
-    """
-    m_hat = m_prime / q_step
-    sigma_hat = sigma_prime / q_step
-    center, cdf, probs = _folded_pmf(m_hat, sigma_hat, k_range)
-    j = 0
-    while cdf[j] <= u_disc:
-        j += 1
-    k = j - k_range
-    if sigma_hat == 0.0:
-        return probs, k, m_prime, 0.0
-    base = center - 0.5 - m_hat
-    inv = 1.0 / sigma_hat
-    lo_z = -math.inf if k == -k_range else (base + k) * inv
-    hi_z = math.inf if k == k_range else (base + k + 1.0) * inv
-    z = _truncated_standard_normal(lo_z, hi_z, u_cont)
-    return probs, k, m_prime + sigma_prime * z, z
 
 
 def run_block_chain(chol, base_mean, q_steps, k_range, gen):
@@ -215,27 +183,64 @@ def run_block_chain(chol, base_mean, q_steps, k_range, gen):
     conditional ``params`` (m_hat, sigma_hat) in quantization steps (64, 2)
     and the per-coefficient ``entropy_bits`` (64) of ``probs``.  Draws the
     block's 128 uniforms up front: uniforms 2i and 2i+1 drive the discrete
-    and the continuous draw of coefficient i.
+    and the continuous draw of coefficient i.  The loop stores each
+    coefficient's bin grid; the PMF table is built from the grids after it.
+
+    A zero-deviation coefficient draws its clamped atom and is its own
+    continuous candidate.  The candidate for the end symbols -K/+K is drawn
+    from the full folded tail so the chain reproduces the exact Gaussian
+    joint.
     """
-    uniforms = gen.random(128).tolist()
+    uniforms = gen.random(128)
+    u_disc = uniforms[0::2].tolist()
+    u_cont = uniforms[1::2].tolist()
+    z_guess = ndtri(uniforms[0::2]).tolist()
     steps = np.asarray(q_steps, dtype=np.float64)
-    changes = np.zeros(64, dtype=np.int64)
-    samples = np.zeros(64)
+    # sigma' is |chol[i, i]| whatever the earlier draws.
+    sigmas = np.abs(np.diagonal(chol))
+    mean_list = np.asarray(base_mean, dtype=np.float64).tolist()
+    erf, floor = math.erf, math.floor
     noise = np.zeros(64)
-    means = np.zeros(64)
-    probs = []
-    for i in range(64):
-        m_prime, sigma_prime = _step_params(chol, base_mean, noise, i)
-        p, k, s, z = _draw_coefficient(
-            m_prime, sigma_prime, float(steps[i]), k_range,
-            uniforms[2 * i], uniforms[2 * i + 1])
-        changes[i] = k
-        samples[i] = s
+    changes, samples, means, bases, invs = [], [], [], [], []
+    for i, (q, sigma_prime) in enumerate(zip(steps.tolist(), sigmas.tolist())):
+        m_prime = mean_list[i]
+        if i:
+            m_prime += float(chol[i, :i].dot(noise[:i]))
+        sigma_hat = sigma_prime / q
+        _, base, inv = _grid(m_prime / q, sigma_hat, k_range)
+        if sigma_hat == 0.0:
+            # The point mass draws its atom, -0.5 - base (see _grid).
+            k = int(-0.5 - base)
+            s = m_prime
+            z = 0.0
+        else:
+            # The change is the first symbol whose CDF exceeds u.  Start at
+            # the bin of the untruncated value ndtri(u), clamped into -K..K
+            # as a float so that u = 0 (-inf) and huge deviations cannot
+            # overflow, and settle with the CDF at the bin's two edges; any
+            # start settles to the same symbol, usually after two erf values.
+            u = u_disc[i]
+            g = z_guess[i] / inv - base
+            k = floor(g) if -k_range < g < k_range else (
+                k_range if g >= k_range else -k_range)
+            while k > -k_range and 0.5 * (1.0 + erf(
+                    (base + k) * inv * _SQRT_HALF)) > u:
+                k -= 1
+            while k < k_range and 0.5 * (1.0 + erf(
+                    (base + (k + 1)) * inv * _SQRT_HALF)) <= u:
+                k += 1
+            lo_z = -math.inf if k == -k_range else (base + k) * inv
+            hi_z = math.inf if k == k_range else (base + k + 1.0) * inv
+            z = _truncated_standard_normal(lo_z, hi_z, u_cont[i])
+            s = m_prime + sigma_prime * z
         noise[i] = z
-        means[i] = m_prime
-        probs.extend(p)
-    probs = np.array(probs).reshape(64, -1)
-    # sigma' is |chol[i, i]| whatever the earlier draws (_step_params).
-    params = np.column_stack((means, np.abs(np.diagonal(chol)))) / steps[:, None]
-    return {"changes": changes, "samples": samples, "probs": probs,
+        changes.append(k)
+        samples.append(s)
+        means.append(m_prime)
+        bases.append(base)
+        invs.append(inv)
+    probs = _pmf_table(np.array(bases), np.array(invs), k_range)
+    params = np.column_stack((means, sigmas)) / steps[:, None]
+    return {"changes": np.array(changes, dtype=np.int64),
+            "samples": np.array(samples), "probs": probs,
             "params": params, "entropy_bits": entropy(probs)}

@@ -155,6 +155,20 @@ def test_costs_cli(raw_file, tmp_path):
     assert plane.K == 3
 
 
+@pytest.mark.parametrize("command, option, message", [
+    ("embed", ["--key", "xyz"], "key must be a hexadecimal number"),
+    ("embed", ["--K", "0"], "alphabet half-width K must be >= 1"),
+    ("capacity", ["--workers", "0"], "workers must be >= 1"),
+])
+def test_bad_numeric_option_exits_cleanly(raw_file, tmp_path, caplog,
+                                          command, option, message):
+    out = tmp_path / "out"
+    rc = main([command, str(raw_file), "--qf", "95", *option, "-o", str(out)])
+    assert rc == 1
+    assert f"error: {message}" in caplog.text
+    assert not out.exists()
+
+
 def test_error_exit_code(tmp_path):
     bad = tmp_path / "bad.pgm"
     # 20 is not a multiple of 8: synthesis must fail cleanly.

@@ -80,6 +80,36 @@ def test_fractional_bit_depth_rejected(tmp_path):
         load_raw(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("a2", "abc"), ("a2", None), ("b1", float("nan")), ("a1", float("inf")),
+    ("b2", "-1150"), ("a2", True),
+    pytest.param("a1", 10**400, id="a1-int-beyond-float"), ("iso1", 100.5),
+    ("iso2", "200"), ("iso1", None), ("iso2", False)])
+def test_bad_sensor_field_rejected(tmp_path, field, value):
+    # Every sensor field must be a JSON number (finite) or, for the ISO
+    # settings, a JSON integer; anything else is a sidecar error.
+    path = tmp_path / "sensor.pgm"
+    write_pgm(path, np.zeros((8, 8)), 4095, {**BASE_SIDECAR, field: value})
+    with pytest.raises(SidecarError, match=field):
+        load_raw(path)
+
+
+def test_sidecar_must_be_an_object(tmp_path):
+    path = tmp_path / "list.pgm"
+    write_pgm(path, np.zeros((8, 8)), 4095, [BASE_SIDECAR])
+    with pytest.raises(SidecarError, match="not a JSON object"):
+        load_raw(path)
+
+
+def test_integer_sensor_coefficients_accepted(tmp_path):
+    path = tmp_path / "ints.pgm"
+    write_pgm(path, np.zeros((8, 8)), 4095,
+              {**BASE_SIDECAR, "a2": 1, "b2": -1150})
+    params = load_raw(path).params
+    assert (params.a2, params.b2) == (1.0, -1150.0)
+    assert isinstance(params.a2, float)
+
+
 def test_maxval_must_match_bit_depth(tmp_path):
     path = tmp_path / "maxval.pgm"
     write_pgm(path, np.zeros((8, 8)), 255, BASE_SIDECAR)

@@ -20,6 +20,7 @@ from jpegns.sampler import (
 
 
 from conftest import quadrature_change_pmf as quadrature_pmf
+from conftest import reference_block_chain
 
 
 def gen(seed=0):
@@ -48,6 +49,33 @@ def iid_chain(sigma, mean, q, k_range, g):
     return run_block_chain(np.diag(np.full(64, float(sigma))),
                            np.full(64, float(mean)), np.full(64, float(q)),
                            k_range, g)
+
+
+def reference_scan_blocks(n, seed):
+    """Chain inputs over the whole parameter range the chain must handle.
+
+    Correlated factors with some zero rows and some zero diagonal entries
+    under nonzero rows, float or integer steps, K = 1..6, sigma_hat from
+    about 1e-6 to 1e6 and |m_hat| far beyond K.
+    """
+    rng = np.random.default_rng(seed)
+    for b in range(n):
+        chol = random_chol(1000 + b) * 10.0 ** rng.uniform(-5.0, 7.0)
+        chol[rng.random(64) < 0.1] = 0.0
+        dead = np.flatnonzero(rng.random(64) < 0.1)
+        chol[dead, dead] = 0.0
+        if b % 2:
+            steps = rng.integers(1, 60, size=64).astype(np.float64)
+        else:
+            steps = rng.uniform(0.3, 40.0, size=64)
+        mean = rng.normal(size=64) * steps * 10.0 ** rng.uniform(-1.0, 3.0)
+        yield chol, mean, steps, 1 + b % 6
+
+
+def assert_chains_equal(a, b):
+    assert a.keys() == b.keys()
+    for name in a:
+        assert np.array_equal(a[name], b[name]), name
 
 
 def assert_samples_in_drawn_bins(out, q_steps, k_range):
@@ -384,3 +412,62 @@ def test_chain_zero_sigma_coordinate():
     assert np.all(out["changes"][1:] == 0)
     assert np.all(out["samples"][1:] == 0.0)
     assert np.all(out["entropy_bits"][1:] == 0.0)
+
+
+def test_chain_matches_reference_scan():
+    # The bracketed draw and the PMF table built after the loop reproduce
+    # the full-CDF linear scan exactly, on all five outputs.
+    sigma_hats, far_means = [], 0
+    for b, (chol, mean, steps, k) in enumerate(reference_scan_blocks(320, 23)):
+        out = run_block_chain(chol, mean, steps, k, gen(b))
+        assert_chains_equal(out, reference_block_chain(chol, mean, steps, k,
+                                                       gen(b)))
+        sigma_hats.append(out["params"][:, 1])
+        far_means += np.count_nonzero(np.abs(out["params"][:, 0]) > 10 * k)
+    sigma_hats = np.concatenate(sigma_hats)
+    live = sigma_hats[sigma_hats > 0]
+    assert live.min() < 1e-6 and live.max() > 1e6
+    assert live.size < sigma_hats.size
+    assert far_means > 1000
+
+
+@pytest.mark.parametrize("u_disc", [0.0, math.nextafter(1.0, 0.0)])
+def test_chain_matches_reference_scan_at_extreme_uniforms(u_disc):
+    u = np.full(128, 0.5)
+    u[0::2] = u_disc
+    for chol, mean, steps, k in reference_scan_blocks(12, 24):
+        out = run_block_chain(chol, mean, steps, k, FixedUniforms(u))
+        assert_chains_equal(out, reference_block_chain(chol, mean, steps, k,
+                                                       FixedUniforms(u)))
+        # u = 0 draws the first symbol with mass, u -> 1 the last one.
+        drawn = out["changes"] + k
+        assert np.all(out["probs"][np.arange(64), drawn] > 0.0)
+        cols = np.arange(2 * k + 1)
+        passed = (cols < drawn[:, None]) if u_disc == 0.0 else (
+            cols > drawn[:, None])
+        assert np.all(out["probs"][passed] == 0.0)
+
+
+def test_chain_tie_at_cdf_value_draws_next_symbol():
+    # The CDF of -K is pmf().probs[0] exactly.  A uniform equal to it is not
+    # below it, so the next symbol is drawn; one ulp less draws -K.  The
+    # inverse-CDF start of the draw lands on either side of such an edge,
+    # so both directions of the settling are exercised.
+    rng = np.random.default_rng(25)
+    ties = 0
+    while ties < 60:
+        m, sigma = rng.uniform(-5.0, 5.0), rng.uniform(0.1, 5.0)
+        q, k = float(rng.integers(1, 4)), int(rng.integers(1, 6))
+        cdf = pmf(m, sigma, q, k).probs[0]
+        if not 0.0 < cdf < 1.0:
+            continue
+        ties += 1
+        chol = np.diag(np.full(64, sigma))
+        for u0, expected in ((cdf, -k + 1), (math.nextafter(cdf, 0.0), -k)):
+            u = np.full(128, 0.5)
+            u[0] = u0
+            out = run_block_chain(chol, np.full(64, m), np.full(64, q), k,
+                                  FixedUniforms(u))
+            assert out["changes"][0] == expected
+            assert_chains_equal(out, reference_block_chain(
+                chol, np.full(64, m), np.full(64, q), k, FixedUniforms(u)))
