@@ -10,6 +10,7 @@ coefficients by lattice-ordered conditional Gaussian sampling.
 from .raw_io import (
     BayerError,
     DimensionError,
+    ParameterError,
     PgmError,
     RawImage,
     SensorParams,

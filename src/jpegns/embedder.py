@@ -13,6 +13,8 @@ streams are derived from the secret key, the lattice index and the block
 coordinates, so results are bit-identical for any worker count.
 """
 
+import contextlib
+import functools
 import logging
 import math
 import struct
@@ -49,6 +51,10 @@ class EmbedConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("qf", "K", "workers"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.K < 1:
             raise ConfigError("alphabet half-width K must be >= 1")
         if not (1 <= self.qf <= 100):
@@ -152,6 +158,7 @@ def condition(joint, n_known, context=""):
     return gain, chol, jitter
 
 
+@dataclass(frozen=True)
 class _BlockFactors:
     """Draw-independent conditioning factors of one block.
 
@@ -159,15 +166,12 @@ class _BlockFactors:
     mean; ``chol`` is the Cholesky factor of the conditional covariance.
     """
 
-    __slots__ = ("neighbors", "mean_gain", "chol", "jitter", "dead", "failed")
-
-    def __init__(self, neighbors, mean_gain, chol, jitter, dead, failed):
-        self.neighbors = neighbors
-        self.mean_gain = mean_gain
-        self.chol = chol
-        self.jitter = jitter
-        self.dead = dead
-        self.failed = failed
+    neighbors: tuple
+    mean_gain: np.ndarray
+    chol: np.ndarray
+    jitter: float
+    dead: bool
+    failed: bool
 
 
 class SimulatedEmbedder:
@@ -281,29 +285,29 @@ class SimulatedEmbedder:
 
     # -- embedding -----------------------------------------------------------
 
-    def _run_block(self, bi, bj, lat, key, out):
+    def _visit(self, block, lat, key, continuous):
+        """Factors and chain outputs ``(factors, chain)`` of one block.
+
+        ``chain`` is None for a dead block (stego signal identically zero:
+        no changes, no capacity) or one that could not be factored.  Only
+        the neighbors' draws are read from ``continuous``, and those belong
+        to earlier lattices, so the blocks of one lattice can be visited in
+        any order and on any thread.
+        """
+        bi, bj = block
         factors = self._block_factors(bi, bj)
         if factors.dead or factors.failed:
-            # Stego signal identically zero: no changes, no capacity.
-            return factors
-        rows = slice(8 * bi, 8 * bi + 8)
-        cols = slice(8 * bj, 8 * bj + 8)
+            return factors, None
         if factors.neighbors:
             known = np.concatenate(
-                [out["continuous"][8 * ni : 8 * ni + 8, 8 * nj : 8 * nj + 8].ravel()
+                [continuous[8 * ni : 8 * ni + 8, 8 * nj : 8 * nj + 8].ravel()
                  for ni, nj in factors.neighbors])
             base_mean = factors.mean_gain @ known
         else:
             base_mean = np.zeros(64)
         gen = rng.block_stream(key, lat, bi, bj)
-        chain = sampler.run_block_chain(
+        return factors, sampler.run_block_chain(
             factors.chol, base_mean, self.q_flat, self.cfg.K, gen)
-        out["changes"][rows, cols] = chain["changes"].reshape(8, 8)
-        out["continuous"][rows, cols] = chain["samples"].reshape(8, 8)
-        out["entropy"][rows, cols] = chain["entropy_bits"].reshape(8, 8)
-        if out["probs"] is not None:
-            out["probs"][bi, bj] = chain["probs"]
-        return factors
 
     def run(self, key=None, collect_probs=False):
         """Embed with the given key (default: the config key).
@@ -314,62 +318,57 @@ class SimulatedEmbedder:
         t0 = time.monotonic()
         key = self.cfg.key if key is None else key
         h, w = self.raw.height, self.raw.width
-        out = {
-            "changes": np.zeros((h, w), dtype=np.int64),
-            "continuous": np.zeros((h, w)),
-            "entropy": np.zeros((h, w)),
-            "probs": (np.zeros((self.blocks_h, self.blocks_w, 64,
-                                2 * self.cfg.K + 1)) if collect_probs else None),
-        }
+        changes = np.zeros((h, w), dtype=np.int64)
+        continuous = np.zeros((h, w))
+        entropy = np.zeros((h, w))
+        probs = (np.zeros((self.blocks_h, self.blocks_w, 64, 2 * self.cfg.K + 1))
+                 if collect_probs else None)
+        per_mode = np.zeros((4, 64))
+        counts = np.array([len(b) for b in self.assign.block_lists],
+                          dtype=np.int64)
         jitter_events = []
         failed = []
         zero_blocks = 0
-        for lat in (1, 2, 3, 4):
-            blocks = self.assign.block_lists[lat - 1]
-            status = {}
-            if self.cfg.workers == 1 or len(blocks) < 2 * self.cfg.workers:
-                for bi, bj in blocks:
-                    status[(bi, bj)] = self._run_block(bi, bj, lat, key, out)
-            else:
-                chunks = np.array_split(np.arange(len(blocks)), self.cfg.workers)
-                with ThreadPoolExecutor(max_workers=self.cfg.workers) as pool:
-                    futures = [
-                        pool.submit(self._run_chunk,
-                                    [blocks[i] for i in chunk], lat, key, out,
-                                    status)
-                        for chunk in chunks if len(chunk)
-                    ]
-                    for fut in futures:
-                        fut.result()
-            # Bookkeeping in deterministic block order.
-            for bi, bj in blocks:
-                factors = status[(bi, bj)]
-                if factors.dead:
-                    zero_blocks += 1
-                elif factors.failed:
-                    failed.append({"lattice": lat, "block": [bi, bj]})
-                elif factors.jitter:
-                    jitter_events.append(
-                        {"lattice": lat, "block": [bi, bj],
-                         "epsilon": factors.jitter})
+        workers = self.cfg.workers
+        with (ThreadPoolExecutor(workers) if workers > 1
+              else contextlib.nullcontext()) as pool:
+            visit_all = map if pool is None else pool.map
+            for lat, blocks in enumerate(self.assign.block_lists, start=1):
+                visits = list(visit_all(functools.partial(
+                    self._visit, lat=lat, key=key, continuous=continuous),
+                    blocks))
+                # Write-back in block order; the lattice's visits are freed
+                # before the next lattice is visited.
+                ent = np.zeros((len(blocks), 64))
+                for n, ((bi, bj), (factors, chain)) in enumerate(
+                        zip(blocks, visits)):
+                    if chain is None:
+                        if factors.dead:
+                            zero_blocks += 1
+                        else:
+                            failed.append({"lattice": lat, "block": [bi, bj]})
+                        continue
+                    if factors.jitter:
+                        jitter_events.append(
+                            {"lattice": lat, "block": [bi, bj],
+                             "epsilon": factors.jitter})
+                    rows = slice(8 * bi, 8 * bi + 8)
+                    cols = slice(8 * bj, 8 * bj + 8)
+                    changes[rows, cols] = chain["changes"].reshape(8, 8)
+                    continuous[rows, cols] = chain["samples"].reshape(8, 8)
+                    entropy[rows, cols] = chain["entropy_bits"].reshape(8, 8)
+                    ent[n] = chain["entropy_bits"]
+                    if probs is not None:
+                        probs[bi, bj] = chain["probs"]
+                del visits
+                if blocks:
+                    per_mode[lat - 1] = ent.mean(axis=0)
 
-        per_mode = np.zeros((4, 64))
-        counts = np.zeros(4, dtype=np.int64)
-        ent_blocks = out["entropy"].reshape(
-            self.blocks_h, 8, self.blocks_w, 8).transpose(0, 2, 1, 3)
-        for lat in (1, 2, 3, 4):
-            blocks = self.assign.block_lists[lat - 1]
-            counts[lat - 1] = len(blocks)
-            if blocks:
-                idx = np.array(blocks)
-                per_mode[lat - 1] = ent_blocks[idx[:, 0], idx[:, 1]].reshape(
-                    len(blocks), 64).mean(axis=0)
-
-        stego_plane = self.cover.plane() + out["changes"]
+        stego_plane = self.cover.plane() + changes
         stego = jpeg_model.JpegCoefficients.from_plane(
             stego_plane, self.table, role="stego")
         report = CapacityReport(
-            entropy_plane=out["entropy"],
+            entropy_plane=entropy,
             nzac=jpeg_model.nzac_count(self.cover),
             per_lattice_mode=per_mode,
             lattice_blocks=counts,
@@ -383,16 +382,8 @@ class SimulatedEmbedder:
                 "width": w, "height": h,
             },
         )
-        return EmbedResult(
-            stego=stego,
-            report=report,
-            continuous=out["continuous"],
-            probs=out["probs"],
-        )
-
-    def _run_chunk(self, blocks, lat, key, out, status):
-        for bi, bj in blocks:
-            status[(bi, bj)] = self._run_block(bi, bj, lat, key, out)
+        return EmbedResult(stego=stego, report=report, continuous=continuous,
+                           probs=probs)
 
     def run_first_lattice_block(self, key, block):
         """Chain outputs of one unconditioned (lattice 1) block for ``key``.
@@ -402,15 +393,12 @@ class SimulatedEmbedder:
         bit-identical to the same block's slice of a full ``run``.  Useful
         for repeated distributional experiments.
         """
-        bi, bj = block
-        if self.assign.lattice_of(bi, bj) != 1:
+        if self.assign.lattice_of(*block) != 1:
             raise ValueError("block is not in the first macro-lattice")
-        factors = self._block_factors(bi, bj)
-        if factors.dead or factors.failed:
+        _, chain = self._visit(block, 1, key, None)
+        if chain is None:
             raise ValueError("block has no stego signal")
-        gen = rng.block_stream(key, 1, bi, bj)
-        return sampler.run_block_chain(
-            factors.chol, np.zeros(64), self.q_flat, self.cfg.K, gen)
+        return chain
 
 
 def embed_simulated(raw, cfg):
@@ -481,7 +469,9 @@ def write_costs(plane, path):
 def read_costs(path):
     with open(path, "rb") as fh:
         buf = fh.read()
-    if len(buf) < 15 or buf[:4] != _COSTS_MAGIC:
+    if len(buf) < 15:
+        raise jpeg_model.TruncationError("file shorter than the fixed header")
+    if buf[:4] != _COSTS_MAGIC:
         raise jpeg_model.FormatError("bad cost-file magic")
     version, bh, bw, qf, k_range = struct.unpack(">BIIBB", buf[4:15])
     if version != _COSTS_VERSION:
@@ -489,9 +479,11 @@ def read_costs(path):
     n_costs = bh * bw * 64 * (2 * k_range + 1)
     n_pi = bh * bw * 64
     expected = 15 + 8 * (n_costs + n_pi) + 4
-    if len(buf) != expected:
+    if len(buf) < expected:
         raise jpeg_model.TruncationError(
             f"expected {expected} bytes, found {len(buf)}")
+    if len(buf) > expected:
+        raise jpeg_model.FormatError("trailing bytes after checksum")
     if zlib.crc32(buf[:-4]) & 0xFFFFFFFF != struct.unpack(">I", buf[-4:])[0]:
         raise jpeg_model.ChecksumError("CRC32 mismatch")
     costs = np.frombuffer(buf[15 : 15 + 8 * n_costs], dtype=">f8").reshape(

@@ -49,6 +49,10 @@ class BayerError(RawIoError):
     """CFA-related failure outside of loading."""
 
 
+class ParameterError(RawIoError, ValueError):
+    """Invalid sensor, synthesis or image parameter."""
+
+
 @dataclass(frozen=True)
 class SensorParams:
     """Heteroscedastic sensor noise coefficients for two ISO settings.
@@ -68,7 +72,7 @@ class SensorParams:
     def __post_init__(self):
         for name in ("a1", "b1", "a2", "b2"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"sensor parameter {name} must be finite")
+                raise ParameterError(f"sensor parameter {name} must be finite")
 
 
 @dataclass
@@ -88,13 +92,15 @@ class RawImage:
     def __post_init__(self):
         if (not isinstance(self.bit_depth, (int, np.integer))
                 or not 1 <= self.bit_depth <= 16):
-            raise ValueError(
+            raise ParameterError(
                 f"bit depth must be an integer in 1..16, got {self.bit_depth!r}")
         self.data = np.asarray(self.data, dtype=np.float64)
         if self.data.ndim != 2:
             raise DimensionError("photo-site data must be 2-D")
         if self.cfa not in BAYER_PATTERNS:
             raise UnknownCfaError(f"unknown CFA pattern {self.cfa!r}")
+        if not np.all(np.isfinite(self.data)):
+            raise ValueOutOfRangeError("photo-site values must be finite")
         if np.any(self.data < 0):
             raise ValueOutOfRangeError("negative photo-site value")
         limit = float(2**self.bit_depth - 1)
@@ -130,9 +136,11 @@ class SynthSpec:
 
     def __post_init__(self):
         if self.kind not in ("constant", "iid_gaussian"):
-            raise ValueError(f"unknown synthesis kind {self.kind!r}")
+            raise ParameterError(f"unknown synthesis kind {self.kind!r}")
         if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+            raise ParameterError("sigma must be >= 0")
+        if self.width <= 0 or self.height <= 0:
+            raise DimensionError("synthetic dimensions must be positive")
         if self.width % 8 or self.height % 8:
             raise DimensionError("synthetic dimensions must be multiples of 8")
 

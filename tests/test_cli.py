@@ -169,6 +169,22 @@ def test_bad_numeric_option_exits_cleanly(raw_file, tmp_path, caplog,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option, message", [
+    (["--bit-depth", "20"], "bit depth must be an integer in 1..16, got 20"),
+    (["--sigma", "-1"], "sigma must be >= 0"),
+    (["--a2", "nan"], "sensor parameter a2 must be finite"),
+    (["--w", "-8"], "synthetic dimensions must be positive"),
+    (["--mu", "nan"], "photo-site values must be finite"),
+], ids=["bit-depth", "sigma", "a2", "width", "mu"])
+def test_bad_synth_parameter_exits_cleanly(tmp_path, caplog, option, message):
+    out = tmp_path / "raw.pgm"
+    rc = main(["synth", "--kind", "iid", "--mu", "100", "--w", "16",
+               "--h", "16", *option, "-o", str(out)])
+    assert rc == 1
+    assert f"error: {message}" in caplog.text
+    assert not out.exists()
+
+
 def test_error_exit_code(tmp_path):
     bad = tmp_path / "bad.pgm"
     # 20 is not a multiple of 8: synthesis must fail cleanly.

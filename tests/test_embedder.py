@@ -1,10 +1,12 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from jpegns import (
+    ConfigError,
     EmbedConfig,
     RawImage,
     SensorParams,
@@ -76,6 +78,56 @@ def test_embed_workers_bit_identical(bright_raw):
     for coeffs, plane in results[1:]:
         assert np.array_equal(coeffs, results[0][0])
         assert np.array_equal(plane, results[0][1])
+
+
+def test_workers_write_back_identical_with_dead_and_jitter_blocks(paper_params):
+    # A ramp across the variance clamp has dead and jitter blocks, which the
+    # iid inputs of the other worker tests lack.
+    raw = RawImage(data=np.tile(np.linspace(600.0, 1600.0, 64), (64, 1)),
+                   cfa="RGGB", bit_depth=12, params=paper_params)
+    serial = SimulatedEmbedder(raw, EmbedConfig(qf=95, K=5, key=0x5EED)).run(
+        collect_probs=True)
+    # More threads than cores, switching often, to expose a lost write.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        threaded = SimulatedEmbedder(
+            raw, EmbedConfig(qf=95, K=5, key=0x5EED, workers=3)).run(
+                collect_probs=True)
+    finally:
+        sys.setswitchinterval(interval)
+    assert serial.report.zero_variance_blocks > 0
+    assert serial.report.jitter_events
+    assert np.array_equal(serial.stego.coeffs, threaded.stego.coeffs)
+    assert np.array_equal(serial.continuous, threaded.continuous)
+    assert np.array_equal(serial.report.entropy_plane,
+                          threaded.report.entropy_plane)
+    assert np.array_equal(serial.probs, threaded.probs)
+    dicts = [r.report.to_json_dict() for r in (serial, threaded)]
+    for d in dicts:
+        d.pop("runtime_s")
+    assert dicts[0] == dicts[1]
+
+
+def test_single_worker_run_uses_no_executor(bright_raw, monkeypatch):
+    calls = []
+
+    class RecordingExecutor(emb_mod.ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            calls.append("submit")
+            return super().submit(*args, **kwargs)
+
+        def map(self, *args, **kwargs):
+            calls.append("map")
+            return super().map(*args, **kwargs)
+
+    monkeypatch.setattr(emb_mod, "ThreadPoolExecutor", RecordingExecutor)
+    SimulatedEmbedder(bright_raw, EmbedConfig(qf=95, K=5, key=1)).run()
+    assert calls == []
+    # The patched executor is the one a threaded run uses.
+    SimulatedEmbedder(bright_raw,
+                      EmbedConfig(qf=95, K=5, key=1, workers=2)).run()
+    assert "map" in calls
 
 
 def test_cached_factors_match_uncached(bright_raw):
@@ -201,6 +253,18 @@ def test_first_lattice_block_matches_full_run(bright_raw):
     _, cover = develop_cover(bright_raw, 95)
     changes = (full.stego.coeffs - cover.coeffs)[2, 2].ravel()
     assert np.array_equal(single["changes"], changes)
+
+
+def test_first_lattice_block_rejects_later_and_dead_blocks(bright_raw,
+                                                           paper_params):
+    cfg = EmbedConfig(qf=95, K=5, key=1)
+    emb = SimulatedEmbedder(bright_raw, cfg)
+    with pytest.raises(ValueError, match="first macro-lattice"):
+        emb.run_first_lattice_block(1, emb.assign.block_lists[1][0])
+    dark = RawImage(data=np.full((16, 16), 1000.0), cfa="RGGB", bit_depth=12,
+                    params=paper_params)
+    with pytest.raises(ValueError, match="no stego signal"):
+        SimulatedEmbedder(dark, cfg).run_first_lattice_block(1, (0, 0))
 
 
 # -- pseudo embedding ----------------------------------------------------------------
@@ -338,6 +402,15 @@ def test_config_validation():
         EmbedConfig(qf=95, green_kernel="diag")
     with pytest.raises(ValueError):
         EmbedConfig(qf=95, workers=0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("qf", 95.5), ("qf", True), ("qf", "95"), ("K", 2.5), ("K", True),
+    ("workers", 1.5), ("workers", True),
+])
+def test_config_rejects_non_integer(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        EmbedConfig(**{"qf": 95, name: value})
 
 
 def test_green_kernel_variant_changes_output(bright_raw):

@@ -15,6 +15,7 @@ from jpegns import (
 )
 from jpegns import jpeg_model as jm
 from jpegns import pipeline as pl
+from jpegns.embedder import CostPlane, read_costs, write_costs
 from jpegns.covariance import sigma_p
 from jpegns.jpeg_model import CoefficientsError
 from jpegns.raw_io import DimensionError
@@ -185,6 +186,30 @@ def test_checksum_mismatch(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(ChecksumError):
         read_coeffs(path)
+
+
+def write_random_costs(seed, path):
+    rng = np.random.default_rng(seed)
+    write_costs(CostPlane(costs=rng.random((2, 3, 64, 5)),
+                          pi_zero=rng.random((2, 3, 64)), qf=90, K=2), path)
+
+
+@pytest.mark.parametrize("write, read", [
+    (lambda path: write_coeffs(random_coeffs(8), path), read_coeffs),
+    (lambda path: write_random_costs(8, path), read_costs),
+], ids=["coeffs", "costs"])
+@pytest.mark.parametrize("damage, error", [
+    (lambda data: data[:10], TruncationError),
+    (lambda data: b"XXXX" + data[4:], FormatError),
+    (lambda data: data[:-1], TruncationError),
+    (lambda data: data + b"\0", FormatError),
+], ids=["short-header", "bad-magic", "cut-body", "trailing-byte"])
+def test_damaged_container_errors(tmp_path, write, read, damage, error):
+    path = tmp_path / "container.bin"
+    write(path)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(error):
+        read(path)
 
 
 def test_plane_block_round_trip():
