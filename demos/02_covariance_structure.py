@@ -12,7 +12,7 @@ from jpegns.covariance import analysis_covariance
 
 cov, subs = analysis_covariance("full", "RGGB")
 print("== stationary covariance (unit photo-site variance) ==")
-print(f"9-block joint: {cov.dim}x{cov.dim}")
+print(f"9-block joint: {cov.shape[0]}x{cov.shape[1]}")
 diag = np.diag(subs["C"]).reshape(8, 8)
 print("per-mode variances (row scan, first two rows):")
 print(np.round(diag[:2], 3))

@@ -23,8 +23,6 @@ from .raw_io import (
     write_raw,
 )
 from .pipeline import (
-    PipelineMatrix,
-    SparseOperator,
     assemble,
     build_dct,
     build_demosaic,
@@ -34,8 +32,6 @@ from .pipeline import (
     dct_matrix,
 )
 from .covariance import (
-    CovarianceMatrix,
-    DiagonalCovariance,
     SingularCovarianceError,
     analysis_covariance,
     cholesky,

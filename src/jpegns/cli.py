@@ -24,7 +24,7 @@ log = logging.getLogger("jpegns")
 
 def _parse_key(text):
     try:
-        return int(text, 16) & ((1 << 64) - 1)
+        return int(text, 16)
     except ValueError:
         raise embedder.ConfigError(
             f"key must be a hexadecimal number, got {text!r}") from None
@@ -42,8 +42,7 @@ def _add_sensor_args(parser):
 def _embed_config(args):
     return embedder.EmbedConfig(
         qf=args.qf, K=args.K, key=_parse_key(args.key),
-        green_kernel=getattr(args, "green_kernel", "cross"),
-        workers=getattr(args, "workers", 1))
+        green_kernel=args.green_kernel, workers=getattr(args, "workers", 1))
 
 
 def _write_report(report, path):
@@ -98,35 +97,40 @@ def cmd_capacity(args):
              report.total_bits, report.bits_per_nzac)
 
 
+def _demosaic(ch):
+    return lambda a: pipeline.build_demosaic(ch, a.cfa, pipeline.PATCH_SIDE,
+                                             a.green_kernel)
+
+
+# ``covariance --dump-operator`` kinds: each builds its operator from the
+# parsed arguments.
+OPERATORS = {
+    "demosaic_r": _demosaic("r"),
+    "demosaic_g": _demosaic("g"),
+    "demosaic_b": _demosaic("b"),
+    "luminance": lambda a: pipeline.build_luminance(
+        a.cfa, pipeline.PATCH_SIDE, a.green_kernel),
+    "selection": lambda a: pipeline.build_selection(pipeline.PATCH_SIDE, 1),
+    "permutation": lambda a: pipeline.build_permutation(
+        [pipeline.GRID_POS[lbl]
+         for lbl in ("C",) + pipeline.NEIGHBOR_LABELS[a.neighborhood]]),
+    "dct": lambda a: pipeline.build_dct(
+        len(pipeline.NEIGHBOR_LABELS[a.neighborhood]) + 1),
+    "lowpass": lambda a: pipeline.build_lowpass(pipeline.PATCH_SIDE),
+    "assembled": lambda a: pipeline.assemble(a.neighborhood, a.cfa,
+                                             a.green_kernel),
+}
+
+
 def cmd_covariance(args):
     if args.dump_operator:
-        kind = args.dump_operator
-        side = pipeline.PATCH_SIDE
-        if kind in ("demosaic_r", "demosaic_g", "demosaic_b"):
-            op = pipeline.build_demosaic(kind[-1], args.cfa, side,
-                                         args.green_kernel)
-        elif kind == "luminance":
-            op = pipeline.build_luminance(args.cfa, side, args.green_kernel)
-        elif kind == "selection":
-            op = pipeline.build_selection(side, 1)
-        elif kind == "permutation":
-            op = pipeline.build_permutation(
-                [pipeline.GRID_POS[lbl] for lbl in
-                 ("C",) + pipeline.NEIGHBOR_LABELS[args.neighborhood]])
-        elif kind == "dct":
-            nb = args.neighborhood
-            op = pipeline.build_dct(len(pipeline.NEIGHBOR_LABELS[nb]) + 1)
-        elif kind == "lowpass":
-            op = pipeline.build_lowpass(side)
-        elif kind == "assembled":
-            op = pipeline.assemble(args.neighborhood, args.cfa,
-                                   args.green_kernel).m
-        else:
-            raise SystemExit(f"unknown operator kind {kind!r}")
+        op = OPERATORS[args.dump_operator](args).tocoo()
         with open(args.output, "w") as fh:
-            fh.write(f"# operator {kind} ({op.rows}x{op.cols})\n")
+            fh.write(f"# operator {args.dump_operator} "
+                     f"({op.shape[0]}x{op.shape[1]})\n")
             fh.write("row,col,value\n")
-            for r, c, v in op.entries():
+            for r, c, v in zip(op.row.tolist(), op.col.tolist(),
+                               op.data.tolist()):
                 fh.write(f"{r},{c},{v!r}\n")
         log.info("wrote %s", args.output)
         return
@@ -139,7 +143,7 @@ def cmd_covariance(args):
     rows = np.concatenate([np.arange(64) + 64 * order.index(lbl)
                            for lbl in labels])
     written = covariance.write_covariance_csv(
-        args.output, covariance.CovarianceMatrix(cov.values[np.ix_(rows, rows)]),
+        args.output, cov[np.ix_(rows, rows)],
         {lbl: subs[lbl] for lbl in labels})
     log.info("wrote %s", ", ".join(written))
 
@@ -157,6 +161,16 @@ def build_parser():
         prog="jpegns",
         description="Photon-noise-mimicking simulated embedding for JPEG covers")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    # Options shared by the subcommands that run the embedding chain.
+    chain = argparse.ArgumentParser(add_help=False)
+    chain.add_argument("raw")
+    chain.add_argument("--qf", type=int, required=True)
+    chain.add_argument("--K", type=int, default=5)
+    chain.add_argument("--key", default="0")
+    chain.add_argument("--green-kernel", choices=("cross", "corner"),
+                       default="cross")
+    chain.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic RAW image")
     p.add_argument("--kind", choices=("constant", "iid"), required=True)
@@ -179,15 +193,8 @@ def build_parser():
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_develop)
 
-    p = sub.add_parser("embed", help="simulated embedding")
-    p.add_argument("raw")
-    p.add_argument("--qf", type=int, required=True)
-    p.add_argument("--K", type=int, default=5)
-    p.add_argument("--key", default="0")
-    p.add_argument("--green-kernel", choices=("cross", "corner"),
-                   default="cross")
+    p = sub.add_parser("embed", parents=[chain], help="simulated embedding")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("-o", "--output", required=True)
     p.add_argument("--report")
     p.set_defaults(func=cmd_embed)
 
@@ -197,15 +204,8 @@ def build_parser():
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_pseudo_embed)
 
-    p = sub.add_parser("capacity", help="capacity report")
-    p.add_argument("raw")
-    p.add_argument("--qf", type=int, required=True)
-    p.add_argument("--K", type=int, default=5)
-    p.add_argument("--key", default="0")
-    p.add_argument("--green-kernel", choices=("cross", "corner"),
-                   default="cross")
+    p = sub.add_parser("capacity", parents=[chain], help="capacity report")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("covariance", help="covariance / operator CSV export")
@@ -216,19 +216,13 @@ def build_parser():
     p.add_argument("--cfa", choices=raw_io.BAYER_PATTERNS, default="RGGB")
     p.add_argument("--green-kernel", choices=("cross", "corner"),
                    default="cross")
-    p.add_argument("--dump-operator", metavar="KIND",
+    p.add_argument("--dump-operator", metavar="KIND", choices=OPERATORS,
                    help="emit one operator as (row, col, value) triplets")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_covariance)
 
-    p = sub.add_parser("costs", help="per-coefficient embedding costs")
-    p.add_argument("raw")
-    p.add_argument("--qf", type=int, required=True)
-    p.add_argument("--K", type=int, default=5)
-    p.add_argument("--key", default="0")
-    p.add_argument("--green-kernel", choices=("cross", "corner"),
-                   default="cross")
-    p.add_argument("-o", "--output", required=True)
+    p = sub.add_parser("costs", parents=[chain],
+                       help="per-coefficient embedding costs")
     p.set_defaults(func=cmd_costs)
 
     return parser

@@ -8,13 +8,11 @@ jitter for the singular blocks that clamped variances produce.
 
 import logging
 import os
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
 
 from . import pipeline
-from .raw_io import SensorParams  # noqa: F401  (re-exported type for callers)
 
 log = logging.getLogger(__name__)
 
@@ -31,50 +29,6 @@ class SingularCovarianceError(CovarianceError):
     """Not positive semidefinite even after the maximum jitter."""
 
 
-@dataclass(frozen=True)
-class DiagonalCovariance:
-    """Per-photo-site stego variances for one vectorized patch."""
-
-    variances: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.variances, dtype=np.float64)
-        if v.ndim != 1:
-            raise CovarianceError("variances must be a vector")
-        if np.any(v < 0):
-            raise CovarianceError("negative variance")
-        object.__setattr__(self, "variances", v)
-
-
-@dataclass(frozen=True)
-class CovarianceMatrix:
-    """Dense symmetric PSD covariance over n x 64 DCT coefficients."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.values, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise CovarianceError("covariance must be square")
-        scale = np.abs(a).max()
-        if scale > 0 and np.abs(a - a.T).max() > 1e-10 * scale:
-            raise CovarianceError("covariance not symmetric")
-        object.__setattr__(self, "values", a)
-
-    @property
-    def dim(self):
-        return self.values.shape[0]
-
-    def check_psd(self):
-        """Raise unless the smallest eigenvalue is above -1e-8 * trace / dim."""
-        w = np.linalg.eigvalsh(self.values)
-        floor = -1e-8 * max(np.trace(self.values), 0.0) / self.dim
-        if w[0] < floor:
-            raise CovarianceError(
-                f"covariance not PSD: min eigenvalue {w[0]:.3e} < {floor:.3e}")
-        return self
-
-
 def photon_variance(x, params):
     """Stego-signal variance max(0, (a2-a1)*x + (b2-b1)); works elementwise."""
     gain = params.a2 - params.a1
@@ -83,23 +37,28 @@ def photon_variance(x, params):
 
 
 def sigma_p(patch, params):
-    """Diagonal photo-site covariance of a 26x26 patch (row-major order)."""
+    """Photo-site stego variances of a 26x26 patch (row-major order)."""
     patch = np.asarray(patch, dtype=np.float64)
     if patch.shape != (pipeline.PATCH_SIDE, pipeline.PATCH_SIDE):
         raise CovarianceError(
             f"patch must be {pipeline.PATCH_SIDE}x{pipeline.PATCH_SIDE}")
-    return DiagonalCovariance(photon_variance(patch.ravel(), params))
+    return photon_variance(patch.ravel(), params)
 
 
-def sigma_d(pm, sp):
-    """DCT-domain covariance M diag(v) M^t, symmetrized against round-off."""
-    v = sp.variances
-    if v.shape[0] != pm.m.cols:
+def sigma_d(m, v):
+    """DCT-domain covariance M diag(v) M^t, symmetrized against round-off.
+
+    ``m`` is a sparse pipeline operator and ``v`` the non-negative
+    photo-site variance vector it acts on.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 1 or v.shape[0] != m.shape[1]:
         raise CovarianceError("variance vector does not match operator width")
-    m = pm.m.matrix
+    if np.any(v < 0):
+        raise CovarianceError("negative variance")
     scaled = m.multiply(v[np.newaxis, :])
     dense = (scaled @ m.T).toarray()
-    return CovarianceMatrix((dense + dense.T) / 2.0)
+    return (dense + dense.T) / 2.0
 
 
 def _potrf(a):
@@ -156,11 +115,10 @@ def analysis_covariance(mode="full", cfa="RGGB", green_kernel="cross"):
         front = pipeline.build_lowpass(side)
     else:
         raise CovarianceError(f"unknown analysis mode {mode!r}")
-    pm = pipeline.patch_operator(front, ("C",) + pipeline.NEIGHBOR_LABELS["L4"])
-    cov = sigma_d(pm, DiagonalCovariance(np.ones(side * side)))
-    subs = {}
-    for idx, lbl in enumerate(pm.block_order):
-        subs[lbl] = cov.values[0:64, idx * 64 : (idx + 1) * 64].copy()
+    labels = ("C",) + pipeline.NEIGHBOR_LABELS["L4"]
+    cov = sigma_d(pipeline.patch_operator(front, labels), np.ones(side * side))
+    subs = {lbl: cov[0:64, idx * 64 : (idx + 1) * 64].copy()
+            for idx, lbl in enumerate(labels)}
     return cov, subs
 
 
@@ -170,8 +128,7 @@ def write_covariance_csv(path, cov, sub_blocks=None):
     Sub-block files are written next to ``path`` with the label appended to
     the stem, each starting with a header line naming the sub-block type.
     """
-    values = cov.values if isinstance(cov, CovarianceMatrix) else np.asarray(cov)
-    np.savetxt(path, values, delimiter=",", header="full covariance")
+    np.savetxt(path, cov, delimiter=",", header="full covariance")
     written = [str(path)]
     if sub_blocks:
         stem, ext = os.path.splitext(str(path))

@@ -17,9 +17,7 @@ import contextlib
 import functools
 import logging
 import math
-import struct
 import time
-import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -33,11 +31,18 @@ from .raw_io import DimensionError, RawImage
 log = logging.getLogger(__name__)
 
 _COSTS_MAGIC = b"JCST"
-_COSTS_VERSION = 1
 
 
 class ConfigError(ValueError):
     """Invalid embedding parameters."""
+
+
+def _check_key(key):
+    """``key`` if it is an int (not a bool) in 0..2**64-1, else ConfigError."""
+    if (not isinstance(key, int) or isinstance(key, bool)
+            or not 0 <= key < 1 << 64):
+        raise ConfigError(f"key must be an integer in 0..2**64-1, got {key!r}")
+    return key
 
 
 @dataclass(frozen=True)
@@ -55,6 +60,7 @@ class EmbedConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        _check_key(self.key)
         if self.K < 1:
             raise ConfigError("alphabet half-width K must be >= 1")
         if not (1 <= self.qf <= 100):
@@ -316,7 +322,7 @@ class SimulatedEmbedder:
         ``EmbedResult.probs``, a plane too large to keep by default.
         """
         t0 = time.monotonic()
-        key = self.cfg.key if key is None else key
+        key = self.cfg.key if key is None else _check_key(key)
         h, w = self.raw.height, self.raw.width
         changes = np.zeros((h, w), dtype=np.int64)
         continuous = np.zeros((h, w))
@@ -395,7 +401,7 @@ class SimulatedEmbedder:
         """
         if self.assign.lattice_of(*block) != 1:
             raise ValueError("block is not in the first macro-lattice")
-        _, chain = self._visit(block, 1, key, None)
+        _, chain = self._visit(block, 1, _check_key(key), None)
         if chain is None:
             raise ValueError("block has no stego signal")
         return chain
@@ -456,38 +462,20 @@ def export_costs(raw, cfg, path=None):
 def write_costs(plane, path):
     """Binary cost container: magic "JCST", dims, qf, K, float64 payload, CRC32."""
     bh, bw = plane.pi_zero.shape[:2]
-    header = _COSTS_MAGIC + struct.pack(
-        ">BIIBB", _COSTS_VERSION, bh, bw, plane.qf, plane.K)
-    body = plane.costs.astype(">f8").tobytes() + plane.pi_zero.astype(">f8").tobytes()
-    crc = zlib.crc32(header + body) & 0xFFFFFFFF
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(body)
-        fh.write(struct.pack(">I", crc))
+    jpeg_model._write_container(
+        path, _COSTS_MAGIC, ">IIBB", (bh, bw, plane.qf, plane.K),
+        plane.costs.astype(">f8").tobytes() + plane.pi_zero.astype(">f8").tobytes())
 
 
 def read_costs(path):
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < 15:
-        raise jpeg_model.TruncationError("file shorter than the fixed header")
-    if buf[:4] != _COSTS_MAGIC:
-        raise jpeg_model.FormatError("bad cost-file magic")
-    version, bh, bw, qf, k_range = struct.unpack(">BIIBB", buf[4:15])
-    if version != _COSTS_VERSION:
-        raise jpeg_model.FormatError(f"unsupported cost-file version {version}")
+    """Read a JCST container back into a CostPlane."""
+    (bh, bw, qf, k_range), body = jpeg_model._read_container(
+        path, _COSTS_MAGIC, ">IIBB",
+        # 2K+1 costs and pi(0) per coefficient, float64 each.
+        lambda bh, bw, qf, k: 8 * bh * bw * 64 * (2 * k + 2), "cost-file")
     n_costs = bh * bw * 64 * (2 * k_range + 1)
-    n_pi = bh * bw * 64
-    expected = 15 + 8 * (n_costs + n_pi) + 4
-    if len(buf) < expected:
-        raise jpeg_model.TruncationError(
-            f"expected {expected} bytes, found {len(buf)}")
-    if len(buf) > expected:
-        raise jpeg_model.FormatError("trailing bytes after checksum")
-    if zlib.crc32(buf[:-4]) & 0xFFFFFFFF != struct.unpack(">I", buf[-4:])[0]:
-        raise jpeg_model.ChecksumError("CRC32 mismatch")
-    costs = np.frombuffer(buf[15 : 15 + 8 * n_costs], dtype=">f8").reshape(
+    costs = np.frombuffer(body[: 8 * n_costs], dtype=">f8").reshape(
         bh, bw, 64, 2 * k_range + 1)
-    pi0 = np.frombuffer(buf[15 + 8 * n_costs : -4], dtype=">f8").reshape(bh, bw, 64)
+    pi0 = np.frombuffer(body[8 * n_costs :], dtype=">f8").reshape(bh, bw, 64)
     return CostPlane(costs=costs.astype(np.float64),
                      pi_zero=pi0.astype(np.float64), qf=qf, K=k_range)

@@ -8,7 +8,8 @@ quality-factor rule.  Rounding is half-away-from-zero to match the
 sampler's bin convention.
 
 Coefficient planes round-trip through a minimal binary container (magic
-"JCNS") rather than an entropy-coded JFIF bitstream.
+"JCNS") rather than an entropy-coded JFIF bitstream; the embedder's cost
+files (magic "JCST") are written and read by the same container rules.
 """
 
 import struct
@@ -174,6 +175,47 @@ def nzac_count(c):
     return int(np.count_nonzero(ac))
 
 
+def _write_container(path, magic, fmt, fields, body):
+    """Write magic, version u8, ``fields`` packed by ``fmt``, body, CRC32.
+
+    The CRC32 footer (big-endian u32) covers everything before it.
+    """
+    header = magic + struct.pack(">B", _VERSION) + struct.pack(fmt, *fields)
+    crc = zlib.crc32(header + body) & 0xFFFFFFFF
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(body)
+        fh.write(struct.pack(">I", crc))
+
+
+def _read_container(path, magic, fmt, body_size, what):
+    """Read a file written by ``_write_container``; returns (fields, body).
+
+    ``body_size(*fields)`` gives the body length the header promises.  A file
+    shorter than the header or the promised length raises TruncationError; a
+    wrong magic or version and trailing bytes raise FormatError.
+    """
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    n_header = len(magic) + 1 + struct.calcsize(fmt)
+    if len(buf) < n_header:
+        raise TruncationError("file shorter than the fixed header")
+    if buf[: len(magic)] != magic:
+        raise FormatError(f"bad {what} magic")
+    version = buf[len(magic)]
+    if version != _VERSION:
+        raise FormatError(f"unsupported {what} version {version}")
+    fields = struct.unpack(fmt, buf[len(magic) + 1 : n_header])
+    expected = n_header + body_size(*fields) + 4
+    if len(buf) < expected:
+        raise TruncationError(f"expected {expected} bytes, found {len(buf)}")
+    if len(buf) > expected:
+        raise FormatError("trailing bytes after checksum")
+    if zlib.crc32(buf[:-4]) & 0xFFFFFFFF != struct.unpack(">I", buf[-4:])[0]:
+        raise ChecksumError("CRC32 mismatch")
+    return fields, buf[n_header:-4]
+
+
 def write_coeffs(c, path):
     """Write a coefficient plane in the JCNS container.
 
@@ -184,38 +226,19 @@ def write_coeffs(c, path):
     plane = c.plane()
     if np.any(np.abs(plane) > 32767):
         raise FormatError("coefficients exceed int16 range")
-    header = _MAGIC + struct.pack(
-        ">BBIIB", _VERSION, _ROLES.index(c.role), c.blocks_h, c.blocks_w,
-        c.table.qf)
-    body = plane.astype(">i2").tobytes()
-    crc = zlib.crc32(header + body) & 0xFFFFFFFF
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(body)
-        fh.write(struct.pack(">I", crc))
+    _write_container(
+        path, _MAGIC, ">BIIB",
+        (_ROLES.index(c.role), c.blocks_h, c.blocks_w, c.table.qf),
+        plane.astype(">i2").tobytes())
 
 
 def read_coeffs(path):
     """Read a JCNS container back into JpegCoefficients."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < 15:
-        raise TruncationError("file shorter than the fixed header")
-    if buf[:4] != _MAGIC:
-        raise FormatError("bad magic")
-    version, role_idx, bh, bw, qf = struct.unpack(">BBIIB", buf[4:15])
-    if version != _VERSION:
-        raise FormatError(f"unsupported version {version}")
+    (role_idx, bh, bw, qf), body = _read_container(
+        path, _MAGIC, ">BIIB", lambda role, bh, bw, qf: bh * bw * 64 * 2,
+        "coefficient")
     if role_idx >= len(_ROLES):
         raise FormatError(f"unknown role byte {role_idx}")
-    expected = 15 + bh * bw * 64 * 2 + 4
-    if len(buf) < expected:
-        raise TruncationError(f"expected {expected} bytes, found {len(buf)}")
-    if len(buf) > expected:
-        raise FormatError("trailing bytes after checksum")
-    crc_stored = struct.unpack(">I", buf[-4:])[0]
-    if zlib.crc32(buf[:-4]) & 0xFFFFFFFF != crc_stored:
-        raise ChecksumError("CRC32 mismatch")
-    plane = np.frombuffer(buf[15:-4], dtype=">i2").reshape(bh * 8, bw * 8)
+    plane = np.frombuffer(body, dtype=">i2").reshape(bh * 8, bw * 8)
     return JpegCoefficients.from_plane(
         plane.astype(np.int32), quant_table(qf), role=_ROLES[role_idx])

@@ -6,32 +6,19 @@ truncate) to unquantized DCT coefficients of selected blocks:
 
     dct_coeffs = dct_op . block_select_op . interior_select_op . luminance_op
 
-All vectorization is row-major.  Operators are kept as sparse
-coordinate-list matrices and densified only for covariance products.
+All vectorization is row-major.  Operators are ``scipy.sparse`` CSR
+matrices, densified only for covariance products.
 """
 
 import functools
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sps
 
-from .raw_io import BAYER_PATTERNS, DimensionError, UnknownCfaError
+from .raw_io import BAYER_PATTERNS, UnknownCfaError
 
 PATCH_SIDE = 26  # 3 * 8 + 2
 BLOCK = 8
-
-OPERATOR_KINDS = (
-    "demosaic_r",
-    "demosaic_g",
-    "demosaic_b",
-    "luminance",
-    "selection",
-    "permutation",
-    "dct",
-    "lowpass",
-    "assembled",
-)
 
 # BT.709 luminance weights; they sum to exactly 1.0 in float64.
 LUMA_WEIGHTS = {"r": 0.2126, "g": 0.7152, "b": 0.0722}
@@ -63,89 +50,31 @@ class PipelineError(Exception):
     """Operator construction failure."""
 
 
-@dataclass(frozen=True)
-class SparseOperator:
-    """A sparse linear operator with a structural kind tag.
-
-    Stored as CSR; ``entries()`` yields (row, col, value) triplets for
-    inspection and CSV dumps.
-    """
-
-    kind: str
-    rows: int
-    cols: int
-    matrix: sps.csr_matrix = field(repr=False)
-
-    @classmethod
-    def from_entries(cls, kind, rows, cols, triplets):
-        if kind not in OPERATOR_KINDS:
-            raise PipelineError(f"unknown operator kind {kind!r}")
-        r, c, v = (np.asarray(x) for x in zip(*triplets)) if triplets else (
-            np.empty(0, int), np.empty(0, int), np.empty(0, float))
-        coo = sps.coo_matrix((v.astype(np.float64), (r, c)), shape=(rows, cols))
-        if len(r) != len(set(zip(r.tolist(), c.tolist()))):
-            raise PipelineError("duplicate (row, col) entry in sparse operator")
-        return cls(kind=kind, rows=rows, cols=cols, matrix=coo.tocsr())
-
-    @classmethod
-    def from_csr(cls, kind, matrix):
-        matrix = matrix.tocsr()
-        return cls(kind=kind, rows=matrix.shape[0], cols=matrix.shape[1],
-                   matrix=matrix)
-
-    def entries(self):
-        coo = self.matrix.tocoo()
-        yield from zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())
-
-    def apply(self, vec):
-        return self.matrix @ np.asarray(vec, dtype=np.float64)
-
-    def to_dense(self):
-        return self.matrix.toarray()
-
-    def compose(self, other, kind="assembled"):
-        """self . other as a new operator."""
-        if self.cols != other.rows:
-            raise PipelineError("operator shapes do not chain")
-        return SparseOperator.from_csr(kind, self.matrix @ other.matrix)
-
-    def validate(self):
-        """Check the structural invariants of this operator kind."""
-        m = self.matrix
-        if self.kind in ("permutation", "selection"):
-            if not np.all(np.isin(m.data, (0.0, 1.0))):
-                raise PipelineError(f"{self.kind} entries must be 0/1")
-            per_row = np.diff(m.indptr)
-            if np.any(per_row > 1):
-                raise PipelineError(f"{self.kind} rows must have <= 1 entry")
-        if self.kind.startswith("demosaic"):
-            sums = np.asarray(m.sum(axis=1)).ravel()
-            if not np.all(sums == 1.0):
-                raise PipelineError(f"{self.kind} rows must sum to exactly 1")
-        if self.kind == "lowpass":
-            # Nine-tap rows hit numpy's unordered reduction, so exactness
-            # cannot be promised here; the kernel itself is exactly 12/12.
-            sums = np.asarray(m.sum(axis=1)).ravel()
-            if np.abs(sums - 1.0).max() > 1e-12:
-                raise PipelineError("lowpass rows must sum to 1")
-        return self
+def _csr(rows, cols, triplets):
+    """CSR matrix from (row, col, value) triplets; duplicates are an error."""
+    r, c, v = (np.asarray(x) for x in zip(*triplets)) if triplets else (
+        np.empty(0, int), np.empty(0, int), np.empty(0, float))
+    if len(r) != len(set(zip(r.tolist(), c.tolist()))):
+        raise PipelineError("duplicate (row, col) entry in sparse operator")
+    return sps.coo_matrix((v.astype(np.float64), (r, c)),
+                          shape=(rows, cols)).tocsr()
 
 
-@dataclass(frozen=True)
-class PipelineMatrix:
-    """The assembled patch-to-DCT operator for one conditioning neighborhood."""
+def _check_selector(m, what):
+    """Raise unless ``m`` holds only 0/1 entries, at most one per row."""
+    if not np.all(np.isin(m.data, (0.0, 1.0))):
+        raise PipelineError(f"{what} entries must be 0/1")
+    if np.any(np.diff(m.indptr) > 1):
+        raise PipelineError(f"{what} rows must have <= 1 entry")
+    return m
 
-    m: SparseOperator
-    n_blocks: int
-    patch_side: int
-    block_order: tuple
 
-    def __post_init__(self):
-        if self.m.rows != self.n_blocks * 64 or self.m.cols != self.patch_side**2:
-            raise PipelineError("assembled operator has inconsistent shape")
-
-    def apply(self, vec):
-        return self.m.apply(vec)
+def _check_row_sums(m, what, tol):
+    """Raise unless every row of ``m`` sums to 1 within ``tol``."""
+    sums = np.asarray(m.sum(axis=1)).ravel()
+    if not np.all(np.abs(sums - 1.0) <= tol):
+        raise PipelineError(f"{what} rows must sum to 1")
+    return m
 
 
 def cfa_grid(cfa, side):
@@ -205,27 +134,25 @@ def classify_site(grid, r, c, channel, green_kernel="cross"):
     raise PipelineError(f"no interpolation rule for channel {ch} at ({r},{c})")
 
 
-def _truncated_weights(offsets, r, c, side):
-    """Kept (offset, weight) pairs with in-grid renormalization.
+def _kernel_row(taps, r, c, side):
+    """(row, col, weight) triplets of one kernel centred on site (r, c).
 
-    Weights of out-of-grid taps are redistributed uniformly over the kept
-    taps; the last weight is chosen so the kept weights sum to exactly 1.0.
+    ``taps`` lists ((dr, dc), weight) pairs.  Taps outside the grid are
+    dropped and the kept weights divided by their sum; the last weight is
+    chosen so the kept weights sum to exactly 1.0.
     """
-    kept = [(dr, dc) for dr, dc in offsets
+    kept = [((dr, dc), w) for (dr, dc), w in taps
             if 0 <= r + dr < side and 0 <= c + dc < side]
     if not kept:
         raise PipelineError("kernel entirely outside the grid")
-    n = len(kept)
-    if n == len(offsets):
-        w = 1.0 / n
-        return [(off, w) for off in kept]
-    w = 1.0 / n
-    partial = 0.0
+    total = sum(w for _, w in kept)
+    row = r * side + c
     out = []
-    for off in kept[:-1]:
-        out.append((off, w))
-        partial += w
-    out.append((kept[-1], 1.0 - partial))
+    partial = 0.0
+    for i, ((dr, dc), w) in enumerate(kept):
+        wn = 1.0 - partial if i == len(kept) - 1 else w / total
+        out.append((row, (r + dr) * side + (c + dc), wn))
+        partial += wn
     return out
 
 
@@ -251,23 +178,17 @@ def build_demosaic(channel, cfa, side=PATCH_SIDE, green_kernel="cross"):
     for r in range(side):
         for c in range(side):
             kind = classify_site(grid, r, c, channel, green_kernel)
-            row = r * side + c
-            if kind == "native":
-                triplets.append((row, row, 1.0))
-                continue
-            for (dr, dc), w in _truncated_weights(_kernel_offsets(kind), r, c, side):
-                triplets.append((row, (r + dr) * side + (c + dc), w))
-    op = SparseOperator.from_entries(f"demosaic_{channel}", side**2, side**2, triplets)
-    return op.validate()
+            taps = [(off, 1.0) for off in _kernel_offsets(kind)]
+            triplets += _kernel_row(taps, r, c, side)
+    return _check_row_sums(_csr(side**2, side**2, triplets),
+                           f"demosaic_{channel}", 0.0)
 
 
 def build_luminance(cfa, side=PATCH_SIDE, green_kernel="cross"):
     """BT.709 luminance of the demosaicked channels as one operator."""
-    parts = [
-        LUMA_WEIGHTS[ch] * build_demosaic(ch, cfa, side, green_kernel).matrix
-        for ch in ("r", "g", "b")
-    ]
-    return SparseOperator.from_csr("luminance", parts[0] + parts[1] + parts[2])
+    parts = [LUMA_WEIGHTS[ch] * build_demosaic(ch, cfa, side, green_kernel)
+             for ch in ("r", "g", "b")]
+    return parts[0] + parts[1] + parts[2]
 
 
 def build_lowpass(side=PATCH_SIDE):
@@ -276,23 +197,15 @@ def build_lowpass(side=PATCH_SIDE):
     Used only for covariance structure analysis; edge kernels are truncated
     and renormalized like the demosaicking kernels.
     """
-    offsets = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
-    base = {off: (4.0 / 12.0 if off == (0, 0) else 1.0 / 12.0) for off in offsets}
+    taps = [((dr, dc), 4.0 / 12.0 if (dr, dc) == (0, 0) else 1.0 / 12.0)
+            for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
     triplets = []
     for r in range(side):
         for c in range(side):
-            kept = [(off, base[off]) for off in offsets
-                    if 0 <= r + off[0] < side and 0 <= c + off[1] < side]
-            total = sum(w for _, w in kept)
-            row = r * side + c
-            partial = 0.0
-            for off, w in kept[:-1]:
-                wn = w / total
-                triplets.append((row, (r + off[0]) * side + (c + off[1]), wn))
-                partial += wn
-            off = kept[-1][0]
-            triplets.append((row, (r + off[0]) * side + (c + off[1]), 1.0 - partial))
-    return SparseOperator.from_entries("lowpass", side**2, side**2, triplets).validate()
+            triplets += _kernel_row(taps, r, c, side)
+    # Nine-tap rows hit numpy's unordered reduction, so exactness cannot be
+    # promised here; the kernel itself is exactly 12/12.
+    return _check_row_sums(_csr(side**2, side**2, triplets), "lowpass", 1e-12)
 
 
 def build_selection(side=PATCH_SIDE, border=1):
@@ -304,14 +217,17 @@ def build_selection(side=PATCH_SIDE, border=1):
     for r in range(inner):
         for c in range(inner):
             triplets.append((r * inner + c, (r + border) * side + (c + border), 1.0))
-    op = SparseOperator.from_entries("selection", inner**2, side**2, triplets)
-    return op.validate()
+    return _check_selector(_csr(inner**2, side**2, triplets), "selection")
 
 
-def _block_selector(order, grid_n=3, area_side=None):
-    """Stack per-block row-major selectors for blocks of an NxN block grid."""
-    if area_side is None:
-        area_side = grid_n * BLOCK
+def build_permutation(order, grid_n=3):
+    """Block extraction/permutation operator over an NxN grid of 8x8 blocks.
+
+    ``order`` lists (i, j) grid positions; the result stacks the row-major
+    vectorization of each selected block in that order.
+    """
+    order = list(order)
+    area_side = grid_n * BLOCK
     seen = set()
     for (i, j) in order:
         if not (0 <= i < grid_n and 0 <= j < grid_n):
@@ -326,18 +242,8 @@ def _block_selector(order, grid_n=3, area_side=None):
                 row = b * 64 + u * BLOCK + v
                 col = (i * BLOCK + u) * area_side + (j * BLOCK + v)
                 triplets.append((row, col, 1.0))
-    op = SparseOperator.from_entries(
-        "permutation", len(order) * 64, area_side**2, triplets)
-    return op.validate()
-
-
-def build_permutation(block_order):
-    """Block extraction/permutation operator over the 3x3 grid of 8x8 blocks.
-
-    ``block_order`` lists (i, j) grid positions; the result stacks the
-    row-major vectorization of each selected block in that order.
-    """
-    return _block_selector(list(block_order), grid_n=3)
+    return _check_selector(_csr(len(order) * 64, area_side**2, triplets),
+                           "permutation")
 
 
 @functools.lru_cache(maxsize=None)
@@ -359,8 +265,7 @@ def _block_dct_dense():
 
 def _dct_op(n_blocks):
     tb = sps.csr_matrix(_block_dct_dense())
-    return SparseOperator.from_csr(
-        "dct", sps.block_diag([tb] * n_blocks, format="csr"))
+    return sps.block_diag([tb] * n_blocks, format="csr")
 
 
 def build_dct(n_blocks):
@@ -378,12 +283,8 @@ def patch_operator(front, labels):
     in order.
     """
     order = [GRID_POS[lbl] for lbl in labels]
-    m = (_dct_op(len(order))
-         .compose(_block_selector(order, grid_n=3))
-         .compose(build_selection(PATCH_SIDE, 1))
-         .compose(front))
-    return PipelineMatrix(m=m, n_blocks=len(order), patch_side=PATCH_SIDE,
-                          block_order=tuple(labels))
+    return (_dct_op(len(order)) @ build_permutation(order)
+            @ build_selection(PATCH_SIDE, 1) @ front)
 
 
 @functools.lru_cache(maxsize=None)
@@ -417,8 +318,8 @@ def block_support_tensor(image_cfa, green_kernel="cross"):
     ``coeff`` (row-major frequency order).  The tensor is identical for
     every block of the image because blocks start at even coordinates.
     """
-    pm = assemble("L1", patch_cfa_for_image(image_cfa), green_kernel)
-    dense = pm.m.to_dense().reshape(64, PATCH_SIDE, PATCH_SIDE)
+    m = assemble("L1", patch_cfa_for_image(image_cfa), green_kernel)
+    dense = m.toarray().reshape(64, PATCH_SIDE, PATCH_SIDE)
     support = dense[:, 8:18, 8:18].copy()
     rest = dense.copy()
     rest[:, 8:18, 8:18] = 0.0

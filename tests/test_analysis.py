@@ -31,13 +31,10 @@ def test_identity_front_gives_diagonal_intra_covariance():
     # independent noise stays independent: the intra-block covariance is
     # diagonal.
     side = pl.PATCH_SIDE
-    ident = pl.SparseOperator.from_csr(
-        "assembled", pl.build_selection(side, 0).matrix)
+    ident = pl.build_selection(side, 0)
     sel = pl.build_selection(side, 1)
-    perm = pl._block_selector([(1, 1)], grid_n=3)
-    dct = pl._dct_op(1)
-    op = dct.compose(perm).compose(sel).compose(ident)
-    m = op.to_dense()
+    perm = pl.build_permutation([(1, 1)])
+    m = (pl._dct_op(1) @ perm @ sel @ ident).toarray()
     cov = m @ m.T.copy()
     off_diag = cov - np.diag(np.diag(cov))
     assert np.abs(off_diag).max() <= 1e-12

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jpegns import load_raw, read_coeffs
+from jpegns import pipeline as pl
 from jpegns.cli import main
 from jpegns.embedder import read_costs
 from jpegns.pipeline import NEIGHBOR_LABELS
@@ -129,20 +130,46 @@ def test_covariance_export_block_order(tmp_path, nb):
         assert np.array_equal(full[:64, 64 * k : 64 * (k + 1)], sub), lbl
 
 
-def test_dump_operator(tmp_path):
-    out = tmp_path / "dct.csv"
-    rc = main(["covariance", "--dump-operator", "dct", "--neighborhood", "L1",
-               "-o", str(out)])
-    assert rc == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0].startswith("# operator dct (64x64)")
-    triplets = [line.split(",") for line in lines[2:]]
-    from jpegns.pipeline import build_dct
+# The builder call each --dump-operator kind must reproduce under
+# --neighborhood L2 --cfa GRBG --green-kernel corner.
+DUMPED = {
+    "demosaic_r": lambda: pl.build_demosaic("r", "GRBG", 26, "corner"),
+    "demosaic_g": lambda: pl.build_demosaic("g", "GRBG", 26, "corner"),
+    "demosaic_b": lambda: pl.build_demosaic("b", "GRBG", 26, "corner"),
+    "luminance": lambda: pl.build_luminance("GRBG", 26, "corner"),
+    "selection": lambda: pl.build_selection(26, 1),
+    "permutation": lambda: pl.build_permutation(
+        [(1, 1), (0, 0), (0, 2), (2, 0), (2, 2)]),
+    "dct": lambda: pl.build_dct(5),
+    "lowpass": lambda: pl.build_lowpass(26),
+    "assembled": lambda: pl.assemble("L2", "GRBG", "corner"),
+}
 
-    dense = np.zeros((64, 64))
-    for r, c, v in triplets:
+
+@pytest.mark.parametrize("kind", list(DUMPED))
+def test_dump_operator(tmp_path, kind):
+    out = tmp_path / f"{kind}.csv"
+    rc = main(["covariance", "--dump-operator", kind, "--neighborhood", "L2",
+               "--cfa", "GRBG", "--green-kernel", "corner", "-o", str(out)])
+    assert rc == 0
+    expected = DUMPED[kind]().toarray()
+    rows, cols = expected.shape
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == f"# operator {kind} ({rows}x{cols})"
+    assert lines[1] == "row,col,value"
+    dense = np.zeros(expected.shape)
+    for line in lines[2:]:
+        r, c, v = line.split(",")
+        assert dense[int(r), int(c)] == 0.0
         dense[int(r), int(c)] = float(v)
-    assert np.array_equal(dense, build_dct(1).to_dense())
+    assert np.array_equal(dense, expected)
+
+
+def test_dump_operator_rejects_unknown_kind(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["covariance", "--dump-operator", "blur", "-o",
+              str(tmp_path / "op.csv")])
+    assert exc.value.code == 2
 
 
 def test_costs_cli(raw_file, tmp_path):
@@ -159,6 +186,9 @@ def test_costs_cli(raw_file, tmp_path):
     ("embed", ["--key", "xyz"], "key must be a hexadecimal number"),
     ("embed", ["--K", "0"], "alphabet half-width K must be >= 1"),
     ("capacity", ["--workers", "0"], "workers must be >= 1"),
+    ("embed", ["--key", "-1"], "key must be an integer in 0..2**64-1"),
+    ("costs", ["--key", "1ffffffffffffffff"],
+     "key must be an integer in 0..2**64-1"),
 ])
 def test_bad_numeric_option_exits_cleanly(raw_file, tmp_path, caplog,
                                           command, option, message):

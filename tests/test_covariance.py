@@ -7,8 +7,6 @@ from jpegns import covariance as cm
 from jpegns import pipeline as pl
 from jpegns.covariance import (
     CovarianceError,
-    CovarianceMatrix,
-    DiagonalCovariance,
     SingularCovarianceError,
     analysis_covariance,
     cholesky,
@@ -50,13 +48,13 @@ def test_photon_variance_vectorized(paper_params):
 
 def test_sigma_p_constant_patch(paper_params):
     sp = sigma_p(np.full((26, 26), 2000.0), paper_params)
-    assert sp.variances.shape == (676,)
-    assert np.all(sp.variances == pytest.approx(1150.0))
+    assert sp.shape == (676,)
+    assert np.all(sp == pytest.approx(1150.0))
 
 
 def test_sigma_p_zero_patch(paper_params):
     sp = sigma_p(np.zeros((26, 26)), paper_params)
-    assert np.all(sp.variances == 0.0)
+    assert np.all(sp == 0.0)
 
 
 def test_sigma_p_matches_elementwise(paper_params):
@@ -65,7 +63,7 @@ def test_sigma_p_matches_elementwise(paper_params):
     sp = sigma_p(patch, paper_params)
     expected = np.array([photon_variance(float(x), paper_params)
                          for x in patch.ravel()])
-    assert np.array_equal(sp.variances, expected)
+    assert np.array_equal(sp, expected)
 
 
 def test_sigma_p_rejects_wrong_shape(paper_params):
@@ -77,45 +75,46 @@ def test_sigma_p_rejects_wrong_shape(paper_params):
 
 
 def test_sigma_d_unit_variances_is_gram():
-    pm = pl.assemble("L1", "RGGB")
-    sd = sigma_d(pm, DiagonalCovariance(np.ones(676)))
-    m = pm.m.to_dense()
+    op = pl.assemble("L1", "RGGB")
+    sd = sigma_d(op, np.ones(676))
+    m = op.toarray()
     gram = m @ m.T.copy()
-    assert np.abs(sd.values - gram).max() <= 1e-12 * np.abs(gram).max()
+    assert np.abs(sd - gram).max() <= 1e-12 * np.abs(gram).max()
 
 
 def test_sigma_d_zero_variances():
-    pm = pl.assemble("L1", "RGGB")
-    sd = sigma_d(pm, DiagonalCovariance(np.zeros(676)))
-    assert np.all(sd.values == 0.0)
+    sd = sigma_d(pl.assemble("L1", "RGGB"), np.zeros(676))
+    assert np.all(sd == 0.0)
 
 
 def test_sigma_d_symmetric_psd(paper_params):
-    pm = pl.assemble("L3", "BGGR")
+    op = pl.assemble("L3", "BGGR")
     rng = np.random.default_rng(1)
     patch = rng.uniform(1500, 3500, size=(26, 26))
-    sd = sigma_d(pm, sigma_p(patch, paper_params))
-    assert np.array_equal(sd.values, sd.values.T)
-    sd.check_psd()
+    sd = sigma_d(op, sigma_p(patch, paper_params))
+    assert np.array_equal(sd, sd.T)
+    # Smallest eigenvalue above -1e-8 * trace / dim.
+    floor = -1e-8 * max(np.trace(sd), 0.0) / sd.shape[0]
+    assert np.linalg.eigvalsh(sd)[0] >= floor
 
 
 def test_sigma_d_monte_carlo_sanity(paper_params):
     # Light version of the full 1e6-draw acceptance check.
-    pm = pl.assemble("L1", "RGGB")
+    op = pl.assemble("L1", "RGGB")
     rng = np.random.default_rng(2)
     patch = rng.uniform(1500, 3500, size=(26, 26))
     sp = sigma_p(patch, paper_params)
-    sd = sigma_d(pm, sp)
-    m = pm.m.to_dense()
+    sd = sigma_d(op, sp)
+    m = op.toarray()
     n_draws, chunk = 200_000, 20_000
     acc = np.zeros((64, 64))
-    std = np.sqrt(sp.variances)
+    std = np.sqrt(sp)
     for _ in range(n_draws // chunk):
         y = (rng.standard_normal((chunk, 676)) * std) @ m.T
         acc += blas.dgemm(1.0, y, y, trans_a=1)
     emp = acc / n_draws
-    se = cov_standard_error(sd.values, n_draws)
-    assert np.all(np.abs(emp - sd.values) <= 7.0 * se)
+    se = cov_standard_error(sd, n_draws)
+    assert np.all(np.abs(emp - sd) <= 7.0 * se)
 
 
 # -- conditioning -------------------------------------------------------------
@@ -263,10 +262,9 @@ def test_schur_chain_equivalence_small():
 
 def test_analysis_full_proportional_to_gram():
     cov, subs = analysis_covariance("full", "RGGB")
-    pm = pl.assemble("L4", "RGGB")
-    m = pm.m.to_dense()
+    m = pl.assemble("L4", "RGGB").toarray()
     gram = m @ m.T.copy()
-    assert np.abs(cov.values - gram).max() <= 1e-12 * np.abs(gram).max()
+    assert np.abs(cov - gram).max() <= 1e-12 * np.abs(gram).max()
     assert set(subs) == {"C", "N", "S", "E", "W", "NE", "NW", "SE", "SW"}
 
 
@@ -290,12 +288,10 @@ def test_non_connected_cross_covariance_exactly_zero(paper_params):
     side = 42
     lum = pl.build_luminance("RGGB", side)
     sel = pl.build_selection(side, 1)
-    perm = pl._block_selector([(2, 2), (2, 4)], grid_n=5)
-    dct = pl._dct_op(2)
-    op = dct.compose(perm).compose(sel).compose(lum)
+    perm = pl.build_permutation([(2, 2), (2, 4)], grid_n=5)
+    m = pl._dct_op(2) @ perm @ sel @ lum
     rng = np.random.default_rng(11)
     variances = rng.uniform(0.5, 2.0, size=side * side)
-    m = op.matrix
     scaled = m.multiply(variances[np.newaxis, :])
     joint = (scaled @ m.T).toarray()
     cross = joint[:64, 64:]
@@ -308,7 +304,7 @@ def test_csv_export_files(tmp_path):
     written = cm.write_covariance_csv(out, cov, subs)
     assert len(written) == 10
     reloaded = np.loadtxt(out, delimiter=",")
-    assert np.allclose(reloaded, cov.values, atol=1e-12)
+    assert np.allclose(reloaded, cov, atol=1e-12)
     sub_c = np.loadtxt(tmp_path / "cov_C.csv", delimiter=",")
     assert np.allclose(sub_c, subs["C"], atol=1e-12)
     with open(tmp_path / "cov_NE.csv") as fh:
@@ -318,13 +314,11 @@ def test_csv_export_files(tmp_path):
 # -- validation ---------------------------------------------------------------
 
 
-def test_covariance_matrix_rejects_asymmetric():
-    bad = np.array([[1.0, 2.0], [0.0, 1.0]])
-    with pytest.raises(CovarianceError):
-        CovarianceMatrix(bad)
-
-
-def test_check_psd_rejects_indefinite():
-    bad = np.array([[1.0, 0.0], [0.0, -0.5]])
-    with pytest.raises(CovarianceError):
-        CovarianceMatrix(bad).check_psd()
+def test_sigma_d_rejects_bad_variances():
+    op = pl.assemble("L1", "RGGB")
+    v = np.ones(676)
+    v[5] = -1e-9
+    with pytest.raises(CovarianceError, match="negative variance"):
+        sigma_d(op, v)
+    with pytest.raises(CovarianceError, match="operator width"):
+        sigma_d(op, np.ones(675))

@@ -207,14 +207,14 @@ def test_fast_covariance_matches_operator_path(bright_raw, paper_params):
     cfg = EmbedConfig(qf=95, K=5, key=1)
     emb = SimulatedEmbedder(bright_raw, cfg)
     patch_cfa = pl.patch_cfa_for_image("RGGB")
-    pm = pl.assemble("L4", patch_cfa)
+    m = pl.assemble("L4", patch_cfa)
     bi, bj = 3, 2  # interior lattice-4 block
     joint = emb.joint_covariance(
         [(bi, bj), (bi - 1, bj - 1), (bi - 1, bj), (bi - 1, bj + 1),
          (bi, bj - 1), (bi, bj + 1), (bi + 1, bj - 1),
          (bi + 1, bj), (bi + 1, bj + 1)])
     patch = bright_raw.data[8 * bi - 9 : 8 * bi + 17, 8 * bj - 9 : 8 * bj + 17]
-    ref = sigma_d(pm, sigma_p(patch, paper_params)).values
+    ref = sigma_d(m, sigma_p(patch, paper_params))
     assert np.abs(joint - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
@@ -404,13 +404,30 @@ def test_config_validation():
         EmbedConfig(qf=95, workers=0)
 
 
+BAD_KEYS = [-1, 2**64, 1.5, True, "7"]
+
+
 @pytest.mark.parametrize("name, value", [
     ("qf", 95.5), ("qf", True), ("qf", "95"), ("K", 2.5), ("K", True),
     ("workers", 1.5), ("workers", True),
+    # The key must also lie in 0..2**64-1.
+    *(("key", key) for key in BAD_KEYS),
 ])
 def test_config_rejects_non_integer(name, value):
     with pytest.raises(ConfigError, match=f"{name} must be an integer"):
         EmbedConfig(**{"qf": 95, name: value})
+
+
+@pytest.mark.parametrize("key", BAD_KEYS, ids=repr)
+def test_run_rejects_bad_key(bright_raw, key):
+    emb = SimulatedEmbedder(bright_raw, EmbedConfig(qf=95, K=5, key=1))
+    with pytest.raises(ConfigError, match="key must be an integer"):
+        emb.run(key=key)
+
+
+def test_largest_key_accepted(bright_raw):
+    report = capacity_map(bright_raw, EmbedConfig(qf=95, K=5, key=2**64 - 1))
+    assert report.config["key"] == "ffffffffffffffff"
 
 
 def test_green_kernel_variant_changes_output(bright_raw):

@@ -79,7 +79,7 @@ def test_develop_quantization_bound(paper_params):
     spatial = np.einsum("ji,bcjk,kl->bcil", a, blocks, a, optimize=True)
     pad = np.pad(raw.data, 1, mode="edge")
     lum = pl.build_luminance(pl.shift_cfa(raw.cfa, -1, -1), side=34)
-    luma = lum.apply(pad.ravel()).reshape(34, 34)[1:-1, 1:-1] - 2048.0
+    luma = (lum @ pad.ravel()).reshape(34, 34)[1:-1, 1:-1] - 2048.0
     luma_blocks = luma.reshape(4, 8, 4, 8).transpose(0, 2, 1, 3)
     bound = 8.0 * 0.5 * cover.table.steps.max()
     assert np.abs(spatial - luma_blocks).max() <= bound
@@ -99,11 +99,11 @@ def test_develop_matches_patch_operator(paper_params):
         raw = make_raw(data, paper_params, cfa)
         for kernel in ("cross", "corner"):
             dct_plane, _ = develop_cover(raw, 95, kernel)
-            pm = pl.assemble("L1", pl.patch_cfa_for_image(cfa), kernel)
+            m = pl.assemble("L1", pl.patch_cfa_for_image(cfa), kernel)
             for bi in range(6):
                 for bj in range(6):
                     patch = padded[8 * bi : 8 * bi + 26, 8 * bj : 8 * bj + 26]
-                    ours = pm.apply(patch.ravel() - shift).reshape(8, 8)
+                    ours = (m @ (patch.ravel() - shift)).reshape(8, 8)
                     ref = dct_plane[8 * bi : 8 * bi + 8, 8 * bj : 8 * bj + 8]
                     assert np.abs(ours - ref).max() <= 1e-8
 
@@ -121,7 +121,7 @@ def test_demosaic_image_matches_operators(cfa, paper_params):
     luma = np.zeros((16, 16))
     for ch in "rgb":
         op = pl.build_demosaic(ch, patch_cfa, side=18)
-        plane = op.apply(padded.ravel()).reshape(18, 18)[1:-1, 1:-1]
+        plane = (op @ padded.ravel()).reshape(18, 18)[1:-1, 1:-1]
         luma += pl.LUMA_WEIGHTS[ch] * plane
     a = pl.dct_matrix()
     blocks = luma.reshape(2, 8, 2, 8).transpose(0, 2, 1, 3)

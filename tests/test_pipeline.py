@@ -15,7 +15,7 @@ def dct2_reference(block):
 
 
 def test_green_native_sites_identity_rows():
-    op = pl.build_demosaic("g", "RGGB", side=8).to_dense()
+    op = pl.build_demosaic("g", "RGGB", side=8).toarray()
     grid = pl.cfa_grid("RGGB", 8)
     for r in range(8):
         for c in range(8):
@@ -27,7 +27,7 @@ def test_green_native_sites_identity_rows():
 
 
 def test_red_at_blue_site_is_corner_kernel():
-    op = pl.build_demosaic("r", "RGGB", side=8).to_dense()
+    op = pl.build_demosaic("r", "RGGB", side=8).toarray()
     # (1, 1) is a blue site on RGGB; red comes from the four diagonals.
     row = op[1 * 8 + 1]
     nz = {int(i): row[i] for i in np.nonzero(row)[0]}
@@ -36,7 +36,7 @@ def test_red_at_blue_site_is_corner_kernel():
 
 
 def test_red_at_green_sites_pair_kernels():
-    op = pl.build_demosaic("r", "RGGB", side=8).to_dense()
+    op = pl.build_demosaic("r", "RGGB", side=8).toarray()
     # (0, 1): green in a red row -> horizontal red pair.
     row = op[0 * 8 + 1]
     nz = {int(i): row[i] for i in np.nonzero(row)[0]}
@@ -52,12 +52,12 @@ def test_red_at_green_sites_pair_kernels():
 @pytest.mark.parametrize("green_kernel", ("cross", "corner"))
 def test_demosaic_rows_sum_to_one_exactly(cfa, channel, green_kernel):
     op = pl.build_demosaic(channel, cfa, side=10, green_kernel=green_kernel)
-    sums = np.asarray(op.matrix.sum(axis=1)).ravel()
+    sums = np.asarray(op.sum(axis=1)).ravel()
     assert np.all(sums == 1.0)
 
 
 def test_green_interior_uses_cross_kernel_by_default():
-    op = pl.build_demosaic("g", "RGGB", side=8).to_dense()
+    op = pl.build_demosaic("g", "RGGB", side=8).toarray()
     # (1, 1) is blue; green interpolates from the 4-connected neighbors.
     row = op[1 * 8 + 1]
     nz = {int(i): row[i] for i in np.nonzero(row)[0]}
@@ -66,14 +66,14 @@ def test_green_interior_uses_cross_kernel_by_default():
 
 
 def test_green_corner_variant_reproduces_printed_kernel():
-    op = pl.build_demosaic("g", "RGGB", side=8, green_kernel="corner").to_dense()
+    op = pl.build_demosaic("g", "RGGB", side=8, green_kernel="corner").toarray()
     row = op[1 * 8 + 1]
     nz = {int(i): row[i] for i in np.nonzero(row)[0]}
     assert nz == {0: 0.25, 2: 0.25, 16: 0.25, 18: 0.25}
 
 
 def test_border_kernels_renormalized():
-    op = pl.build_demosaic("g", "RGGB", side=8).to_dense()
+    op = pl.build_demosaic("g", "RGGB", side=8).toarray()
     # (0, 0) is red; at the corner only the east and south green neighbors
     # remain of the cross kernel, renormalized to sum exactly 1.
     row = op[0]
@@ -92,14 +92,14 @@ def test_demosaic_side_too_small():
 
 def test_luminance_preserves_constants():
     op = pl.build_luminance("RGGB", side=26)
-    out = op.apply(np.ones(26 * 26))
+    out = op @ np.ones(26 * 26)
     assert np.abs(out - 1.0).max() <= 1e-14
 
 
 def test_luminance_green_weight():
     # A native green site takes its own value only through the green plane,
     # so its diagonal entry is exactly the BT.709 green weight.
-    op = pl.build_luminance("RGGB", side=8).to_dense()
+    op = pl.build_luminance("RGGB", side=8).toarray()
     grid = pl.cfa_grid("RGGB", 8)
     for r in range(1, 7):
         for c in range(1, 7):
@@ -108,9 +108,9 @@ def test_luminance_green_weight():
 
 
 def test_luminance_is_weighted_sum_of_channels():
-    ops = {ch: pl.build_demosaic(ch, "GRBG", side=10).to_dense()
+    ops = {ch: pl.build_demosaic(ch, "GRBG", side=10).toarray()
            for ch in ("r", "g", "b")}
-    lum = pl.build_luminance("GRBG", side=10).to_dense()
+    lum = pl.build_luminance("GRBG", side=10).toarray()
     combined = 0.2126 * ops["r"] + 0.7152 * ops["g"] + 0.0722 * ops["b"]
     assert np.abs(lum - combined).max() <= 1e-16
 
@@ -120,18 +120,17 @@ def test_luminance_is_weighted_sum_of_channels():
 
 def test_selection_shape():
     op = pl.build_selection(26, 1)
-    assert (op.rows, op.cols) == (576, 676)
+    assert op.shape == (576, 676)
 
 
 def test_selection_extracts_interior():
     grid = np.arange(26 * 26, dtype=float).reshape(26, 26)
-    out = pl.build_selection(26, 1).apply(grid.ravel())
+    out = pl.build_selection(26, 1) @ grid.ravel()
     assert np.array_equal(out.reshape(24, 24), grid[1:-1, 1:-1])
 
 
 def test_selection_structure():
-    op = pl.build_selection(26, 1)
-    m = op.matrix
+    m = pl.build_selection(26, 1)
     assert np.all(np.diff(m.indptr) == 1)  # exactly one 1 per row
     col_sums = np.asarray(m.sum(axis=0)).ravel()
     assert set(np.unique(col_sums)) <= {0.0, 1.0}
@@ -147,14 +146,14 @@ def test_selection_invalid_sizes():
 
 def test_permutation_extracts_central_block():
     grid = np.arange(24 * 24, dtype=float).reshape(24, 24)
-    out = pl.build_permutation([(1, 1)]).apply(grid.ravel())
+    out = pl.build_permutation([(1, 1)]) @ grid.ravel()
     assert np.array_equal(out.reshape(8, 8), grid[8:16, 8:16])
 
 
 def test_permutation_five_block_concatenation():
     grid = np.arange(24 * 24, dtype=float).reshape(24, 24)
     order = [(1, 1), (0, 0), (0, 2), (2, 0), (2, 2)]
-    out = pl.build_permutation(order).apply(grid.ravel())
+    out = pl.build_permutation(order) @ grid.ravel()
     expected = np.concatenate(
         [grid[8 * i : 8 * i + 8, 8 * j : 8 * j + 8].ravel() for i, j in order])
     assert np.array_equal(out, expected)
@@ -162,7 +161,7 @@ def test_permutation_five_block_concatenation():
 
 def test_full_nine_block_permutation_is_orthogonal():
     order = [(i, j) for i in range(3) for j in range(3)]
-    p = pl.build_permutation(order).to_dense()
+    p = pl.build_permutation(order).toarray()
     assert p.shape == (576, 576)
     assert np.array_equal(p @ p.T, np.eye(576))
 
@@ -193,7 +192,7 @@ def test_dct_matrix_orthogonal():
 
 def test_block_dct_constant_goes_to_dc():
     op = pl.build_dct(1)
-    out = op.apply(np.full(64, 3.0))
+    out = op @ np.full(64, 3.0)
     assert abs(out[0] - 24.0) <= 1e-12
     assert np.abs(out[1:]).max() <= 1e-12
 
@@ -203,7 +202,7 @@ def test_block_dct_matches_separable_oracle():
     rng = np.random.default_rng(7)
     for _ in range(50):
         block = rng.normal(size=(8, 8))
-        ours = op.apply(block.ravel()).reshape(8, 8)
+        ours = (op @ block.ravel()).reshape(8, 8)
         assert np.abs(ours - dct2_reference(block)).max() <= 1e-10
 
 
@@ -218,41 +217,45 @@ def test_dct_invalid_block_count():
 def test_assemble_shapes():
     m1 = pl.assemble("L1", "RGGB")
     m4 = pl.assemble("L4", "RGGB")
-    assert (m1.m.rows, m1.m.cols) == (64, 676)
-    assert (m4.m.rows, m4.m.cols) == (576, 676)
-    assert m1.block_order == ("C",)
-    assert m4.block_order == ("C", "NW", "N", "NE", "W", "E", "SW", "S", "SE")
+    assert m1.shape == (64, 676)
+    assert m4.shape == (576, 676)
+    # Block order: the central block, then the lattice's neighbors.
+    assert ("C",) + pl.NEIGHBOR_LABELS["L4"] == (
+        "C", "NW", "N", "NE", "W", "E", "SW", "S", "SE")
+    lum = pl.build_luminance("RGGB")
+    for i, lbl in enumerate(("C",) + pl.NEIGHBOR_LABELS["L4"]):
+        one = pl.patch_operator(lum, (lbl,))
+        assert (m4[i * 64 : (i + 1) * 64] != one).nnz == 0
 
 
 def test_assemble_constant_input_dc_only():
     for nb in ("L1", "L2", "L3", "L4"):
-        pm = pl.assemble(nb, "BGGR")
-        out = pm.apply(np.ones(676)).reshape(pm.n_blocks, 64)
+        m = pl.assemble(nb, "BGGR")
+        out = (m @ np.ones(676)).reshape(-1, 64)
         assert np.abs(out[:, 0] - 8.0).max() <= 1e-12
         assert np.abs(out[:, 1:]).max() <= 1e-12
 
 
 def test_assemble_linearity():
-    pm = pl.assemble("L2", "RGGB")
+    m = pl.assemble("L2", "RGGB")
     rng = np.random.default_rng(3)
     u, v = rng.normal(size=676), rng.normal(size=676)
     a, b = 1.7, -0.4
-    lhs = pm.apply(a * u + b * v)
-    rhs = a * pm.apply(u) + b * pm.apply(v)
+    lhs = m @ (a * u + b * v)
+    rhs = a * (m @ u) + b * (m @ v)
     assert np.abs(lhs - rhs).max() <= 1e-12
 
 
 def test_selection_luminance_chain_preserves_ones():
     lum = pl.build_luminance("RGGB", 26)
     sel = pl.build_selection(26, 1)
-    out = sel.apply(lum.apply(np.ones(676)))
+    out = sel @ (lum @ np.ones(676))
     assert np.abs(out - 1.0).max() <= 1e-14
 
 
 def test_non_connected_blocks_have_disjoint_support():
-    pm = pl.assemble("L4", "RGGB")
-    dense = pm.m.to_dense()
-    order = pm.block_order
+    dense = pl.assemble("L4", "RGGB").toarray()
+    order = ("C",) + pl.NEIGHBOR_LABELS["L4"]
     support = {lbl: set(np.nonzero(dense[i * 64 : (i + 1) * 64].any(axis=0))[0])
                for i, lbl in enumerate(order)}
     # NW and NE are two blocks apart horizontally: not 8-connected.
@@ -297,7 +300,9 @@ def test_block_support_tensor_shape_and_fit():
 
 def test_operator_entries_round_trip():
     op = pl.build_selection(10, 1)
-    triplets = list(op.entries())
-    rebuilt = pl.SparseOperator.from_entries("selection", op.rows, op.cols,
-                                             triplets)
-    assert (rebuilt.matrix != op.matrix).nnz == 0
+    coo = op.tocoo()
+    triplets = list(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
+    rebuilt = pl._csr(*op.shape, triplets)
+    assert (rebuilt != op).nnz == 0
+    with pytest.raises(PipelineError, match="duplicate"):
+        pl._csr(*op.shape, triplets + triplets[:1])
