@@ -26,6 +26,7 @@ reproducible.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ from scipy.special import ndtri
 _SQRT_HALF = math.sqrt(0.5)
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 _TINY = 5e-324
+_MAX_FLOAT = sys.float_info.max
 
 
 class SamplerError(Exception):
@@ -82,11 +84,14 @@ def _grid(m_hat, sigma_hat, k_range):
     sqrt 2)).  A zero deviation (including underflow of a subnormal sigma')
     is a point mass at round(m_hat) clamped into the alphabet: its grid is
     centered on that atom with inv = inf, so every edge CDF is exactly 0 or 1.
+    A nonzero deviation whose reciprocal overflows keeps its grid with inv
+    capped at the largest float: an edge exactly at m_hat then has CDF 0.5
+    rather than erf(0 * inf) = NaN, and every other edge CDF is 0 or 1.
     """
     center = round_half_away(m_hat)
     if sigma_hat == 0.0:
         return center, -min(max(center, -k_range), k_range) - 0.5, math.inf
-    return center, center - 0.5 - m_hat, 1.0 / sigma_hat
+    return center, center - 0.5 - m_hat, min(1.0 / sigma_hat, _MAX_FLOAT)
 
 
 def _pmf_table(base, inv, k_range):
@@ -98,7 +103,8 @@ def _pmf_table(base, inv, k_range):
     bit for bit with the CDF values a draw compares its uniform against.
     """
     edges = np.arange(-k_range + 1, k_range + 1, dtype=np.float64)
-    args = (base[:, None] + edges) * inv[:, None] * _SQRT_HALF
+    with np.errstate(over="ignore"):  # a capped inv (see _grid) gives +-inf
+        args = (base[:, None] + edges) * inv[:, None] * _SQRT_HALF
     erfs = np.fromiter(map(math.erf, args.ravel().tolist()), np.float64,
                        args.size).reshape(args.shape)
     cdf = np.ones((base.size, 2 * k_range + 1))

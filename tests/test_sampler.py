@@ -161,6 +161,17 @@ def test_pmf_normalization_property(m, sigma, q, k):
     assert entropy(p.probs) <= math.log2(2 * k + 1) + 1e-12
 
 
+def test_pmf_and_chain_split_mean_on_edge_with_subnormal_sigma():
+    # 1 / 5e-324 overflows; the bin edge through m_hat = 1.5 must still have
+    # CDF 0.5, not erf(0 * inf) = NaN, in the PMF and in the chain's draw.
+    p = pmf(1.5, 5e-324, 1.0, 1)
+    assert p.probs.tolist() == [0.5, 0.5, 0.0]
+    out = iid_chain(5e-324, 1.5, 1.0, 1, gen(3))
+    assert np.all(out["probs"] == [0.5, 0.5, 0.0])
+    assert set(out["changes"].tolist()) == {-1, 0}
+    assert np.all(out["samples"] == 1.5)
+
+
 def test_pmf_rejects_bad_arguments():
     with pytest.raises(SamplerError):
         pmf(0.0, -1.0, 1.0, 3)
