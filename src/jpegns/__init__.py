@@ -8,7 +8,6 @@ coefficients by lattice-ordered conditional Gaussian sampling.
 """
 
 from .raw_io import (
-    BayerError,
     DimensionError,
     ParameterError,
     PgmError,

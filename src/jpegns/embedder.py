@@ -26,7 +26,7 @@ import scipy.linalg as sla
 
 from . import covariance as cov_mod
 from . import jpeg_model, lattice, pipeline, rng, sampler
-from .raw_io import DimensionError, RawImage
+from .raw_io import RawImage
 
 log = logging.getLogger(__name__)
 
@@ -166,79 +166,68 @@ def condition(joint, n_known, context=""):
 
 @dataclass(frozen=True)
 class _BlockFactors:
-    """Draw-independent conditioning factors of one block.
+    """Draw-independent conditioning factors of one live block.
 
-    ``mean_gain`` maps the concatenated neighbor samples to the conditional
-    mean; ``chol`` is the Cholesky factor of the conditional covariance.
+    ``mean_gain`` maps the concatenated samples of ``neighbors`` (block
+    coordinates) to the conditional mean; ``chol`` is the Cholesky factor
+    of the conditional covariance.
     """
 
     neighbors: tuple
     mean_gain: np.ndarray
     chol: np.ndarray
     jitter: float
-    dead: bool
-    failed: bool
 
 
 class SimulatedEmbedder:
     """Reusable embedding engine for one RAW image.
 
-    Precomputes the cover, the photo-site variance map and the pipeline
-    weight tensor once; ``run`` then produces a stego plane for any key.
-    ``cache_factors`` additionally keeps each block's Schur/Cholesky
-    factors across runs, which pays off when embedding the same image many
-    times (the factors do not depend on the drawn samples).
+    Precomputes the cover, the photo-site variance windows of every block
+    and the map of live blocks once; ``run`` then produces a stego plane
+    for any key.  ``cache_factors`` additionally keeps each block's
+    Schur/Cholesky factors across runs, which pays off when embedding the
+    same image many times (the factors do not depend on the drawn samples).
     """
 
     def __init__(self, raw, cfg, cache_factors=False):
-        if raw.height % 8 or raw.width % 8:
-            raise DimensionError("image dimensions must be multiples of 8")
         self.raw = raw
         self.cfg = cfg
-        self.blocks_h = raw.height // 8
-        self.blocks_w = raw.width // 8
         self.table = jpeg_model.quant_table(cfg.qf)
         self.q_flat = self.table.flat.astype(np.float64)
         _, self.cover = jpeg_model.develop_cover(raw, cfg.qf, cfg.green_kernel)
+        self.blocks_h, self.blocks_w = self.cover.coeffs.shape[:2]
         var = cov_mod.photon_variance(raw.data, raw.params)
-        self.var_pad = np.pad(var, 1, mode="edge")
-        self.weights = pipeline.block_support_tensor(raw.cfa, cfg.green_kernel)
-        self.weight_sq = np.sum(self.weights**2, axis=0)  # (10, 10)
+        self.var_win = pipeline.block_windows(var)  # (bh, bw, 10, 10)
+        weights = pipeline.block_support_tensor(raw.cfa, cfg.green_kernel)
+        # A block is dead when its stego signal is identically zero: the
+        # trace of its own covariance vanishes.
+        self.live = np.einsum("kuv,ijuv->ij", weights**2, self.var_win) > 0
         # Contiguous weight slices per relative block offset, so cross
-        # covariances reduce to one scaled matmul over the support overlap.
+        # covariances reduce to one scaled matmul over the support overlap:
+        # rows r0..r1-1 (columns c0..c1-1) of block a's window are rows
+        # r0-8di.. (columns c0-8dj..) of block b's.
         self._overlap = {}
         for di in (-1, 0, 1):
             for dj in (-1, 0, 1):
-                u0, u1 = max(-1, 8 * di - 1), min(8, 8 * di + 8)
-                v0, v1 = max(-1, 8 * dj - 1), min(8, 8 * dj + 8)
+                r0, r1 = max(0, 8 * di), min(10, 10 + 8 * di)
+                c0, c1 = max(0, 8 * dj), min(10, 10 + 8 * dj)
                 wa = np.ascontiguousarray(
-                    self.weights[:, u0 + 1 : u1 + 2, v0 + 1 : v1 + 2]
-                    .reshape(64, -1))
+                    weights[:, r0:r1, c0:c1].reshape(64, -1))
                 wb = np.ascontiguousarray(
-                    self.weights[:, u0 - 8 * di + 1 : u1 - 8 * di + 2,
-                                 v0 - 8 * dj + 1 : v1 - 8 * dj + 2]
-                    .reshape(64, -1).T)
-                self._overlap[(di, dj)] = (u0, u1, v0, v1, wa, wb)
+                    weights[:, r0 - 8 * di : r1 - 8 * di,
+                            c0 - 8 * dj : c1 - 8 * dj].reshape(64, -1).T)
+                self._overlap[(di, dj)] = (slice(r0, r1), slice(c0, c1),
+                                           wa, wb)
         self.assign = lattice.tile(self.blocks_w, self.blocks_h)
         self._factor_cache = {} if cache_factors else None
 
     # -- covariance assembly ------------------------------------------------
 
-    def _var_window(self, bi, bj, u0, u1, v0, v1):
-        """Variance values on support offsets [u0, u1] x [v0, v1] of a block."""
-        r0, c0 = 8 * bi, 8 * bj
-        return self.var_pad[r0 + u0 + 1 : r0 + u1 + 2, c0 + v0 + 1 : c0 + v1 + 2]
-
-    def _support_trace(self, bi, bj):
-        """Trace of the block's own 64x64 covariance (cheap dead-block test)."""
-        win = self._var_window(bi, bj, -1, 8, -1, 8)
-        return float(np.sum(self.weight_sq * win))
-
     def _cross_cov(self, block_a, block_b):
         """64x64 covariance between two blocks at most one block apart."""
         (ra, ca), (rb, cb) = block_a, block_b
-        u0, u1, v0, v1, wa, wb = self._overlap[(rb - ra, cb - ca)]
-        var = self._var_window(ra, ca, u0, u1, v0, v1).reshape(-1)
+        rows, cols, wa, wb = self._overlap[(rb - ra, cb - ca)]
+        var = self.var_win[ra, ca, rows, cols].reshape(-1)
         return (wa * var) @ wb
 
     def joint_covariance(self, blocks):
@@ -263,30 +252,27 @@ class SimulatedEmbedder:
     # -- factors -------------------------------------------------------------
 
     def _block_factors(self, bi, bj):
-        if self._factor_cache is not None and (bi, bj) in self._factor_cache:
-            return self._factor_cache[(bi, bj)]
+        """Factors of a live block; None if it stays singular after jitter."""
+        cache = self._factor_cache
+        if cache is not None and (bi, bj) in cache:
+            return cache[(bi, bj)]
         nb = lattice.neighborhood(self.assign, (bi, bj))
-        if self._support_trace(bi, bj) == 0.0:
-            factors = _BlockFactors((), None, None, 0.0, True, False)
+        # Dead neighbors carry no information and only make the
+        # conditioning singular.
+        neighbors = tuple(blk for blk in nb.neighbors if self.live[blk])
+        try:
+            gain, chol, jitter = condition(
+                self.joint_covariance(neighbors + (nb.center,)),
+                64 * len(neighbors),
+                context=f"lattice {nb.lattice} block {nb.center}")
+        except cov_mod.SingularCovarianceError:
+            log.warning("block (%d,%d) singular after max jitter; "
+                        "embedding skipped", bi, bj)
+            factors = None
         else:
-            # Neighbors whose whole stego signal is identically zero carry
-            # no information and only make the conditioning singular.
-            neighbors = tuple(blk for blk in nb.neighbors
-                              if self._support_trace(*blk) > 0.0)
-            try:
-                gain, chol, jitter = condition(
-                    self.joint_covariance(neighbors + (nb.center,)),
-                    64 * len(neighbors),
-                    context=f"lattice {nb.lattice} block {nb.center}")
-            except cov_mod.SingularCovarianceError:
-                log.warning("block (%d,%d) singular after max jitter; "
-                            "embedding skipped", bi, bj)
-                factors = _BlockFactors((), None, None, 0.0, False, True)
-            else:
-                factors = _BlockFactors(neighbors, gain, chol, jitter,
-                                        False, False)
-        if self._factor_cache is not None:
-            self._factor_cache[(bi, bj)] = factors
+            factors = _BlockFactors(neighbors, gain, chol, jitter)
+        if cache is not None:
+            cache[(bi, bj)] = factors
         return factors
 
     # -- embedding -----------------------------------------------------------
@@ -294,24 +280,23 @@ class SimulatedEmbedder:
     def _visit(self, block, lat, key, continuous):
         """Factors and chain outputs ``(factors, chain)`` of one block.
 
-        ``chain`` is None for a dead block (stego signal identically zero:
-        no changes, no capacity) or one that could not be factored.  Only
-        the neighbors' draws are read from ``continuous``, and those belong
-        to earlier lattices, so the blocks of one lattice can be visited in
+        Both are None for a dead block (stego signal identically zero: no
+        changes, no capacity) or one that could not be factored.  Only the
+        neighbors' draws are read from ``continuous``, and those belong to
+        earlier lattices, so the blocks of one lattice can be visited in
         any order and on any thread.
         """
-        bi, bj = block
-        factors = self._block_factors(bi, bj)
-        if factors.dead or factors.failed:
-            return factors, None
+        if not self.live[block]:
+            return None, None
+        factors = self._block_factors(*block)
+        if factors is None:
+            return None, None
         if factors.neighbors:
-            known = np.concatenate(
-                [continuous[8 * ni : 8 * ni + 8, 8 * nj : 8 * nj + 8].ravel()
-                 for ni, nj in factors.neighbors])
+            known = continuous[tuple(zip(*factors.neighbors))].ravel()
             base_mean = factors.mean_gain @ known
         else:
             base_mean = np.zeros(64)
-        gen = rng.block_stream(key, lat, bi, bj)
+        gen = rng.block_stream(key, lat, *block)
         return factors, sampler.run_block_chain(
             factors.chol, base_mean, self.q_flat, self.cfg.K, gen)
 
@@ -323,18 +308,19 @@ class SimulatedEmbedder:
         """
         t0 = time.monotonic()
         key = self.cfg.key if key is None else _check_key(key)
-        h, w = self.raw.height, self.raw.width
-        changes = np.zeros((h, w), dtype=np.int64)
-        continuous = np.zeros((h, w))
-        entropy = np.zeros((h, w))
-        probs = (np.zeros((self.blocks_h, self.blocks_w, 64, 2 * self.cfg.K + 1))
+        bh, bw = self.blocks_h, self.blocks_w
+        # Working planes in block layout: [bi, bj] holds one block's 64
+        # coefficients in row-major frequency order.
+        changes = np.zeros((bh, bw, 64), dtype=np.int64)
+        continuous = np.zeros((bh, bw, 64))
+        entropy = np.zeros((bh, bw, 64))
+        probs = (np.zeros((bh, bw, 64, 2 * self.cfg.K + 1))
                  if collect_probs else None)
         per_mode = np.zeros((4, 64))
         counts = np.array([len(b) for b in self.assign.block_lists],
                           dtype=np.int64)
         jitter_events = []
         failed = []
-        zero_blocks = 0
         workers = self.cfg.workers
         with (ThreadPoolExecutor(workers) if workers > 1
               else contextlib.nullcontext()) as pool:
@@ -345,50 +331,45 @@ class SimulatedEmbedder:
                     blocks))
                 # Write-back in block order; the lattice's visits are freed
                 # before the next lattice is visited.
-                ent = np.zeros((len(blocks), 64))
-                for n, ((bi, bj), (factors, chain)) in enumerate(
-                        zip(blocks, visits)):
+                for block, (factors, chain) in zip(blocks, visits):
                     if chain is None:
-                        if factors.dead:
-                            zero_blocks += 1
-                        else:
-                            failed.append({"lattice": lat, "block": [bi, bj]})
+                        if self.live[block]:
+                            failed.append({"lattice": lat,
+                                           "block": list(block)})
                         continue
                     if factors.jitter:
                         jitter_events.append(
-                            {"lattice": lat, "block": [bi, bj],
+                            {"lattice": lat, "block": list(block),
                              "epsilon": factors.jitter})
-                    rows = slice(8 * bi, 8 * bi + 8)
-                    cols = slice(8 * bj, 8 * bj + 8)
-                    changes[rows, cols] = chain["changes"].reshape(8, 8)
-                    continuous[rows, cols] = chain["samples"].reshape(8, 8)
-                    entropy[rows, cols] = chain["entropy_bits"].reshape(8, 8)
-                    ent[n] = chain["entropy_bits"]
+                    changes[block] = chain["changes"]
+                    continuous[block] = chain["samples"]
+                    entropy[block] = chain["entropy_bits"]
                     if probs is not None:
-                        probs[bi, bj] = chain["probs"]
+                        probs[block] = chain["probs"]
                 del visits
                 if blocks:
-                    per_mode[lat - 1] = ent.mean(axis=0)
+                    per_mode[lat - 1] = entropy[tuple(zip(*blocks))].mean(axis=0)
 
-        stego_plane = self.cover.plane() + changes
-        stego = jpeg_model.JpegCoefficients.from_plane(
-            stego_plane, self.table, role="stego")
+        stego = jpeg_model.JpegCoefficients(
+            self.cover.coeffs + changes.reshape(bh, bw, 8, 8), self.table,
+            role="stego")
         report = CapacityReport(
-            entropy_plane=entropy,
+            entropy_plane=jpeg_model.to_plane(entropy),
             nzac=jpeg_model.nzac_count(self.cover),
             per_lattice_mode=per_mode,
             lattice_blocks=counts,
             jitter_events=jitter_events,
             failed_blocks=failed,
-            zero_variance_blocks=zero_blocks,
+            zero_variance_blocks=int(np.count_nonzero(~self.live)),
             runtime_s=time.monotonic() - t0,
             config={
                 "qf": self.cfg.qf, "K": self.cfg.K, "key": f"{key:016x}",
                 "green_kernel": self.cfg.green_kernel,
-                "width": w, "height": h,
+                "width": self.raw.width, "height": self.raw.height,
             },
         )
-        return EmbedResult(stego=stego, report=report, continuous=continuous,
+        return EmbedResult(stego=stego, report=report,
+                           continuous=jpeg_model.to_plane(continuous),
                            probs=probs)
 
     def run_first_lattice_block(self, key, block):

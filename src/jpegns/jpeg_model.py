@@ -17,7 +17,6 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import pipeline
 from .raw_io import DimensionError
@@ -125,8 +124,7 @@ class JpegCoefficients:
 
     def plane(self):
         """The coefficient plane in image layout (blocks_h*8, blocks_w*8)."""
-        bh, bw = self.blocks_h, self.blocks_w
-        return self.coeffs.transpose(0, 2, 1, 3).reshape(bh * 8, bw * 8)
+        return to_plane(self.coeffs)
 
     @classmethod
     def from_plane(cls, plane, table, role="cover"):
@@ -138,6 +136,16 @@ class JpegCoefficients:
         return cls(coeffs=blocks.copy(), table=table, role=role)
 
 
+def to_plane(blocks):
+    """Image layout (bh*8, bw*8) of per-block values shaped (bh, bw, 64).
+
+    Also takes (bh, bw, 8, 8); each block's 64 values are row-major.
+    """
+    bh, bw = blocks.shape[:2]
+    return blocks.reshape(bh, bw, 8, 8).transpose(0, 2, 1, 3).reshape(
+        bh * 8, bw * 8)
+
+
 def round_half_away_array(x):
     """Elementwise round half away from zero."""
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
@@ -147,26 +155,23 @@ def develop_cover(raw, qf, green_kernel="cross"):
     """Develop a RAW image into (unquantized DCT plane, cover coefficients).
 
     Every block's DCT is the pipeline's block support tensor contracted with
-    the block's 10x10 photo-site window of the level-shifted mosaic, which
-    is replicate-padded by one site (the CFA continues periodically), so
-    edge blocks are developed by the same operator as interior ones.  The
-    level shift is 2**(bit_depth-1); quantization divides by the table
-    steps and rounds half away from zero.  The stego signal is zero-mean,
-    so the shift affects the cover path only.
+    the block's 10x10 photo-site window (``pipeline.block_windows``) of the
+    level-shifted mosaic, so edge blocks are developed by the same operator
+    as interior ones.  The level shift is 2**(bit_depth-1); quantization
+    divides by the table steps and rounds half away from zero.  The stego
+    signal is zero-mean, so the shift affects the cover path only.
     """
     if raw.height % 8 or raw.width % 8:
         raise DimensionError("image dimensions must be multiples of 8")
     shift = float(2 ** (raw.bit_depth - 1))
-    pad = np.pad(raw.data - shift, 1, mode="edge")
-    windows = sliding_window_view(pad, (10, 10))[::8, ::8]
+    windows = pipeline.block_windows(raw.data - shift)
     weights = pipeline.block_support_tensor(raw.cfa, green_kernel)
     coeffs = np.einsum("kuv,ijuv->ijk", weights, windows, optimize=True)
     coeffs = coeffs.reshape(raw.height // 8, raw.width // 8, 8, 8)
     table = quant_table(qf)
     quantized = round_half_away_array(coeffs / table.steps).astype(np.int32)
     cover = JpegCoefficients(coeffs=quantized, table=table, role="cover")
-    dct_plane = coeffs.transpose(0, 2, 1, 3).reshape(raw.height, raw.width)
-    return dct_plane, cover
+    return to_plane(coeffs), cover
 
 
 def nzac_count(c):

@@ -14,6 +14,7 @@ import functools
 
 import numpy as np
 import scipy.sparse as sps
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .raw_io import BAYER_PATTERNS, UnknownCfaError
 
@@ -246,7 +247,6 @@ def build_permutation(order, grid_n=3):
                            "permutation")
 
 
-@functools.lru_cache(maxsize=None)
 def dct_matrix():
     """The orthonormal 8-point DCT-II matrix (rows indexed by frequency)."""
     k = np.arange(BLOCK)
@@ -256,15 +256,9 @@ def dct_matrix():
     return a
 
 
-@functools.lru_cache(maxsize=None)
-def _block_dct_dense():
-    """Cached single-block 64x64 DCT operator on row-major vectorized blocks."""
-    a = dct_matrix()
-    return np.kron(a, a)
-
-
 def _dct_op(n_blocks):
-    tb = sps.csr_matrix(_block_dct_dense())
+    a = dct_matrix()
+    tb = sps.csr_matrix(np.kron(a, a))
     return sps.block_diag([tb] * n_blocks, format="csr")
 
 
@@ -287,7 +281,6 @@ def patch_operator(front, labels):
             @ build_selection(PATCH_SIDE, 1) @ front)
 
 
-@functools.lru_cache(maxsize=None)
 def assemble(neighborhood, cfa, green_kernel="cross"):
     """Assemble the full patch-to-DCT operator for one conditioning neighborhood.
 
@@ -310,13 +303,15 @@ def patch_cfa_for_image(image_cfa):
     return shift_cfa(image_cfa, 1, 1)
 
 
+@functools.lru_cache(maxsize=None)
 def block_support_tensor(image_cfa, green_kernel="cross"):
     """(64, 10, 10) pipeline weights of one 8x8 block on its own photo-sites.
 
-    Entry [coeff, u, v] is the weight of the photo-site at offset
-    (u - 1, v - 1) from the block's top-left corner in DCT coefficient
-    ``coeff`` (row-major frequency order).  The tensor is identical for
-    every block of the image because blocks start at even coordinates.
+    Entry [coeff, u, v] weighs the photo-site at [u, v] of the block's
+    ``block_windows`` window in DCT coefficient ``coeff`` (row-major
+    frequency order).  The tensor is identical for every block of the
+    image because blocks start at even coordinates.  It is cached and
+    read-only.
     """
     m = assemble("L1", patch_cfa_for_image(image_cfa), green_kernel)
     dense = m.toarray().reshape(64, PATCH_SIDE, PATCH_SIDE)
@@ -325,4 +320,16 @@ def block_support_tensor(image_cfa, green_kernel="cross"):
     rest[:, 8:18, 8:18] = 0.0
     if np.any(rest != 0.0):
         raise PipelineError("block support wider than 10x10 photo-sites")
+    support.flags.writeable = False
     return support
+
+
+def block_windows(plane):
+    """(bh, bw, 10, 10) view of every 8x8 block's photo-site support.
+
+    Window [i, j] covers image rows 8i-1..8i+8 and columns 8j-1..8j+8 of
+    ``plane`` replicate-padded by one site (the CFA continues
+    periodically), so edge blocks see the same support as interior ones.
+    """
+    pad = np.pad(plane, 1, mode="edge")
+    return sliding_window_view(pad, (10, 10))[::BLOCK, ::BLOCK]

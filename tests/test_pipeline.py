@@ -298,6 +298,36 @@ def test_block_support_tensor_shape_and_fit():
     assert np.abs(total[1:]).max() <= 1e-12
 
 
+def test_mutated_operators_leave_support_tensor_intact(paper_params):
+    from jpegns import RawImage, develop_cover
+
+    raw = RawImage(data=np.arange(256.0).reshape(16, 16), cfa="RGGB",
+                   bit_depth=12, params=paper_params)
+    support = pl.block_support_tensor("RGGB").copy()
+    plane, cover = develop_cover(raw, 95)
+    m = pl.assemble("L1", pl.patch_cfa_for_image("RGGB"), "cross")
+    m.data *= 2
+    pl.dct_matrix()[0, 0] = 5.0
+    assert np.array_equal(pl.block_support_tensor("RGGB"), support)
+    plane_after, cover_after = develop_cover(raw, 95)
+    assert np.array_equal(plane_after, plane)
+    assert np.array_equal(cover_after.coeffs, cover.coeffs)
+    with pytest.raises(ValueError):
+        pl.block_support_tensor("RGGB")[0, 0, 0] = 1.0
+
+
+def test_block_windows_cover_one_site_around_each_block():
+    plane = np.arange(16.0 * 24).reshape(16, 24)
+    win = pl.block_windows(plane)
+    assert win.shape == (2, 3, 10, 10)
+    pad = np.pad(plane, 1, mode="edge")
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(win[i, j],
+                                  pad[8 * i : 8 * i + 10, 8 * j : 8 * j + 10])
+    assert np.array_equal(win[1, 2, 1:9, 1:9], plane[8:16, 16:24])
+
+
 def test_operator_entries_round_trip():
     op = pl.build_selection(10, 1)
     coo = op.tocoo()

@@ -208,6 +208,14 @@ def test_non_multiple_of_eight_rejected():
         SynthSpec(kind="constant", mu=0.0, sigma=0.0, width=20, height=8)
 
 
+@pytest.mark.parametrize("width, height", [(0, 8), (8, 0), (0, 0)])
+def test_empty_mosaic_rejected(tmp_path, width, height):
+    path = tmp_path / "empty.pgm"
+    write_pgm(path, np.zeros((height, width)), 4095, BASE_SIDECAR)
+    with pytest.raises(DimensionError, match="image is empty"):
+        load_raw(path)
+
+
 def test_negative_data_rejected(paper_params):
     with pytest.raises(ValueOutOfRangeError):
         RawImage(data=np.full((8, 8), -1.0), cfa="RGGB", bit_depth=12,
