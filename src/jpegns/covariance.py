@@ -61,37 +61,37 @@ def sigma_d(m, v):
     return (dense + dense.T) / 2.0
 
 
-def _potrf(a):
-    """LAPACK Cholesky of a copy of ``a``, strict upper triangle zeroed."""
-    chol, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=0)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dpotrf failed with info {info}")
-    return chol
-
-
-def cholesky(a, context=""):
+def cholesky(a, context="", out=None):
     """Lower-triangular L with L L^t = a, adding escalating jitter if needed.
 
     ``a`` is a square array.  Returns (L, jitter_applied).  Raises
     SingularCovarianceError when the matrix stays indefinite after the
     maximum jitter.  The input is never modified.
+
+    ``a`` is copied into ``out`` and factored there in place; ``out`` must
+    be a column-major float64 array of ``a``'s shape (LAPACK's layout, so
+    nothing is copied behind it) and is the returned L.  Without ``out`` a
+    fresh one is allocated.
     """
     a = np.asarray(a, dtype=np.float64)
-    try:
-        return _potrf(a), 0.0
-    except np.linalg.LinAlgError:
-        pass
-    mean_diag = float(np.mean(np.diag(a)))
-    eye = np.eye(a.shape[0])
-    for eps in JITTER_LADDER:
-        shift = eps * mean_diag
-        try:
-            chol = _potrf(a + shift * eye)
-        except np.linalg.LinAlgError:
-            continue
-        log.debug("cholesky%s applied jitter %.1e",
-                  f" ({context})" if context else "", shift)
-        return chol, shift
+    if out is None:
+        out = np.empty(a.shape, order="F")
+    elif (out.shape != a.shape or out.dtype != np.float64
+          or not out.flags.f_contiguous):
+        raise CovarianceError(
+            f"out must be a column-major float64 array of shape {a.shape}")
+    shift = 0.0
+    for eps in (0.0,) + JITTER_LADDER:
+        out[...] = a
+        if eps:
+            shift = eps * float(np.mean(np.diag(a)))
+            out[np.diag_indices(a.shape[0])] += shift
+        chol, info = lapack.dpotrf(out, lower=1, clean=1, overwrite_a=1)
+        if info == 0:
+            if eps:
+                log.debug("cholesky%s applied jitter %.1e",
+                          f" ({context})" if context else "", shift)
+            return chol, shift
     raise SingularCovarianceError(
         f"covariance{' for ' + context if context else ''} not PSD after max jitter")
 

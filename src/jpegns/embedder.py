@@ -17,6 +17,7 @@ import contextlib
 import functools
 import logging
 import math
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -133,7 +134,7 @@ class EmbedResult:
     probs: np.ndarray = None  # (bh, bw, 64, 2K+1) folded PMFs, if collected
 
 
-def condition(joint, n_known, context=""):
+def condition(joint, n_known, context="", out=None):
     """Conditional law of the last 64 coordinates given the first ``n_known``.
 
     ``joint`` is the joint covariance with the known blocks first and the
@@ -145,7 +146,8 @@ def condition(joint, n_known, context=""):
     Returns (gain, chol, jitter): the conditional mean is ``gain @ known``
     (``gain`` is None when nothing is known), ``chol`` factors the
     conditional covariance and ``jitter`` is the shift the factorization
-    needed.
+    needed.  ``out`` is passed to ``covariance.cholesky``, which factors the
+    joint there; ``gain`` and ``chol`` never share memory with it.
     """
     joint = np.asarray(joint, dtype=np.float64)
     m = n_known
@@ -153,8 +155,8 @@ def condition(joint, n_known, context=""):
         raise cov_mod.CovarianceError(
             f"joint covariance of shape {joint.shape} does not hold "
             f"{n_known} known coordinates and one block of 64")
-    chol_joint, jitter = cov_mod.cholesky(joint, context=context)
-    chol = np.ascontiguousarray(chol_joint[m:, m:])
+    chol_joint, jitter = cov_mod.cholesky(joint, context=context, out=out)
+    chol = chol_joint[m:, m:].copy(order="C")
     if m:
         gain = sla.solve_triangular(
             chol_joint[:m, :m].T, chol_joint[m:, :m].T,
@@ -162,6 +164,26 @@ def condition(joint, n_known, context=""):
     else:
         gain = None
     return gain, chol, jitter
+
+
+class _Workspace(threading.local):
+    """One thread's reused buffers for a joint covariance and its factor.
+
+    Sized for the largest joint (a block and its eight neighbors) and cut
+    into column-major views per block, so no block allocates its own joint
+    or factor.  Without it, every freed joint and factor (2.6 MB each at
+    576) goes back to the kernel and is faulted in again for the next
+    block.
+    """
+
+    SIDE = 9 * 64
+    flat = None  # per thread, allocated by its first ``views`` call
+
+    def views(self, n):
+        """Two (n, n) column-major arrays over the buffers: joint, factor."""
+        if self.flat is None:
+            self.flat = (np.empty(self.SIDE**2), np.empty(self.SIDE**2))
+        return tuple(f[: n * n].reshape((n, n), order="F") for f in self.flat)
 
 
 @dataclass(frozen=True)
@@ -230,10 +252,15 @@ class SimulatedEmbedder:
         var = self.var_win[ra, ca, rows, cols].reshape(-1)
         return (wa * var) @ wb
 
-    def joint_covariance(self, blocks):
-        """Joint covariance over ``blocks`` (64 coefficients each), symmetric."""
+    def joint_covariance(self, blocks, out=None):
+        """Joint covariance over ``blocks`` (64 coefficients each), symmetric.
+
+        Assembled column-major, the layout LAPACK factors in place, into
+        ``out`` when given (overwritten) or a fresh array.
+        """
         n = len(blocks)
-        joint = np.zeros((64 * n, 64 * n))
+        joint = np.empty((64 * n, 64 * n), order="F") if out is None else out
+        joint[...] = 0.0
         for i, (ri, ci) in enumerate(blocks):
             for j in range(i, n):
                 rj, cj = blocks[j]
@@ -251,8 +278,12 @@ class SimulatedEmbedder:
 
     # -- factors -------------------------------------------------------------
 
-    def _block_factors(self, bi, bj):
-        """Factors of a live block; None if it stays singular after jitter."""
+    def _block_factors(self, bi, bj, workspace=None):
+        """Factors of a live block; None if it stays singular after jitter.
+
+        ``workspace`` (a ``_Workspace``) holds the joint and its factor
+        while the block is factored; without it both are allocated.
+        """
         cache = self._factor_cache
         if cache is not None and (bi, bj) in cache:
             return cache[(bi, bj)]
@@ -260,11 +291,15 @@ class SimulatedEmbedder:
         # Dead neighbors carry no information and only make the
         # conditioning singular.
         neighbors = tuple(blk for blk in nb.neighbors if self.live[blk])
+        joint_out, chol_out = (
+            (None, None) if workspace is None
+            else workspace.views(64 * (len(neighbors) + 1)))
         try:
             gain, chol, jitter = condition(
-                self.joint_covariance(neighbors + (nb.center,)),
+                self.joint_covariance(neighbors + (nb.center,), out=joint_out),
                 64 * len(neighbors),
-                context=f"lattice {nb.lattice} block {nb.center}")
+                context=f"lattice {nb.lattice} block {nb.center}",
+                out=chol_out)
         except cov_mod.SingularCovarianceError:
             log.warning("block (%d,%d) singular after max jitter; "
                         "embedding skipped", bi, bj)
@@ -277,18 +312,20 @@ class SimulatedEmbedder:
 
     # -- embedding -----------------------------------------------------------
 
-    def _visit(self, block, lat, key, continuous):
-        """Factors and chain outputs ``(factors, chain)`` of one block.
+    def _visit(self, block, lat, key, continuous, workspace=None):
+        """Factorization jitter and chain outputs ``(jitter, chain)`` of one
+        block.
 
         Both are None for a dead block (stego signal identically zero: no
         changes, no capacity) or one that could not be factored.  Only the
         neighbors' draws are read from ``continuous``, and those belong to
         earlier lattices, so the blocks of one lattice can be visited in
-        any order and on any thread.
+        any order and on any thread.  The block's factors are dropped on
+        return unless ``cache_factors`` keeps them.
         """
         if not self.live[block]:
             return None, None
-        factors = self._block_factors(*block)
+        factors = self._block_factors(*block, workspace)
         if factors is None:
             return None, None
         if factors.neighbors:
@@ -297,7 +334,7 @@ class SimulatedEmbedder:
         else:
             base_mean = np.zeros(64)
         gen = rng.block_stream(key, lat, *block)
-        return factors, sampler.run_block_chain(
+        return factors.jitter, sampler.run_block_chain(
             factors.chol, base_mean, self.q_flat, self.cfg.K, gen)
 
     def run(self, key=None, collect_probs=False):
@@ -322,31 +359,32 @@ class SimulatedEmbedder:
         jitter_events = []
         failed = []
         workers = self.cfg.workers
+        # Dropped on return, so an embedder holds no buffers between runs.
+        workspace = _Workspace()
         with (ThreadPoolExecutor(workers) if workers > 1
               else contextlib.nullcontext()) as pool:
             visit_all = map if pool is None else pool.map
             for lat, blocks in enumerate(self.assign.block_lists, start=1):
-                visits = list(visit_all(functools.partial(
-                    self._visit, lat=lat, key=key, continuous=continuous),
-                    blocks))
-                # Write-back in block order; the lattice's visits are freed
-                # before the next lattice is visited.
-                for block, (factors, chain) in zip(blocks, visits):
+                visits = visit_all(functools.partial(
+                    self._visit, lat=lat, key=key, continuous=continuous,
+                    workspace=workspace), blocks)
+                # Each block is written back, in block order, as its visit
+                # ends; a lattice's results are never held all at once.
+                for block, (jitter, chain) in zip(blocks, visits):
                     if chain is None:
                         if self.live[block]:
                             failed.append({"lattice": lat,
                                            "block": list(block)})
                         continue
-                    if factors.jitter:
+                    if jitter:
                         jitter_events.append(
                             {"lattice": lat, "block": list(block),
-                             "epsilon": factors.jitter})
+                             "epsilon": jitter})
                     changes[block] = chain["changes"]
                     continuous[block] = chain["samples"]
                     entropy[block] = chain["entropy_bits"]
                     if probs is not None:
                         probs[block] = chain["probs"]
-                del visits
                 if blocks:
                     per_mode[lat - 1] = entropy[tuple(zip(*blocks))].mean(axis=0)
 

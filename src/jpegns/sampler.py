@@ -138,12 +138,13 @@ def pmf(m_prime, sigma_prime, q_step, k_range):
 def entropy(p):
     """Shannon entropy in bits along the last axis of a PMF array (0 log 0 = 0).
 
-    A 1-D probability vector gives a scalar.
+    A 1-D probability vector gives a scalar.  A point mass has entropy
+    +0.0: subtracting from zero, unlike negating, keeps a zero sum positive.
     """
     p = np.asarray(p, dtype=np.float64)
     logs = np.zeros_like(p)
     np.log2(p, out=logs, where=p > 0.0)
-    return -np.sum(p * logs, axis=-1)
+    return 0.0 - np.sum(p * logs, axis=-1)
 
 
 def costs_from_pmf(p):

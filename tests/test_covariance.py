@@ -232,6 +232,33 @@ def test_blocked_cholesky_matches_lapack(n):
     assert np.array_equal(s, before)
 
 
+@pytest.mark.parametrize("rank", (96, 48), ids=["definite", "singular"])
+def test_cholesky_into_out_matches_fresh_factor(rank):
+    rng = np.random.default_rng(rank)
+    b = rng.normal(size=(96, rank))
+    a = b @ b.T
+    before = a.copy()
+    out = np.empty((96, 96), order="F")
+    chol, jitter = cholesky(a, out=out)
+    fresh, fresh_jitter = cholesky(a)
+    assert np.shares_memory(chol, out)
+    assert np.array_equal(a, before)
+    assert chol.tobytes() == fresh.tobytes() and jitter == fresh_jitter
+    # The singular matrix is factored on the jitter path.
+    assert (jitter > 0.0) == (rank < 96)
+
+
+@pytest.mark.parametrize("out", (
+    np.empty((4, 4), order="F"),
+    np.empty((3, 3), dtype=np.float32, order="F"),
+    np.empty((3, 3)),
+), ids=["shape", "dtype", "row-major"])
+def test_cholesky_rejects_out_it_cannot_factor_in(out):
+    # LAPACK would silently work on a copy, and ``out`` would not hold L.
+    with pytest.raises(CovarianceError):
+        cholesky(np.eye(3), out=out)
+
+
 # -- chain versus direct sampling (light version) -------------------------------
 
 

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +32,13 @@ def small_raw(params, size=48, seed=11, mu=2000.0, sigma=80.0):
     spec = SynthSpec(kind="iid_gaussian", mu=mu, sigma=sigma,
                      width=size, height=size, seed=seed)
     return synthesize_raw(spec, params)
+
+
+def clamp_ramp(params, size=64):
+    """Horizontal ramp 600 -> 1600 across the variance clamp at x = 1000,
+    which gives dead and jitter blocks."""
+    return RawImage(data=np.tile(np.linspace(600.0, 1600.0, size), (size, 1)),
+                    cfa="RGGB", bit_depth=12, params=params)
 
 
 # -- clamp behavior -------------------------------------------------------------
@@ -103,8 +112,7 @@ def test_embed_workers_bit_identical(bright_raw):
 def test_workers_write_back_identical_with_dead_and_jitter_blocks(paper_params):
     # A ramp across the variance clamp has dead and jitter blocks, which the
     # iid inputs of the other worker tests lack.
-    raw = RawImage(data=np.tile(np.linspace(600.0, 1600.0, 64), (64, 1)),
-                   cfa="RGGB", bit_depth=12, params=paper_params)
+    raw = clamp_ramp(paper_params)
     serial = SimulatedEmbedder(raw, EmbedConfig(qf=95, K=5, key=0x5EED)).run(
         collect_probs=True)
     # More threads than cores, switching often, to expose a lost write.
@@ -150,14 +158,46 @@ def test_single_worker_run_uses_no_executor(bright_raw, monkeypatch):
     assert "map" in calls
 
 
-def test_cached_factors_match_uncached(bright_raw):
+@pytest.mark.parametrize("ramp, workers", [(False, 1), (True, 3)],
+                         ids=["iid", "ramp-workers3"])
+def test_cached_factors_match_uncached(bright_raw, paper_params, ramp,
+                                       workers):
+    # Every thread reuses one workspace for the joints it factors, so a
+    # cached factor that aliased it would be overwritten by later blocks.
+    raw = clamp_ramp(paper_params) if ramp else bright_raw
     cfg = EmbedConfig(qf=90, K=4, key=99)
-    plain = SimulatedEmbedder(bright_raw, cfg).run()
-    cached = SimulatedEmbedder(bright_raw, cfg, cache_factors=True)
-    first = cached.run()
-    second = cached.run()
-    assert np.array_equal(plain.stego.coeffs, first.stego.coeffs)
-    assert np.array_equal(first.stego.coeffs, second.stego.coeffs)
+    plain = SimulatedEmbedder(raw, cfg).run()
+    cached = SimulatedEmbedder(raw, dataclasses.replace(cfg, workers=workers),
+                               cache_factors=True)
+    for result in (cached.run(), cached.run()):
+        assert np.array_equal(plain.stego.coeffs, result.stego.coeffs)
+        assert np.array_equal(plain.continuous, result.continuous)
+
+
+def test_embed_memory_does_not_grow_with_image_area(paper_params):
+    # Four times the blocks: only the result planes may grow (about 0.5 MB);
+    # per-block factors must be freed as each block is written back.
+    peaks = []
+    for size in (64, 128):
+        raw = small_raw(paper_params, size=size, mu=2000.0, sigma=100.0)
+        tracemalloc.start()
+        try:
+            SimulatedEmbedder(raw, EmbedConfig(qf=95, K=5, key=9)).run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1_000_000, peaks
+
+
+def test_entropy_holds_no_negative_zero(small_params):
+    # -0.0 entropies would make two equal planes differ in bytes and JSON.
+    point_masses = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    assert not np.signbit(entropy(point_masses)).any()
+    # Sub-step noise leaves many coefficients with a point-mass PMF.
+    report = capacity_map(small_raw(small_params, size=16),
+                          EmbedConfig(qf=75, K=5, key=1))
+    assert np.count_nonzero(report.entropy_plane == 0.0) > 0
+    assert not np.signbit(report.entropy_plane).any()
 
 
 def test_different_keys_differ(bright_raw):
