@@ -64,6 +64,8 @@ class EmbedConfig:
         _check_key(self.key)
         if self.K < 1:
             raise ConfigError("alphabet half-width K must be >= 1")
+        if self.K > 255:  # the JCST cost file stores K in one byte
+            raise ConfigError("alphabet half-width K must be <= 255")
         if not (1 <= self.qf <= 100):
             raise ConfigError("quality factor must be in 1..100")
         if self.green_kernel not in ("cross", "corner"):

@@ -1,16 +1,14 @@
-import math
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
 from jpegns import RawImage, SensorParams
-from jpegns.sampler import (
-    _truncated_standard_normal,
-    entropy,
-    round_half_away,
-)
+from jpegns.jpeg_model import round_half_away_array
+from jpegns.sampler import entropy
 
 
 def quadrature_change_pmf(m_prime, sigma_prime, q_step, k_range):
@@ -42,57 +40,47 @@ def quadrature_change_pmf(m_prime, sigma_prime, q_step, k_range):
 def reference_block_chain(chol, base_mean, q_steps, k_range, gen):
     """Scan oracle for ``sampler.run_block_chain``: same outputs, plain loops.
 
-    Every coefficient builds its full folded CDF, cdf[j] = P(change <= -K + j)
-    with the last entry exactly 1, and draws the first symbol whose CDF
-    exceeds its discrete uniform by a linear scan.  A zero deviation gives
-    the step CDF of round(m_hat) clamped into the alphabet.  The continuous
-    candidate and the chain's conditioning are those of the production
-    chain.
+    Takes the block's 64 uniforms (u = 0 read as 2**-53) and z = ndtri(u).
+    The conditional means use the kernel's arithmetic,
+    base_mean + tril(chol, -1) @ z: one BLAS product, whose summation order
+    a scalar loop would not reproduce bit for bit.  Every coefficient then
+    lists the standardized lower edges (u_k - m_hat) / sigma_hat of the
+    symbols -K+1..K, with u_k = round(m_hat) - 0.5 + k, and its change is
+    -K plus the number of edges a linear scan passes below z.  Its folded
+    CDF is ndtr of those edges, with a final 1.  A zero deviation draws
+    round(m_hat) clamped into the alphabet and gives that atom's step CDF.
     """
-    uniforms = gen.random(128).tolist()
+    uniforms = [u if u > 0.0 else 2.0**-53 for u in gen.random(64).tolist()]
+    z = ndtri(np.array(uniforms))
+    means = base_mean + np.tril(chol, -1) @ z
     steps = np.asarray(q_steps, dtype=np.float64)
+    sigmas = np.abs(np.diagonal(chol))
     changes = np.zeros(64, dtype=np.int64)
     samples = np.zeros(64)
-    noise = np.zeros(64)
-    means = np.zeros(64)
     probs = []
-    sqrt_half = math.sqrt(0.5)
     for i in range(64):
-        sigma_prime = abs(float(chol[i, i]))
-        m_prime = float(base_mean[i])
-        if i:
-            m_prime += float(np.dot(chol[i, :i], noise[:i]))
-        q = float(steps[i])
-        m_hat, sigma_hat = m_prime / q, sigma_prime / q
-        center = round_half_away(m_hat)
-        base = center - 0.5 - m_hat
+        sigma_prime, z_i, q = float(sigmas[i]), float(z[i]), float(steps[i])
+        m_hat, sigma_hat = float(means[i]) / q, sigma_prime / q
+        center = float(round_half_away_array(m_hat))
         if sigma_hat == 0.0:
-            atom = min(max(center, -k_range), k_range)
-            cdf = [0.0] * (atom + k_range) + [1.0] * (k_range + 1 - atom)
+            k = int(min(max(center, -k_range), k_range))
+            cdf = [0.0] * (k + k_range) + [1.0] * (k_range + 1 - k)
         else:
-            inv = 1.0 / sigma_hat
-            cdf = [0.5 * (1.0 + math.erf((base + k) * inv * sqrt_half))
-                   for k in range(-k_range + 1, k_range + 1)]
-            cdf.append(1.0)
+            inv = min(1.0 / sigma_hat, sys.float_info.max)
+            base = center - 0.5 - m_hat
+            edges = [(base + j) * inv for j in range(-k_range + 1, k_range + 1)]
+            k = -k_range
+            for edge in edges:
+                if not edge < z_i:
+                    break
+                k += 1
+            cdf = [float(ndtr(edge)) for edge in edges] + [1.0]
         probs.extend(hi - lo if hi > lo else 0.0
                      for lo, hi in zip([0.0] + cdf, cdf))
-        j = 0
-        while cdf[j] <= uniforms[2 * i]:
-            j += 1
-        k = j - k_range
-        if sigma_hat == 0.0:
-            s, z = m_prime, 0.0
-        else:
-            lo_z = -math.inf if k == -k_range else (base + k) * inv
-            hi_z = math.inf if k == k_range else (base + k + 1.0) * inv
-            z = _truncated_standard_normal(lo_z, hi_z, uniforms[2 * i + 1])
-            s = m_prime + sigma_prime * z
         changes[i] = k
-        samples[i] = s
-        noise[i] = z
-        means[i] = m_prime
+        samples[i] = means[i] + sigma_prime * z_i
     probs = np.array(probs).reshape(64, -1)
-    params = np.column_stack((means, np.abs(np.diagonal(chol)))) / steps[:, None]
+    params = np.column_stack((means, sigmas)) / steps[:, None]
     return {"changes": changes, "samples": samples, "probs": probs,
             "params": params, "entropy_bits": entropy(probs)}
 

@@ -189,6 +189,7 @@ def test_costs_cli(raw_file, tmp_path):
     ("embed", ["--key", "-1"], "key must be an integer in 0..2**64-1"),
     ("costs", ["--key", "1ffffffffffffffff"],
      "key must be an integer in 0..2**64-1"),
+    ("costs", ["--K", "256"], "alphabet half-width K must be <= 255"),
 ])
 def test_bad_numeric_option_exits_cleanly(raw_file, tmp_path, caplog,
                                           command, option, message):

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from jpegns import rng as streams
-from jpegns import sampler
+from jpegns.jpeg_model import round_half_away_array
 from jpegns.sampler import (
     Pmf,
     SamplerError,
     costs_from_pmf,
     entropy,
     pmf,
-    round_half_away,
     run_block_chain,
 )
 
@@ -28,14 +27,15 @@ def gen(seed=0):
 
 
 class FixedUniforms:
-    """Stand-in block stream whose 128 uniforms are given."""
+    """Stand-in block stream whose 64 uniforms, one per coefficient, are given."""
 
     def __init__(self, uniforms):
         self.uniforms = np.asarray(uniforms, dtype=np.float64)
+        assert self.uniforms.shape == (64,)
 
     def random(self, n):
-        assert n == self.uniforms.size
-        return self.uniforms
+        assert n == 64
+        return self.uniforms.copy()
 
 
 def random_chol(seed, n=64):
@@ -79,13 +79,20 @@ def assert_chains_equal(a, b):
 
 
 def assert_samples_in_drawn_bins(out, q_steps, k_range):
-    """samples[i]/q lies in (c - 0.5 + k, c + 0.5 + k] for |k| < K."""
-    for i in range(64):
-        k = int(out["changes"][i])
-        if abs(k) == k_range:
-            continue  # end symbols carry the folded tails
-        c = round_half_away(out["params"][i, 0])
-        assert c - 0.5 + k < out["samples"][i] / q_steps[i] <= c + 0.5 + k
+    """Every live sample lies in its drawn bin.
+
+    samples[i]/q lies in (c - 0.5 + k, c + 0.5 + k] with c = round(m_hat);
+    the end symbols' bins are the folded tails, open below -K and above K.
+    A point mass (sigma_hat = 0) is its own mean and is not checked.
+    """
+    k = out["changes"]
+    c = round_half_away_array(out["params"][:, 0])
+    scaled = out["samples"] / q_steps
+    lo = np.where(k == -k_range, -np.inf, c - 0.5 + k)
+    hi = np.where(k == k_range, np.inf, c + 0.5 + k)
+    live = out["params"][:, 1] > 0.0
+    outside = live & ~((lo < scaled) & (scaled <= hi))
+    assert not outside.any(), np.flatnonzero(outside)
 
 
 # -- pmf ----------------------------------------------------------------------
@@ -326,10 +333,11 @@ def test_continuous_matches_truncated_normal_moments():
     assert np.all((draws > lo * q) & (draws <= hi * q))
 
 
-def test_low_acceptance_bin_uses_bounded_path():
-    # A discrete uniform inside the ~3e-6 bin (4.5, 5.5] of N(0, 1): the
-    # candidate comes from the truncated inverse CDF in one draw.
-    u = np.full(128, 0.5)
+def test_low_mass_bin_holds_its_sample():
+    # A uniform inside the ~3e-6 bin (4.5, 5.5] of N(0, 1) draws change 5,
+    # and the one uniform gives a sample inside that bin; u = 0.5 gives
+    # z = 0, change 0 and the mean.
+    u = np.full(64, 0.5)
     u[0] = 0.5 * (norm.cdf(4.5) + norm.cdf(5.5))
     out = run_block_chain(np.eye(64), np.zeros(64), np.ones(64), 6,
                           FixedUniforms(u))
@@ -337,6 +345,7 @@ def test_low_acceptance_bin_uses_bounded_path():
     assert out["probs"][0][5 + 6] < 1e-5
     assert 4.5 < out["samples"][0] <= 5.5
     assert np.all(out["changes"][1:] == 0)
+    assert np.all(out["samples"][1:] == 0.0)
 
 
 # -- the chain -------------------------------------------------------------------
@@ -426,8 +435,8 @@ def test_chain_zero_sigma_coordinate():
 
 
 def test_chain_matches_reference_scan():
-    # The bracketed draw and the PMF table built after the loop reproduce
-    # the full-CDF linear scan exactly, on all five outputs.
+    # The vectorized draw and PMF table reproduce the per-coefficient
+    # linear scan over the bin edges exactly, on all five outputs.
     sigma_hats, far_means = [], 0
     for b, (chol, mean, steps, k) in enumerate(reference_scan_blocks(320, 23)):
         out = run_block_chain(chol, mean, steps, k, gen(b))
@@ -442,43 +451,49 @@ def test_chain_matches_reference_scan():
     assert far_means > 1000
 
 
+def test_live_samples_lie_in_drawn_bins_over_scan_range():
+    # Containment holds for every live coefficient of every scan block,
+    # not only at moderate parameters: sigma_hat from 1e-6 to 1e6, means
+    # far beyond K, zero rows and end symbols included.
+    for b, (chol, mean, steps, k) in enumerate(reference_scan_blocks(320, 23)):
+        assert_samples_in_drawn_bins(run_block_chain(chol, mean, steps, k,
+                                                     gen(b)), steps, k)
+
+
 @pytest.mark.parametrize("u_disc", [0.0, math.nextafter(1.0, 0.0)])
 def test_chain_matches_reference_scan_at_extreme_uniforms(u_disc):
-    u = np.full(128, 0.5)
-    u[0::2] = u_disc
-    for chol, mean, steps, k in reference_scan_blocks(12, 24):
+    # u = 0 is read as 2**-53, so both extremes give z = -+8.21: the drawn
+    # symbol carries positive mass, and the sample lies in its bin.
+    u = np.full(64, u_disc)
+    for chol, mean, steps, k in reference_scan_blocks(320, 24):
         out = run_block_chain(chol, mean, steps, k, FixedUniforms(u))
         assert_chains_equal(out, reference_block_chain(chol, mean, steps, k,
                                                        FixedUniforms(u)))
-        # u = 0 draws the first symbol with mass, u -> 1 the last one.
         drawn = out["changes"] + k
         assert np.all(out["probs"][np.arange(64), drawn] > 0.0)
-        cols = np.arange(2 * k + 1)
-        passed = (cols < drawn[:, None]) if u_disc == 0.0 else (
-            cols > drawn[:, None])
-        assert np.all(out["probs"][passed] == 0.0)
+        assert_samples_in_drawn_bins(out, steps, k)
+        if u_disc == 0.0:
+            assert_chains_equal(out, run_block_chain(
+                chol, mean, steps, k, FixedUniforms(np.full(64, 2.0**-53))))
 
 
-def test_chain_tie_at_cdf_value_draws_next_symbol():
-    # The CDF of -K is pmf().probs[0] exactly.  A uniform equal to it is not
-    # below it, so the next symbol is drawn; one ulp less draws -K.  The
-    # inverse-CDF start of the draw lands on either side of such an edge,
-    # so both directions of the settling are exercised.
+def test_chain_z_on_edge_draws_lower_bin():
+    # u = 0.5 gives z = 0 exactly.  A half-integer m_hat puts a bin edge
+    # exactly at the mean, so z = 0 lies on that edge and draws the bin
+    # below it; the next uniform up draws the bin above.  Means and steps
+    # are exact binary fractions, so m_hat is the half-integer itself.
     rng = np.random.default_rng(25)
-    ties = 0
-    while ties < 60:
-        m, sigma = rng.uniform(-5.0, 5.0), rng.uniform(0.1, 5.0)
-        q, k = float(rng.integers(1, 4)), int(rng.integers(1, 6))
-        cdf = pmf(m, sigma, q, k).probs[0]
-        if not 0.0 < cdf < 1.0:
-            continue
-        ties += 1
-        chol = np.diag(np.full(64, sigma))
-        for u0, expected in ((cdf, -k + 1), (math.nextafter(cdf, 0.0), -k)):
-            u = np.full(128, 0.5)
-            u[0] = u0
-            out = run_block_chain(chol, np.full(64, m), np.full(64, q), k,
-                                  FixedUniforms(u))
-            assert out["changes"][0] == expected
+    for k in range(1, 7):
+        m_hat = rng.integers(-3 * k, 3 * k, size=64) + 0.5
+        steps = 2.0 ** rng.integers(-2, 4, size=64)
+        chol = np.diag(rng.uniform(0.1, 5.0, size=64))
+        mean = m_hat * steps
+        # The edge at m_hat is the lower edge of symbol m_hat - round(m_hat)
+        # + 0.5 (0 or 1), so the tie draws the symbol below it.
+        below = m_hat - round_half_away_array(m_hat) - 0.5
+        for u0, expected in ((0.5, below), (math.nextafter(0.5, 1.0), below + 1)):
+            u = np.full(64, u0)
+            out = run_block_chain(chol, mean, steps, k, FixedUniforms(u))
+            assert np.array_equal(out["changes"], expected)
             assert_chains_equal(out, reference_block_chain(
-                chol, np.full(64, m), np.full(64, q), k, FixedUniforms(u)))
+                chol, mean, steps, k, FixedUniforms(u)))
