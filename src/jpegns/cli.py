@@ -42,7 +42,7 @@ def _add_sensor_args(parser):
 def _embed_config(args):
     return embedder.EmbedConfig(
         qf=args.qf, K=args.K, key=_parse_key(args.key),
-        green_kernel=args.green_kernel, workers=getattr(args, "workers", 1))
+        green_kernel=args.green_kernel, workers=args.workers)
 
 
 def _write_report(report, path):
@@ -170,6 +170,7 @@ def build_parser():
     chain.add_argument("--key", default="0")
     chain.add_argument("--green-kernel", choices=("cross", "corner"),
                        default="cross")
+    chain.add_argument("--workers", type=int, default=1)
     chain.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic RAW image")
@@ -194,7 +195,6 @@ def build_parser():
     p.set_defaults(func=cmd_develop)
 
     p = sub.add_parser("embed", parents=[chain], help="simulated embedding")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--report")
     p.set_defaults(func=cmd_embed)
 
@@ -205,7 +205,6 @@ def build_parser():
     p.set_defaults(func=cmd_pseudo_embed)
 
     p = sub.add_parser("capacity", parents=[chain], help="capacity report")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("covariance", help="covariance / operator CSV export")

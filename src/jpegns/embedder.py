@@ -40,10 +40,7 @@ class ConfigError(ValueError):
 
 def _check_key(key):
     """``key`` if it is an int (not a bool) in 0..2**64-1, else ConfigError."""
-    if (not isinstance(key, int) or isinstance(key, bool)
-            or not 0 <= key < 1 << 64):
-        raise ConfigError(f"key must be an integer in 0..2**64-1, got {key!r}")
-    return key
+    return rng.check_seed(key, "key", ConfigError)
 
 
 @dataclass(frozen=True)
@@ -169,17 +166,25 @@ def condition(joint, n_known, context="", out=None):
 
 
 class _Workspace(threading.local):
-    """One thread's reused buffers for a joint covariance and its factor.
+    """One thread's reused buffers: a joint covariance, its factor and a
+    block-stream generator.
 
-    Sized for the largest joint (a block and its eight neighbors) and cut
-    into column-major views per block, so no block allocates its own joint
-    or factor.  Without it, every freed joint and factor (2.6 MB each at
-    576) goes back to the kernel and is faulted in again for the next
-    block.
+    The buffers are sized for the largest joint (a block and its eight
+    neighbors) and cut into column-major views per block, so no block
+    allocates its own joint or factor.  Without them, every freed joint and
+    factor (2.6 MB each at 576) goes back to the kernel and is faulted in
+    again for the next block.
+
+    ``gen`` is re-keyed in place for every block's stream
+    (``rng.block_stream(..., gen=...)``), which draws exactly what a fresh
+    generator per block would, without building a Philox per block.
     """
 
     SIDE = 9 * 64
     flat = None  # per thread, allocated by its first ``views`` call
+
+    def __init__(self):
+        self.gen = np.random.Generator(np.random.Philox(seed=0))
 
     def views(self, n):
         """Two (n, n) column-major arrays over the buffers: joint, factor."""
@@ -193,11 +198,13 @@ class _BlockFactors:
     """Draw-independent conditioning factors of one live block.
 
     ``mean_gain`` maps the concatenated samples of ``neighbors`` (block
-    coordinates) to the conditional mean; ``chol`` is the Cholesky factor
-    of the conditional covariance.
+    coordinates) to the conditional mean; ``rows`` holds the same blocks as
+    row indices of the (blocks_h * blocks_w, 64) block plane.  ``chol`` is
+    the Cholesky factor of the conditional covariance.
     """
 
     neighbors: tuple
+    rows: np.ndarray
     mean_gain: np.ndarray
     chol: np.ndarray
     jitter: float
@@ -307,7 +314,9 @@ class SimulatedEmbedder:
                         "embedding skipped", bi, bj)
             factors = None
         else:
-            factors = _BlockFactors(neighbors, gain, chol, jitter)
+            rows = np.array([ni * self.blocks_w + nj for ni, nj in neighbors],
+                            dtype=np.intp)
+            factors = _BlockFactors(neighbors, rows, gain, chol, jitter)
         if cache is not None:
             cache[(bi, bj)] = factors
         return factors
@@ -320,10 +329,12 @@ class SimulatedEmbedder:
 
         Both are None for a dead block (stego signal identically zero: no
         changes, no capacity) or one that could not be factored.  Only the
-        neighbors' draws are read from ``continuous``, and those belong to
-        earlier lattices, so the blocks of one lattice can be visited in
-        any order and on any thread.  The block's factors are dropped on
-        return unless ``cache_factors`` keeps them.
+        neighbors' draws are read from ``continuous``, the continuous plane
+        as (blocks_h * blocks_w, 64) rows, and those belong to earlier
+        lattices, so the blocks of one lattice can be visited in any order
+        and on any thread.  The block's stream re-keys the workspace's
+        generator when a ``workspace`` is given.  The block's factors are
+        dropped on return unless ``cache_factors`` keeps them.
         """
         if not self.live[block]:
             return None, None
@@ -331,11 +342,11 @@ class SimulatedEmbedder:
         if factors is None:
             return None, None
         if factors.neighbors:
-            known = continuous[tuple(zip(*factors.neighbors))].ravel()
-            base_mean = factors.mean_gain @ known
+            base_mean = factors.mean_gain @ continuous[factors.rows].ravel()
         else:
             base_mean = np.zeros(64)
-        gen = rng.block_stream(key, lat, *block)
+        gen = rng.block_stream(
+            key, lat, *block, gen=None if workspace is None else workspace.gen)
         return factors.jitter, sampler.run_block_chain(
             factors.chol, base_mean, self.q_flat, self.cfg.K, gen)
 
@@ -368,7 +379,8 @@ class SimulatedEmbedder:
             visit_all = map if pool is None else pool.map
             for lat, blocks in enumerate(self.assign.block_lists, start=1):
                 visits = visit_all(functools.partial(
-                    self._visit, lat=lat, key=key, continuous=continuous,
+                    self._visit, lat=lat, key=key,
+                    continuous=continuous.reshape(bh * bw, 64),
                     workspace=workspace), blocks)
                 # Each block is written back, in block order, as its visit
                 # ends; a lattice's results are never held all at once.
@@ -445,8 +457,9 @@ def pseudo_embed(raw, seed):
     Draws independent zero-mean Gaussians with the per-site sensor noise
     variance (inverse-CDF from the seeded stream), clamps to the dynamic
     range and returns a new RawImage.  A distributional reference, not a
-    message channel.
+    message channel.  ``seed`` is an integer in 0..2**64-1, as a key is.
     """
+    rng.check_seed(seed, "seed", ConfigError)
     var = cov_mod.photon_variance(raw.data, raw.params)
     gen = rng.make_stream(seed, rng.DOMAIN_PSEUDO)
     z = rng.standard_normal_icdf(gen, raw.data.shape)

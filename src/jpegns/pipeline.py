@@ -328,8 +328,11 @@ def block_windows(plane):
     """(bh, bw, 10, 10) view of every 8x8 block's photo-site support.
 
     Window [i, j] covers image rows 8i-1..8i+8 and columns 8j-1..8j+8 of
-    ``plane`` replicate-padded by one site (the CFA continues
-    periodically), so edge blocks see the same support as interior ones.
+    ``plane`` padded by one site, so edge blocks get a window of the same
+    shape as interior ones.  The padding repeats the border site
+    (``mode="edge"``); it does not continue the CFA.  A padded site holds
+    a copy of the adjacent border site's value, whose CFA color differs
+    from the padded position's, not a photo site of its own.
     """
     pad = np.pad(plane, 1, mode="edge")
     return sliding_window_view(pad, (10, 10))[::BLOCK, ::BLOCK]

@@ -123,7 +123,8 @@ class SynthSpec:
 
     kind is "constant" (all photo-sites equal mu) or "iid_gaussian"
     (independent N(mu, sigma^2) draws clamped at 0).  Dimensions must be
-    multiples of 8 so the image can be embedded.
+    multiples of 8 so the image can be embedded.  ``seed`` is an integer
+    in 0..2**64-1.
     """
 
     kind: str
@@ -136,6 +137,7 @@ class SynthSpec:
     def __post_init__(self):
         if self.kind not in ("constant", "iid_gaussian"):
             raise ParameterError(f"unknown synthesis kind {self.kind!r}")
+        rng.check_seed(self.seed, "seed", ParameterError)
         if self.sigma < 0:
             raise ParameterError("sigma must be >= 0")
         if self.width <= 0 or self.height <= 0:

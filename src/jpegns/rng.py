@@ -16,6 +16,16 @@ Domains keep unrelated uses of the same seed apart.  Block streams pack the
 macro-lattice index and block coordinates into the payload:
 
     payload = (lattice << 52) | (block_row << 26) | block_col
+
+A stream is a key and a counter, nothing more, so one generator can serve
+many streams: given ``gen``, ``make_stream`` and ``block_stream`` re-key it
+in place (new key words, counter zero, no buffered output) and return it.
+The re-keyed generator draws exactly what a freshly built one would.  The
+embedder keeps one such generator per thread and re-keys it for every
+block, instead of building a Philox per block.
+
+Seeds and keys are checked where they enter the library (``check_seed``);
+the stream constructors do not repeat the check.
 """
 
 import numpy as np
@@ -25,39 +35,56 @@ DOMAIN_SYNTH = 1
 DOMAIN_PSEUDO = 2
 DOMAIN_BLOCK = 3
 
-_MASK64 = (1 << 64) - 1
+_ZEROS4 = (0, 0, 0, 0)
 
 
-def make_stream(seed, domain, payload=0):
+def check_seed(value, name, error):
+    """``value`` if it is an int (not a bool) in 0..2**64-1, else ``error``.
+
+    Streams take the seed as one 64-bit key word, so a seed outside that
+    range would otherwise wrap or fail deep inside numpy.
+    """
+    if (not isinstance(value, int) or isinstance(value, bool)
+            or not 0 <= value < 1 << 64):
+        raise error(f"{name} must be an integer in 0..2**64-1, got {value!r}")
+    return value
+
+
+def make_stream(seed, domain, payload=0, gen=None):
     """Return a ``numpy.random.Generator`` for the given (seed, domain, payload).
 
     The stream is the Philox-4x64 sequence for key (seed, domain | payload)
-    starting at counter zero; the key is installed through the state
-    property, which skips the OS-entropy gathering of the key= constructor
-    while producing the identical stream.
+    starting at counter zero.  With ``gen`` (a Philox-backed Generator) that
+    generator is re-keyed in place and returned; without it a new one is
+    built.  Either way the key is installed through the state property,
+    which skips the OS-entropy gathering of the key= constructor while
+    producing the identical stream.
     """
     if payload < 0 or payload >= (1 << 56):
         raise ValueError("stream payload out of range")
-    word1 = ((domain & 0xFF) << 56) | payload
-    bitgen = np.random.Philox(seed=0)
-    state = bitgen.state
-    state["state"]["key"] = np.array(
-        [seed & _MASK64, word1 & _MASK64], dtype=np.uint64)
-    state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
-    state["buffer_pos"] = 4
-    state["has_uint32"] = 0
-    bitgen.state = state
-    return np.random.Generator(bitgen)
+    if gen is None:
+        gen = np.random.Generator(np.random.Philox(seed=0))
+    # buffer_pos 4 marks the output buffer as spent and has_uint32 0 drops a
+    # held half-word, so the first draw starts from the new key at counter 0.
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS4,
+                  "key": (seed, ((domain & 0xFF) << 56) | payload)},
+        "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gen
 
 
-def block_stream(key, lattice, block_row, block_col):
-    """Per-block stream for embedding: independent across blocks and lattices."""
+def block_stream(key, lattice, block_row, block_col, gen=None):
+    """Per-block stream for embedding: independent across blocks and lattices.
+
+    ``gen`` is re-keyed in place as in ``make_stream``.
+    """
     if not (1 <= lattice <= 4):
         raise ValueError("lattice index must be in 1..4")
     if block_row >= (1 << 26) or block_col >= (1 << 26):
         raise ValueError("block coordinates too large for stream payload")
     payload = (lattice << 52) | (block_row << 26) | block_col
-    return make_stream(key, DOMAIN_BLOCK, payload)
+    return make_stream(key, DOMAIN_BLOCK, payload, gen)
 
 
 def standard_normal_icdf(gen, size=None):

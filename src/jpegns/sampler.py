@@ -31,6 +31,8 @@ from scipy.special import ndtr, ndtri
 from .jpeg_model import round_half_away_array
 
 _MAX_FLOAT = sys.float_info.max
+# Below this deviation an edge's standardization can overflow (see _grid).
+_SAFE_SIGMA = 2.0**-960
 # The chain's uniform u = 0 is read as the smallest positive uniform of the
 # stream's 2**-53 grid, so every z = ndtri(u) is finite.
 _MIN_UNIFORM = 2.0**-53
@@ -75,22 +77,32 @@ def _grid(m_hat, sigma_hat, k_range):
 
     ``edges`` (n, 2K) are the lower edges of the symbols -K+1..K,
     standardized: (base + k) * inv with base = round(m_hat) - 0.5 - m_hat
-    and inv = 1 / sigma_hat.  A zero deviation (including underflow of a
-    subnormal sigma') is a point mass at round(m_hat) clamped into the
-    alphabet: its grid is centered on that atom with inv = inf, so every
-    edge is -inf or +inf.  A nonzero deviation whose reciprocal overflows
-    keeps its grid with inv capped at the largest float: an edge exactly at
-    m_hat then standardizes to 0 rather than 0 * inf = NaN, and every other
-    edge to a huge value or +-inf.
+    and inv = 1 / sigma_hat.  When every sigma_hat is at least
+    ``_SAFE_SIGMA`` (the common case), that is all: |base + k| <= K + 1 and
+    inv <= 2**960, so no edge overflows.  Otherwise two kinds of row need
+    care:
+
+    - A zero deviation (including underflow of a subnormal sigma') is a
+      point mass at round(m_hat) clamped into the alphabet: its grid is
+      centered on that atom with inv = inf, so every edge is -inf or +inf.
+    - A nonzero deviation whose reciprocal overflows keeps its grid with
+      inv capped at the largest float: an edge exactly at m_hat then
+      standardizes to 0 rather than 0 * inf = NaN, and every other edge to
+      a huge value or +-inf.
     """
     center = round_half_away_array(m_hat)
+    base = center - 0.5 - m_hat
+    offsets = np.arange(-k_range + 1, k_range + 1, dtype=np.float64)
+    if sigma_hat.min() >= _SAFE_SIGMA:
+        edges = np.add.outer(base, offsets)
+        edges *= (1.0 / sigma_hat)[:, None]
+        return center, edges
     point = sigma_hat == 0.0
-    atom = np.minimum(np.maximum(center, -k_range), k_range)
-    base = np.where(point, -atom - 0.5, center - 0.5 - m_hat)
-    ks = np.arange(-k_range + 1, k_range + 1, dtype=np.float64)
+    base[point] = -np.clip(center[point], -k_range, k_range) - 0.5
     with np.errstate(divide="ignore", over="ignore"):
-        inv = np.where(point, np.inf, np.minimum(1.0 / sigma_hat, _MAX_FLOAT))
-        return center, (base[:, None] + ks) * inv[:, None]
+        inv = np.minimum(1.0 / sigma_hat, _MAX_FLOAT)
+        inv[point] = np.inf
+        return center, np.add.outer(base, offsets) * inv[:, None]
 
 
 def _pmf_table(edges):
@@ -137,9 +149,10 @@ def entropy(p):
     +0.0: subtracting from zero, unlike negating, keeps a zero sum positive.
     """
     p = np.asarray(p, dtype=np.float64)
-    logs = np.zeros_like(p)
-    np.log2(p, out=logs, where=p > 0.0)
-    return 0.0 - np.sum(p * logs, axis=-1)
+    terms = np.zeros(p.shape)
+    np.log2(p, out=terms, where=p > 0.0)
+    terms *= p
+    return 0.0 - terms.sum(axis=-1)
 
 
 def costs_from_pmf(p):
@@ -172,15 +185,20 @@ def run_block_chain(chol, base_mean, q_steps, k_range, gen):
     its own mean and draws its clamped atom: its edges are all infinite.
     """
     u = gen.random(64)
-    u[u == 0.0] = _MIN_UNIFORM
-    z = ndtri(u)
+    np.maximum(u, _MIN_UNIFORM, out=u)
+    z = ndtri(u, out=u)
     steps = np.asarray(q_steps, dtype=np.float64)
-    sigmas = np.abs(np.diagonal(chol))
-    means = base_mean + np.where(_STRICT_LOWER, chol, 0.0) @ z
-    _, edges = _grid(means / steps, sigmas / steps, k_range)
-    changes = (edges < z[:, None]).sum(axis=1) - k_range
+    sigmas = np.abs(chol.diagonal())
+    lower = np.zeros((64, 64))
+    np.copyto(lower, chol, where=_STRICT_LOWER)
+    means = base_mean + lower @ z
+    params = np.empty((64, 2))
+    m_hat, sigma_hat = params[:, 0], params[:, 1]
+    np.divide(means, steps, out=m_hat)
+    np.divide(sigmas, steps, out=sigma_hat)
+    _, edges = _grid(m_hat, sigma_hat, k_range)
+    changes = (edges < z[:, None]).sum(axis=1)
+    changes -= k_range
     probs = _pmf_table(edges)
-    return {"changes": changes,
-            "samples": means + sigmas * z, "probs": probs,
-            "params": np.column_stack((means, sigmas)) / steps[:, None],
-            "entropy_bits": entropy(probs)}
+    return {"changes": changes, "samples": means + sigmas * z,
+            "probs": probs, "params": params, "entropy_bits": entropy(probs)}

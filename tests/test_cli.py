@@ -182,6 +182,17 @@ def test_costs_cli(raw_file, tmp_path):
     assert plane.K == 3
 
 
+def test_costs_workers_write_identical_files(raw_file, tmp_path):
+    # --workers is a shared chain option, so costs takes it too, and the
+    # thread count does not change a byte of the cost file.
+    paths = [tmp_path / f"costs{w}.bin" for w in (1, 2)]
+    for workers, path in zip((1, 2), paths):
+        assert main(["costs", str(raw_file), "--qf", "95", "--K", "2",
+                     "--key", "7", "--workers", str(workers),
+                     "-o", str(path)]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 @pytest.mark.parametrize("command, option, message", [
     ("embed", ["--key", "xyz"], "key must be a hexadecimal number"),
     ("embed", ["--K", "0"], "alphabet half-width K must be >= 1"),
@@ -190,11 +201,16 @@ def test_costs_cli(raw_file, tmp_path):
     ("costs", ["--key", "1ffffffffffffffff"],
      "key must be an integer in 0..2**64-1"),
     ("costs", ["--K", "256"], "alphabet half-width K must be <= 255"),
+    ("costs", ["--workers", "0"], "workers must be >= 1"),
+    ("pseudo-embed", ["--seed", "-1"],
+     "seed must be an integer in 0..2**64-1, got -1"),
 ])
 def test_bad_numeric_option_exits_cleanly(raw_file, tmp_path, caplog,
                                           command, option, message):
     out = tmp_path / "out"
-    rc = main([command, str(raw_file), "--qf", "95", *option, "-o", str(out)])
+    # pseudo-embed is the one command here that takes no quality factor.
+    qf = [] if command == "pseudo-embed" else ["--qf", "95"]
+    rc = main([command, str(raw_file), *qf, *option, "-o", str(out)])
     assert rc == 1
     assert f"error: {message}" in caplog.text
     assert not out.exists()
@@ -206,7 +222,8 @@ def test_bad_numeric_option_exits_cleanly(raw_file, tmp_path, caplog,
     (["--a2", "nan"], "sensor parameter a2 must be finite"),
     (["--w", "-8"], "synthetic dimensions must be positive"),
     (["--mu", "nan"], "photo-site values must be finite"),
-], ids=["bit-depth", "sigma", "a2", "width", "mu"])
+    (["--seed", "-1"], "seed must be an integer in 0..2**64-1, got -1"),
+], ids=["bit-depth", "sigma", "a2", "width", "mu", "seed"])
 def test_bad_synth_parameter_exits_cleanly(tmp_path, caplog, option, message):
     out = tmp_path / "raw.pgm"
     rc = main(["synth", "--kind", "iid", "--mu", "100", "--w", "16",

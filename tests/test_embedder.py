@@ -333,6 +333,9 @@ def test_first_lattice_block_rejects_later_and_dead_blocks(bright_raw,
 
 # -- pseudo embedding ----------------------------------------------------------------
 
+# Out of range or not an int: rejected as keys and as pseudo-embedding seeds.
+BAD_KEYS = [-1, 2**64, 1.5, True, "7"]
+
 
 def test_pseudo_embed_deterministic(bright_raw):
     a = pseudo_embed(bright_raw, seed=5)
@@ -340,6 +343,14 @@ def test_pseudo_embed_deterministic(bright_raw):
     assert np.array_equal(a.data, b.data)
     c = pseudo_embed(bright_raw, seed=6)
     assert not np.array_equal(a.data, c.data)
+
+
+@pytest.mark.parametrize("seed", BAD_KEYS, ids=repr)
+def test_pseudo_embed_rejects_bad_seed(bright_raw, seed):
+    # Seeds follow the key rule: 2**64 would otherwise add the seed-0
+    # noise and -1 run as 2**64 - 1.
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        pseudo_embed(bright_raw, seed)
 
 
 def test_pseudo_embed_variance(paper_params):
@@ -477,9 +488,6 @@ def test_config_rejects_alphabet_wider_than_cost_file(paper_params, tmp_path):
     export_costs(small_raw(paper_params, size=8), EmbedConfig(qf=95, K=255),
                  path)
     assert emb_mod.read_costs(path).costs.shape == (1, 1, 64, 511)
-
-
-BAD_KEYS = [-1, 2**64, 1.5, True, "7"]
 
 
 @pytest.mark.parametrize("name, value", [

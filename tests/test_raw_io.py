@@ -6,6 +6,7 @@ import pytest
 
 from jpegns import (
     DimensionError,
+    ParameterError,
     PgmError,
     RawImage,
     SensorParams,
@@ -196,6 +197,24 @@ def test_synthesize_clamped_mean_matches_oracle():
     oracle = 1.0 / math.sqrt(2.0 * math.pi)
     assert abs(img.data.mean() - oracle) <= 3.0 / 512.0
     assert img.data.min() >= 0.0
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, "7"], ids=repr)
+def test_synth_spec_rejects_bad_seed(seed):
+    # The seed is one 64-bit stream key word: 2**64 would otherwise give
+    # the seed-0 image and -1 the image of 2**64 - 1.
+    with pytest.raises(ParameterError, match="seed must be an integer"):
+        SynthSpec(kind="iid_gaussian", mu=0.0, sigma=1.0, width=8, height=8,
+                  seed=seed)
+
+
+def test_synthesize_largest_seed():
+    params = SensorParams(0, 0, 1, 0)
+    images = [synthesize_raw(SynthSpec(kind="iid_gaussian", mu=100.0,
+                                       sigma=1.0, width=8, height=8,
+                                       seed=seed), params)
+              for seed in (0, 2**64 - 1)]
+    assert not np.array_equal(images[0].data, images[1].data)
 
 
 def test_negative_sigma_rejected():

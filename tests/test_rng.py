@@ -1,0 +1,92 @@
+import numpy as np
+import pytest
+
+from jpegns import rng
+
+SEEDS = [0, 1, 0xDEADBEEF, 2**63 + 5, 2**64 - 1]
+
+
+def keyed(seed, domain, payload):
+    """Independent oracle: numpy's own key constructor for the same key."""
+    key = np.array([seed, (domain << 56) | payload], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("domain, payload", [
+    (rng.DOMAIN_SYNTH, 0), (rng.DOMAIN_PSEUDO, 0), (7, 1),
+    (rng.DOMAIN_BLOCK, (1 << 56) - 1),
+])
+def test_make_stream_matches_key_constructor(seed, domain, payload):
+    ours = rng.make_stream(seed, domain, payload)
+    oracle = keyed(seed, domain, payload)
+    assert np.array_equal(ours.random(9), oracle.random(9))
+    assert np.array_equal(ours.integers(0, 2**32, size=5, dtype=np.uint32),
+                          oracle.integers(0, 2**32, size=5, dtype=np.uint32))
+
+
+@pytest.mark.parametrize("lattice, row, col", [
+    (1, 0, 0), (4, 3, 2), (2, (1 << 26) - 1, 0), (3, 0, (1 << 26) - 1),
+])
+def test_block_stream_payload_layout(lattice, row, col):
+    payload = (lattice << 52) | (row << 26) | col
+    ours = rng.block_stream(0xABCD, lattice, row, col)
+    oracle = keyed(0xABCD, rng.DOMAIN_BLOCK, payload)
+    assert np.array_equal(ours.random(64), oracle.random(64))
+
+
+def test_rekey_mid_buffer_reproduces_fresh_stream():
+    # Two doubles and a uint32 spend three of the four buffered words, and
+    # the uint32 keeps the other half of its word (has_uint32 set).
+    # Re-keying must drop both, so the first draws come from the new key
+    # at counter 0.
+    gen = rng.make_stream(5, rng.DOMAIN_SYNTH)
+    gen.random(2)
+    gen.integers(0, 2**32, dtype=np.uint32)
+    state = gen.bit_generator.state
+    assert (state["buffer_pos"], state["has_uint32"]) == (3, 1)
+    same = rng.block_stream(9, 2, 4, 6, gen=gen)
+    assert same is gen
+    fresh = rng.block_stream(9, 2, 4, 6)
+    assert np.array_equal(
+        gen.integers(0, 2**32, size=3, dtype=np.uint32),
+        fresh.integers(0, 2**32, size=3, dtype=np.uint32))
+    assert np.array_equal(gen.random(70), fresh.random(70))
+
+
+def test_rekey_matches_every_fresh_stream_in_turn():
+    # One generator re-keyed block after block draws what a fresh
+    # generator per block draws.
+    gen = rng.make_stream(0, rng.DOMAIN_BLOCK)
+    for lattice, row, col in [(1, 0, 0), (1, 0, 2), (2, 1, 0), (4, 1, 1)]:
+        rng.block_stream(77, lattice, row, col, gen=gen)
+        assert np.array_equal(gen.random(64),
+                              rng.block_stream(77, lattice, row, col).random(64))
+
+
+@pytest.mark.parametrize("payload", [-1, 1 << 56])
+def test_payload_out_of_range_rejected(payload):
+    with pytest.raises(ValueError, match="payload out of range"):
+        rng.make_stream(1, rng.DOMAIN_BLOCK, payload)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0, 0, 0), "lattice index must be in 1..4"),
+    ((5, 0, 0), "lattice index must be in 1..4"),
+    ((1, 1 << 26, 0), "block coordinates too large"),
+    ((1, 0, 1 << 26), "block coordinates too large"),
+])
+def test_block_stream_rejects_bad_coordinates(args, message):
+    with pytest.raises(ValueError, match=message):
+        rng.block_stream(1, *args)
+
+
+@pytest.mark.parametrize("value", [-1, 2**64, 1.5, True, "7", None])
+def test_check_seed_rejects(value):
+    with pytest.raises(KeyError, match="seed must be an integer in"):
+        rng.check_seed(value, "seed", KeyError)
+
+
+@pytest.mark.parametrize("value", [0, 2**64 - 1])
+def test_check_seed_accepts_range_ends(value):
+    assert rng.check_seed(value, "seed", KeyError) == value
