@@ -137,10 +137,11 @@ def condition(joint, n_known, context="", out=None):
     """Conditional law of the last 64 coordinates given the first ``n_known``.
 
     ``joint`` is the joint covariance with the known blocks first and the
-    center block last.  Its Cholesky factor splits as [[L_k, 0], [C, L_c]]:
-    L_c is exactly the Cholesky factor of the Schur-complement conditional
-    covariance, and the conditional mean gain S12 S22^-1 is C L_k^-1 (one
-    triangular solve).  No matrix is ever inverted explicitly.
+    center block last; only its lower triangle is read.  Its Cholesky
+    factor splits as [[L_k, 0], [C, L_c]]: L_c is exactly the Cholesky
+    factor of the Schur-complement conditional covariance, and the
+    conditional mean gain S12 S22^-1 is C L_k^-1, one right-side triangular
+    solve (``dtrsm``).  No matrix is ever inverted explicitly.
 
     Returns (gain, chol, jitter): the conditional mean is ``gain @ known``
     (``gain`` is None when nothing is known), ``chol`` factors the
@@ -156,12 +157,9 @@ def condition(joint, n_known, context="", out=None):
             f"{n_known} known coordinates and one block of 64")
     chol_joint, jitter = cov_mod.cholesky(joint, context=context, out=out)
     chol = chol_joint[m:, m:].copy(order="C")
-    if m:
-        gain = sla.solve_triangular(
-            chol_joint[:m, :m].T, chol_joint[m:, :m].T,
-            lower=False, check_finite=False).T
-    else:
-        gain = None
+    # dtrsm solves X L_k = C into a copy of C (``overwrite_b`` is off).
+    gain = (sla.blas.dtrsm(1.0, chol_joint[:m, :m], chol_joint[m:, :m],
+                           side=1, lower=1) if m else None)
     return gain, chol, jitter
 
 
@@ -173,7 +171,9 @@ class _Workspace(threading.local):
     neighbors) and cut into column-major views per block, so no block
     allocates its own joint or factor.  Without them, every freed joint and
     factor (2.6 MB each at 576) goes back to the kernel and is faulted in
-    again for the next block.
+    again for the next block.  Each block writes only the lower triangle of
+    its joint, the part the factorization reads; the upper triangle holds
+    whatever earlier blocks left there.
 
     ``gen`` is re-keyed in place for every block's stream
     (``rng.block_stream(..., gen=...)``), which draws exactly what a fresh
@@ -214,10 +214,16 @@ class SimulatedEmbedder:
     """Reusable embedding engine for one RAW image.
 
     Precomputes the cover, the photo-site variance windows of every block
-    and the map of live blocks once; ``run`` then produces a stego plane
-    for any key.  ``cache_factors`` additionally keeps each block's
+    (one contiguous (bh, bw, 10, 10) array) and the map of live blocks
+    once; ``run`` then produces a stego plane for any key.  Joints are
+    assembled from tile plans, memoized per block layout (the blocks'
+    offsets from the last one), so each tile is one scaled matmul written
+    into place.  ``cache_factors`` additionally keeps each block's
     Schur/Cholesky factors across runs, which pays off when embedding the
     same image many times (the factors do not depend on the drawn samples).
+
+    Raises ``CoefficientsError`` when a live block's cover coefficient is
+    within K of the int16 limit, since its stego might not fit.
     """
 
     def __init__(self, raw, cfg, cache_factors=False):
@@ -228,11 +234,20 @@ class SimulatedEmbedder:
         _, self.cover = jpeg_model.develop_cover(raw, cfg.qf, cfg.green_kernel)
         self.blocks_h, self.blocks_w = self.cover.coeffs.shape[:2]
         var = cov_mod.photon_variance(raw.data, raw.params)
-        self.var_win = pipeline.block_windows(var)  # (bh, bw, 10, 10)
+        # (bh, bw, 10, 10), copied out of the strided window view.
+        self.var_win = np.ascontiguousarray(pipeline.block_windows(var))
         weights = pipeline.block_support_tensor(raw.cfa, cfg.green_kernel)
         # A block is dead when its stego signal is identically zero: the
         # trace of its own covariance vanishes.
         self.live = np.einsum("kuv,ijuv->ij", weights**2, self.var_win) > 0
+        # A live block's changes reach +-K, so its stego fits the int16
+        # container only if its cover stays K inside it.
+        reach = np.abs(self.cover.coeffs).max(axis=(2, 3)) + cfg.K
+        over = np.argwhere(self.live & (reach > 32767))
+        if len(over):
+            raise jpeg_model.CoefficientsError(
+                f"block ({over[0][0]}, {over[0][1]}): coefficient magnitude "
+                f"plus K = {cfg.K} exceeds int16 range")
         # Contiguous weight slices per relative block offset, so cross
         # covariances reduce to one scaled matmul over the support overlap:
         # rows r0..r1-1 (columns c0..c1-1) of block a's window are rows
@@ -249,40 +264,67 @@ class SimulatedEmbedder:
                             c0 - 8 * dj : c1 - 8 * dj].reshape(64, -1).T)
                 self._overlap[(di, dj)] = (slice(r0, r1), slice(c0, c1),
                                            wa, wb)
+        # Tile plans by block layout (``_tile_plan``).  Threads may build
+        # the same plan at once; the plans are equal, so either may stay.
+        self._plans = {}
         self.assign = lattice.tile(self.blocks_w, self.blocks_h)
         self._factor_cache = {} if cache_factors else None
 
     # -- covariance assembly ------------------------------------------------
 
-    def _cross_cov(self, block_a, block_b):
-        """64x64 covariance between two blocks at most one block apart."""
-        (ra, ca), (rb, cb) = block_a, block_b
-        rows, cols, wa, wb = self._overlap[(rb - ra, cb - ca)]
-        var = self.var_win[ra, ca, rows, cols].reshape(-1)
-        return (wa * var) @ wb
+    def _tile_plan(self, blocks):
+        """Lower tiles of the joint over ``blocks``: (tiles, zeros).
+
+        ``tiles`` holds (rows, cols, a, r, c, wa, wb) for each pair of
+        8-connected blocks a <= b: the joint's (rows, cols) tile, block b
+        against block a, is ``((wa * var) @ wb).T`` with ``var`` the (r, c)
+        overlap of block a's variance window.  ``zeros`` holds the
+        (rows, cols) tiles of the other pairs, which share no photo-site
+        support.  Memoized by the blocks' offsets from the last one; an
+        image has a few dozen such layouts whatever its size.
+        """
+        ri, ci = blocks[-1]
+        layout = tuple((r - ri, c - ci) for r, c in blocks)
+        plan = self._plans.get(layout)
+        if plan is None:
+            tiles, zeros = [], []
+            for a, (ra, ca) in enumerate(layout):
+                cols = slice(64 * a, 64 * (a + 1))
+                for b in range(a, len(layout)):
+                    rb, cb = layout[b]
+                    rows = slice(64 * b, 64 * (b + 1))
+                    if max(abs(rb - ra), abs(cb - ca)) > 1:
+                        zeros.append((rows, cols))
+                    else:
+                        tiles.append((rows, cols, a)
+                                     + self._overlap[(rb - ra, cb - ca)])
+            plan = self._plans[layout] = (tuple(tiles), tuple(zeros))
+        return plan
+
+    def _fill_lower(self, blocks, out):
+        """Write the lower triangle of the joint over ``blocks`` into
+        ``out`` (column-major, 64 rows and columns per block)."""
+        tiles, zeros = self._tile_plan(blocks)
+        for rows, cols in zeros:
+            out[rows, cols] = 0.0
+        for rows, cols, a, r, c, wa, wb in tiles:
+            ra, ca = blocks[a]
+            var = self.var_win[ra, ca, r, c].reshape(-1)
+            np.matmul(wa * var, wb, out=out[rows, cols].T)
 
     def joint_covariance(self, blocks, out=None):
-        """Joint covariance over ``blocks`` (64 coefficients each), symmetric.
+        """Joint covariance over ``blocks`` (64 coefficients each).
 
-        Assembled column-major, the layout LAPACK factors in place, into
-        ``out`` when given (overwritten) or a fresh array.
+        The lower triangle is the one the embedder factors; the upper one
+        mirrors it, so the result is exactly symmetric.  Assembled
+        column-major, the layout LAPACK factors in place, into ``out`` when
+        given (overwritten) or a fresh array.
         """
-        n = len(blocks)
-        joint = np.empty((64 * n, 64 * n), order="F") if out is None else out
-        joint[...] = 0.0
-        for i, (ri, ci) in enumerate(blocks):
-            for j in range(i, n):
-                rj, cj = blocks[j]
-                # Blocks that are not 8-connected share no photo-site
-                # support, so their cross-covariance is exactly zero.
-                if max(abs(rj - ri), abs(cj - ci)) > 1:
-                    continue
-                sub = self._cross_cov(blocks[i], blocks[j])
-                if i == j:
-                    sub = (sub + sub.T) / 2.0
-                joint[i * 64 : (i + 1) * 64, j * 64 : (j + 1) * 64] = sub
-                if i != j:
-                    joint[j * 64 : (j + 1) * 64, i * 64 : (i + 1) * 64] = sub.T
+        n = 64 * len(blocks)
+        joint = np.empty((n, n), order="F") if out is None else out
+        self._fill_lower(blocks, joint)
+        upper = np.triu_indices(n, 1)
+        joint[upper] = joint.T[upper]
         return joint
 
     # -- factors -------------------------------------------------------------
@@ -300,13 +342,13 @@ class SimulatedEmbedder:
         # Dead neighbors carry no information and only make the
         # conditioning singular.
         neighbors = tuple(blk for blk in nb.neighbors if self.live[blk])
-        joint_out, chol_out = (
-            (None, None) if workspace is None
-            else workspace.views(64 * (len(neighbors) + 1)))
+        n = 64 * (len(neighbors) + 1)
+        joint, chol_out = ((np.empty((n, n), order="F"), None)
+                           if workspace is None else workspace.views(n))
+        self._fill_lower(neighbors + (nb.center,), joint)
         try:
             gain, chol, jitter = condition(
-                self.joint_covariance(neighbors + (nb.center,), out=joint_out),
-                64 * len(neighbors),
+                joint, n - 64,
                 context=f"lattice {nb.lattice} block {nb.center}",
                 out=chol_out)
         except cov_mod.SingularCovarianceError:

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from jpegns import (
     ConfigError,
@@ -25,6 +26,7 @@ from jpegns import (
 from jpegns import embedder as emb_mod
 from jpegns import pipeline as pl
 from jpegns.covariance import photon_variance, sigma_d, sigma_p
+from jpegns.jpeg_model import CoefficientsError
 from jpegns.sampler import costs_from_pmf, entropy
 
 
@@ -307,6 +309,70 @@ def test_block_factors_match_public_conditioning(bright_raw):
     assert np.abs(recon - cond).max() <= 1e-8 * scale
 
 
+def _joint_blocks(emb, block):
+    """The blocks of ``block``'s joint in the embedder's order: its live
+    neighbors, then the block itself."""
+    nb = emb_mod.lattice.neighborhood(emb.assign, block)
+    return tuple(b for b in nb.neighbors if emb.live[b]) + (block,)
+
+
+# On the 6x6 block grid of ``bright_raw``: an interior lattice-2 block, an
+# interior lattice-3 block, an interior and an edge lattice-4 block, and a
+# lattice-4 corner (three neighbors).
+L2, L3, L4, L4_EDGE, L4_CORNER = (1, 1), (2, 3), (3, 2), (3, 0), (5, 0)
+
+
+def test_stale_workspace_cannot_leak_into_factors(bright_raw):
+    # Blocks write only the lower triangle of their joint; whatever the
+    # buffers held before must not reach the factors.
+    emb = SimulatedEmbedder(bright_raw, EmbedConfig(qf=95, K=5, key=1))
+    workspace = emb_mod._Workspace()
+    workspace.views(64)
+    for block in (L2, L3, L4, L4_EDGE):
+        for buffer in workspace.flat:
+            buffer.fill(np.nan)
+        reused = emb._block_factors(*block, workspace)
+        fresh = emb._block_factors(*block)
+        assert reused.neighbors == fresh.neighbors
+        assert np.array_equal(reused.mean_gain, fresh.mean_gain)
+        assert np.array_equal(reused.chol, fresh.chol)
+        assert reused.jitter == fresh.jitter
+        for buffer in workspace.flat:
+            assert not np.shares_memory(reused.mean_gain, buffer)
+            assert not np.shares_memory(reused.chol, buffer)
+
+
+@pytest.mark.parametrize("block", [L2, L3, L4, L4_CORNER],
+                         ids=["L2", "L3", "L4", "L4-corner"])
+def test_joint_assembly_contract(bright_raw, monkeypatch, block):
+    emb = SimulatedEmbedder(bright_raw, EmbedConfig(qf=95, K=5, key=1))
+    blocks = _joint_blocks(emb, block)
+    joint = emb.joint_covariance(blocks)
+    assert np.array_equal(joint, joint.T)
+
+    # The lower triangle is exactly what the embedder factors.
+    factored = []
+    cholesky = emb_mod.cov_mod.cholesky
+
+    def spy(a, **kwargs):
+        factored.append(np.tril(a))
+        return cholesky(a, **kwargs)
+
+    monkeypatch.setattr(emb_mod.cov_mod, "cholesky", spy)
+    emb._block_factors(*block, emb_mod._Workspace())
+    assert len(factored) == 1
+    assert np.array_equal(factored[0], np.tril(joint))
+    monkeypatch.undo()
+
+    # The right-side solve gives the gain of the transposed left-side one.
+    m = joint.shape[0] - 64
+    gain, _, _ = emb_mod.condition(joint, m)
+    chol, _ = cholesky(joint)
+    ref = sla.solve_triangular(chol[:m, :m].T, chol[m:, :m].T,
+                               lower=False).T
+    assert np.abs(gain - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_first_lattice_block_matches_full_run(bright_raw):
     cfg = EmbedConfig(qf=95, K=5, key=0xFEED)
     emb = SimulatedEmbedder(bright_raw, cfg, cache_factors=True)
@@ -488,6 +554,23 @@ def test_config_rejects_alphabet_wider_than_cost_file(paper_params, tmp_path):
     export_costs(small_raw(paper_params, size=8), EmbedConfig(qf=95, K=255),
                  path)
     assert emb_mod.read_costs(path).costs.shape == (1, 1, 64, 511)
+
+
+@pytest.mark.parametrize("call", [embed_simulated, capacity_map, export_costs])
+def test_int16_overflow_rejected_before_any_factorization(
+        paper_params, monkeypatch, call):
+    # A constant 16-bit image whose DC is exactly 32767 at QF 100: the cover
+    # fits int16, but a change of up to K would not, so the embedder refuses
+    # it before factoring any block.
+    raw = RawImage(data=np.full((16, 16), 36863.9), cfa="RGGB", bit_depth=16,
+                   params=paper_params)
+    assert develop_cover(raw, 100)[1].coeffs[..., 0, 0].max() == 32767
+    calls = []
+    monkeypatch.setattr(emb_mod.cov_mod, "cholesky",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(CoefficientsError, match=r"block \(0, 0\).*int16"):
+        call(raw, EmbedConfig(qf=100, K=5, key=1))
+    assert calls == []
 
 
 @pytest.mark.parametrize("name, value", [
