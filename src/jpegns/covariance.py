@@ -6,6 +6,7 @@ M diag(v) M^t.  ``cholesky`` factors such a covariance, with escalating
 jitter for the singular blocks that clamped variances produce.
 """
 
+import functools
 import logging
 import os
 
@@ -61,32 +62,33 @@ def sigma_d(m, v):
     return (dense + dense.T) / 2.0
 
 
-def cholesky(a, context="", out=None):
+def cholesky(a, context="", refill=None):
     """Lower-triangular L with L L^t = a, adding escalating jitter if needed.
 
-    ``a`` is a square array.  Returns (L, jitter_applied).  Raises
-    SingularCovarianceError when the matrix stays indefinite after the
-    maximum jitter.  The input is never modified.
-
-    ``a`` is copied into ``out`` and factored there in place; ``out`` must
-    be a column-major float64 array of ``a``'s shape (LAPACK's layout, so
-    nothing is copied behind it) and is the returned L.  Without ``out`` a
-    fresh one is allocated.
+    Only ``a``'s lower triangle is read.  Returns (L, jitter_applied);
+    raises SingularCovarianceError when the matrix stays indefinite after
+    the maximum jitter.  Without ``refill``, ``a`` is never modified: a
+    column-major copy of it is factored.  With ``refill``, ``a`` must be a
+    column-major float64 array (LAPACK's layout, so nothing is copied
+    behind it); it is factored in place and returned as L, and
+    ``refill()`` must rewrite its lower triangle before each jitter retry,
+    since a failed attempt overwrites it.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if out is None:
-        out = np.empty(a.shape, order="F")
-    elif (out.shape != a.shape or out.dtype != np.float64
-          or not out.flags.f_contiguous):
-        raise CovarianceError(
-            f"out must be a column-major float64 array of shape {a.shape}")
+    if refill is None:
+        src = np.asarray(a, dtype=np.float64)
+        a = np.array(src, order="F")
+        refill = functools.partial(np.copyto, a, src)
+    if (a.ndim != 2 or a.shape[0] != a.shape[1] or a.dtype != np.float64
+            or not a.flags.f_contiguous):
+        raise CovarianceError("cholesky needs a square column-major float64 "
+                              f"array, got {a.dtype} of shape {a.shape}")
     shift = 0.0
     for eps in (0.0,) + JITTER_LADDER:
-        out[...] = a
         if eps:
+            refill()
             shift = eps * float(np.mean(np.diag(a)))
-            out[np.diag_indices(a.shape[0])] += shift
-        chol, info = lapack.dpotrf(out, lower=1, clean=1, overwrite_a=1)
+            a[np.diag_indices(a.shape[0])] += shift
+        chol, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=1)
         if info == 0:
             if eps:
                 log.debug("cholesky%s applied jitter %.1e",

@@ -133,7 +133,7 @@ class EmbedResult:
     probs: np.ndarray = None  # (bh, bw, 64, 2K+1) folded PMFs, if collected
 
 
-def condition(joint, n_known, context="", out=None):
+def condition(joint, n_known, context="", refill=None):
     """Conditional law of the last 64 coordinates given the first ``n_known``.
 
     ``joint`` is the joint covariance with the known blocks first and the
@@ -146,34 +146,34 @@ def condition(joint, n_known, context="", out=None):
     Returns (gain, chol, jitter): the conditional mean is ``gain @ known``
     (``gain`` is None when nothing is known), ``chol`` factors the
     conditional covariance and ``jitter`` is the shift the factorization
-    needed.  ``out`` is passed to ``covariance.cholesky``, which factors the
-    joint there; ``gain`` and ``chol`` never share memory with it.
+    needed.  ``refill`` is passed to ``covariance.cholesky``: with it the
+    joint is factored in place, without it the joint is left unchanged.
+    ``gain`` and ``chol`` never share memory with the joint.
     """
-    joint = np.asarray(joint, dtype=np.float64)
     m = n_known
-    if m < 0 or m % 64 or joint.shape != (m + 64, m + 64):
+    if m < 0 or m % 64 or np.shape(joint) != (m + 64, m + 64):
         raise cov_mod.CovarianceError(
-            f"joint covariance of shape {joint.shape} does not hold "
+            f"joint covariance of shape {np.shape(joint)} does not hold "
             f"{n_known} known coordinates and one block of 64")
-    chol_joint, jitter = cov_mod.cholesky(joint, context=context, out=out)
-    chol = chol_joint[m:, m:].copy(order="C")
+    factor, jitter = cov_mod.cholesky(joint, context=context, refill=refill)
+    chol = factor[m:, m:].copy(order="C")
     # dtrsm solves X L_k = C into a copy of C (``overwrite_b`` is off).
-    gain = (sla.blas.dtrsm(1.0, chol_joint[:m, :m], chol_joint[m:, :m],
+    gain = (sla.blas.dtrsm(1.0, factor[:m, :m], factor[m:, :m],
                            side=1, lower=1) if m else None)
     return gain, chol, jitter
 
 
 class _Workspace(threading.local):
-    """One thread's reused buffers: a joint covariance, its factor and a
-    block-stream generator.
+    """One thread's reused joint-covariance buffer and block-stream
+    generator.
 
-    The buffers are sized for the largest joint (a block and its eight
-    neighbors) and cut into column-major views per block, so no block
-    allocates its own joint or factor.  Without them, every freed joint and
-    factor (2.6 MB each at 576) goes back to the kernel and is faulted in
-    again for the next block.  Each block writes only the lower triangle of
-    its joint, the part the factorization reads; the upper triangle holds
-    whatever earlier blocks left there.
+    The buffer is sized for the largest joint (a block and its eight
+    neighbors) and cut into a column-major view per block, so no block
+    allocates its own joint.  Without it, every freed joint goes back to
+    the kernel and is faulted in again for the next block.  Each block
+    writes only the lower triangle of its joint, the part the
+    factorization reads, and its Cholesky factor overwrites that triangle
+    in place; the upper triangle holds whatever earlier blocks left there.
 
     ``gen`` is re-keyed in place for every block's stream
     (``rng.block_stream(..., gen=...)``), which draws exactly what a fresh
@@ -181,16 +181,16 @@ class _Workspace(threading.local):
     """
 
     SIDE = 9 * 64
-    flat = None  # per thread, allocated by its first ``views`` call
+    flat = None  # per thread, allocated by its first ``view`` call
 
     def __init__(self):
         self.gen = np.random.Generator(np.random.Philox(seed=0))
 
-    def views(self, n):
-        """Two (n, n) column-major arrays over the buffers: joint, factor."""
+    def view(self, n):
+        """An (n, n) column-major array over the buffer."""
         if self.flat is None:
-            self.flat = (np.empty(self.SIDE**2), np.empty(self.SIDE**2))
-        return tuple(f[: n * n].reshape((n, n), order="F") for f in self.flat)
+            self.flat = np.empty(self.SIDE**2)
+        return self.flat[: n * n].reshape((n, n), order="F")
 
 
 @dataclass(frozen=True)
@@ -312,16 +312,15 @@ class SimulatedEmbedder:
             var = self.var_win[ra, ca, r, c].reshape(-1)
             np.matmul(wa * var, wb, out=out[rows, cols].T)
 
-    def joint_covariance(self, blocks, out=None):
+    def joint_covariance(self, blocks):
         """Joint covariance over ``blocks`` (64 coefficients each).
 
         The lower triangle is the one the embedder factors; the upper one
         mirrors it, so the result is exactly symmetric.  Assembled
-        column-major, the layout LAPACK factors in place, into ``out`` when
-        given (overwritten) or a fresh array.
+        column-major, the layout LAPACK factors in place.
         """
         n = 64 * len(blocks)
-        joint = np.empty((n, n), order="F") if out is None else out
+        joint = np.empty((n, n), order="F")
         self._fill_lower(blocks, joint)
         upper = np.triu_indices(n, 1)
         joint[upper] = joint.T[upper]
@@ -329,11 +328,11 @@ class SimulatedEmbedder:
 
     # -- factors -------------------------------------------------------------
 
-    def _block_factors(self, bi, bj, workspace=None):
+    def _block_factors(self, bi, bj, workspace):
         """Factors of a live block; None if it stays singular after jitter.
 
-        ``workspace`` (a ``_Workspace``) holds the joint and its factor
-        while the block is factored; without it both are allocated.
+        The joint is assembled in ``workspace``'s buffer (a ``_Workspace``)
+        and factored there in place; a jitter retry assembles it again.
         """
         cache = self._factor_cache
         if cache is not None and (bi, bj) in cache:
@@ -342,15 +341,14 @@ class SimulatedEmbedder:
         # Dead neighbors carry no information and only make the
         # conditioning singular.
         neighbors = tuple(blk for blk in nb.neighbors if self.live[blk])
-        n = 64 * (len(neighbors) + 1)
-        joint, chol_out = ((np.empty((n, n), order="F"), None)
-                           if workspace is None else workspace.views(n))
-        self._fill_lower(neighbors + (nb.center,), joint)
+        blocks = neighbors + (nb.center,)
+        joint = workspace.view(64 * len(blocks))
+        self._fill_lower(blocks, joint)
         try:
             gain, chol, jitter = condition(
-                joint, n - 64,
+                joint, joint.shape[0] - 64,
                 context=f"lattice {nb.lattice} block {nb.center}",
-                out=chol_out)
+                refill=functools.partial(self._fill_lower, blocks, joint))
         except cov_mod.SingularCovarianceError:
             log.warning("block (%d,%d) singular after max jitter; "
                         "embedding skipped", bi, bj)
@@ -365,7 +363,7 @@ class SimulatedEmbedder:
 
     # -- embedding -----------------------------------------------------------
 
-    def _visit(self, block, lat, key, continuous, workspace=None):
+    def _visit(self, block, lat, key, continuous, workspace):
         """Factorization jitter and chain outputs ``(jitter, chain)`` of one
         block.
 
@@ -374,9 +372,9 @@ class SimulatedEmbedder:
         neighbors' draws are read from ``continuous``, the continuous plane
         as (blocks_h * blocks_w, 64) rows, and those belong to earlier
         lattices, so the blocks of one lattice can be visited in any order
-        and on any thread.  The block's stream re-keys the workspace's
-        generator when a ``workspace`` is given.  The block's factors are
-        dropped on return unless ``cache_factors`` keeps them.
+        and on any thread.  The block is factored in ``workspace`` (a
+        ``_Workspace``), whose generator its stream re-keys.  The block's
+        factors are dropped on return unless ``cache_factors`` keeps them.
         """
         if not self.live[block]:
             return None, None
@@ -387,8 +385,7 @@ class SimulatedEmbedder:
             base_mean = factors.mean_gain @ continuous[factors.rows].ravel()
         else:
             base_mean = np.zeros(64)
-        gen = rng.block_stream(
-            key, lat, *block, gen=None if workspace is None else workspace.gen)
+        gen = rng.block_stream(key, lat, *block, gen=workspace.gen)
         return factors.jitter, sampler.run_block_chain(
             factors.chol, base_mean, self.q_flat, self.cfg.K, gen)
 
@@ -476,7 +473,7 @@ class SimulatedEmbedder:
         """
         if self.assign.lattice_of(*block) != 1:
             raise ValueError("block is not in the first macro-lattice")
-        _, chain = self._visit(block, 1, _check_key(key), None)
+        _, chain = self._visit(block, 1, _check_key(key), None, _Workspace())
         if chain is None:
             raise ValueError("block has no stego signal")
         return chain

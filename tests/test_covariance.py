@@ -233,30 +233,38 @@ def test_blocked_cholesky_matches_lapack(n):
 
 
 @pytest.mark.parametrize("rank", (96, 48), ids=["definite", "singular"])
-def test_cholesky_into_out_matches_fresh_factor(rank):
+def test_cholesky_in_place_matches_copy_path(rank):
     rng = np.random.default_rng(rank)
     b = rng.normal(size=(96, rank))
-    a = b @ b.T
-    before = a.copy()
-    out = np.empty((96, 96), order="F")
-    chol, jitter = cholesky(a, out=out)
-    fresh, fresh_jitter = cholesky(a)
-    assert np.shares_memory(chol, out)
-    assert np.array_equal(a, before)
-    assert chol.tobytes() == fresh.tobytes() and jitter == fresh_jitter
-    # The singular matrix is factored on the jitter path.
+    full = b @ b.T
+    # Only the lower triangle is read, on every attempt.
+    src = np.asfortranarray(np.where(np.tri(96, dtype=bool), full, np.nan))
+    a = src.copy(order="F")
+    refills = []
+
+    def refill():
+        refills.append(1)
+        np.copyto(a, src)
+
+    chol, jitter = cholesky(a, refill=refill)
+    copied, copied_jitter = cholesky(full)
+    assert np.shares_memory(chol, a)
+    assert chol.tobytes() == copied.tobytes() and jitter == copied_jitter
+    # Only the singular matrix needs the jitter path, and each retry
+    # refills what the failed attempt overwrote.
     assert (jitter > 0.0) == (rank < 96)
+    assert (len(refills) > 0) == (rank < 96)
 
 
-@pytest.mark.parametrize("out", (
-    np.empty((4, 4), order="F"),
-    np.empty((3, 3), dtype=np.float32, order="F"),
-    np.empty((3, 3)),
+@pytest.mark.parametrize("a", (
+    np.eye(3, 4, order="F"),
+    np.eye(3, dtype=np.float32, order="F"),
+    np.eye(3),
 ), ids=["shape", "dtype", "row-major"])
-def test_cholesky_rejects_out_it_cannot_factor_in(out):
-    # LAPACK would silently work on a copy, and ``out`` would not hold L.
+def test_cholesky_rejects_array_it_cannot_factor_in(a):
+    # LAPACK would silently work on a copy, and ``a`` would not hold L.
     with pytest.raises(CovarianceError):
-        cholesky(np.eye(3), out=out)
+        cholesky(a, refill=lambda: None)
 
 
 # -- chain versus direct sampling (light version) -------------------------------

@@ -75,7 +75,7 @@ def test_isolated_dead_block(bright_raw):
     assert result.report.entropy_plane[8:16, 16:24].sum() > 0.0
     # (3, 2) is a lattice-4 block: it conditions on all eight neighbors
     # except the dead one.
-    neighbors = emb._block_factors(3, 2).neighbors
+    neighbors = emb._block_factors(3, 2, emb_mod._Workspace()).neighbors
     assert len(neighbors) == 7 and (2, 2) not in neighbors
 
 
@@ -293,7 +293,7 @@ def test_block_factors_match_public_conditioning(bright_raw):
     bi, bj = 2, 3  # interior lattice-3 block
     nb_labels = [("N", (1, 3)), ("W", (2, 2)), ("E", (2, 4)), ("S", (3, 3))]
     neighbors = [blk for _, blk in nb_labels]
-    factors = emb._block_factors(bi, bj)
+    factors = emb._block_factors(bi, bj, emb_mod._Workspace())
     assert factors.neighbors == tuple(neighbors)
 
     joint = emb.joint_covariance([(bi, bj)] + neighbors)
@@ -322,24 +322,52 @@ def _joint_blocks(emb, block):
 L2, L3, L4, L4_EDGE, L4_CORNER = (1, 1), (2, 3), (3, 2), (3, 0), (5, 0)
 
 
-def test_stale_workspace_cannot_leak_into_factors(bright_raw):
-    # Blocks write only the lower triangle of their joint; whatever the
-    # buffers held before must not reach the factors.
+def test_stale_workspace_cannot_leak_into_factors(bright_raw, paper_params):
+    # Blocks write only the lower triangle of their joint, and a jitter
+    # retry writes it again over the failed factor; whatever the buffer
+    # held before must not reach the factors.
     emb = SimulatedEmbedder(bright_raw, EmbedConfig(qf=95, K=5, key=1))
+    ramp = SimulatedEmbedder(clamp_ramp(paper_params),
+                             EmbedConfig(qf=95, K=5, key=1))
+    jitter_block = next(
+        tuple(e["block"]) for e in ramp.run().report.jitter_events)
     workspace = emb_mod._Workspace()
-    workspace.views(64)
-    for block in (L2, L3, L4, L4_EDGE):
-        for buffer in workspace.flat:
-            buffer.fill(np.nan)
-        reused = emb._block_factors(*block, workspace)
-        fresh = emb._block_factors(*block)
+    workspace.view(64)
+    cases = [(emb, block) for block in (L2, L3, L4, L4_EDGE)]
+    for embedder, block in cases + [(ramp, jitter_block)]:
+        workspace.flat.fill(np.nan)
+        reused = embedder._block_factors(*block, workspace)
+        fresh = embedder._block_factors(*block, emb_mod._Workspace())
         assert reused.neighbors == fresh.neighbors
         assert np.array_equal(reused.mean_gain, fresh.mean_gain)
         assert np.array_equal(reused.chol, fresh.chol)
         assert reused.jitter == fresh.jitter
-        for buffer in workspace.flat:
-            assert not np.shares_memory(reused.mean_gain, buffer)
-            assert not np.shares_memory(reused.chol, buffer)
+        assert (reused.jitter > 0.0) == (embedder is ramp)
+        assert not np.shares_memory(reused.mean_gain, workspace.flat)
+        assert not np.shares_memory(reused.chol, workspace.flat)
+
+
+def test_jitter_retries_stay_inside_one_cholesky_call(paper_params,
+                                                      monkeypatch):
+    # One ``cholesky`` call per factored block, retries included, so a
+    # trace of the calls counts blocks and their jitter separately.
+    emb = SimulatedEmbedder(clamp_ramp(paper_params),
+                            EmbedConfig(qf=95, K=5, key=1))
+    calls = []
+    refills = []
+    cholesky = emb_mod.cov_mod.cholesky
+
+    def spy(a, **kwargs):
+        calls.append(a.shape)
+        refill = kwargs["refill"]
+        kwargs["refill"] = lambda: (refills.append(1), refill())
+        return cholesky(a, **kwargs)
+
+    monkeypatch.setattr(emb_mod.cov_mod, "cholesky", spy)
+    report = emb.run().report
+    assert report.jitter_events
+    assert len(calls) == np.count_nonzero(emb.live)
+    assert len(refills) >= len(report.jitter_events)
 
 
 @pytest.mark.parametrize("block", [L2, L3, L4, L4_CORNER],
