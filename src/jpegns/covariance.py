@@ -68,14 +68,19 @@ def cholesky(a, context="", refill=None):
     Only ``a``'s lower triangle is read.  Returns (L, jitter_applied);
     raises SingularCovarianceError when the matrix stays indefinite after
     the maximum jitter.  Without ``refill``, ``a`` is never modified: a
-    column-major copy of it is factored.  With ``refill``, ``a`` must be a
+    column-major copy of its lower triangle is factored, so the returned L
+    has a zero strict upper triangle.  With ``refill``, ``a`` must be a
     column-major float64 array (LAPACK's layout, so nothing is copied
     behind it); it is factored in place and returned as L, and
     ``refill()`` must rewrite its lower triangle before each jitter retry,
-    since a failed attempt overwrites it.
+    since a failed attempt overwrites it.  The factored array's strict
+    upper triangle is never read or written: in place, it keeps whatever
+    ``a`` held there.
     """
     if refill is None:
         src = np.asarray(a, dtype=np.float64)
+        # ``tril`` would broadcast a 1-d array to a square one.
+        src = np.tril(src) if src.ndim == 2 else src
         a = np.array(src, order="F")
         refill = functools.partial(np.copyto, a, src)
     if (a.ndim != 2 or a.shape[0] != a.shape[1] or a.dtype != np.float64
@@ -88,7 +93,7 @@ def cholesky(a, context="", refill=None):
             refill()
             shift = eps * float(np.mean(np.diag(a)))
             a[np.diag_indices(a.shape[0])] += shift
-        chol, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=1)
+        chol, info = lapack.dpotrf(a, lower=1, clean=0, overwrite_a=1)
         if info == 0:
             if eps:
                 log.debug("cholesky%s applied jitter %.1e",

@@ -14,6 +14,7 @@ coordinates, so results are bit-identical for any worker count.
 """
 
 import contextlib
+import ctypes
 import functools
 import logging
 import math
@@ -133,6 +134,61 @@ class EmbedResult:
     probs: np.ndarray = None  # (bh, bw, 64, 2K+1) folded PMFs, if collected
 
 
+def _load_dtrsm():
+    """BLAS ``dtrsm`` from ``scipy.linalg.cython_blas`` as a ctypes function.
+
+    Unlike ``sla.blas.dtrsm``, whose f2py wrapper takes no leading
+    dimension and so copies any block of a larger array it is given, it
+    solves on blocks of the factor where they lie.  ctypes releases the
+    GIL for the call.
+    """
+    capsule = sla.cython_blas.__pyx_capi__["dtrsm"]
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))(capsule)
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, name)
+    int_p = ctypes.POINTER(ctypes.c_int)
+    # (side, uplo, transa, diag, m, n, alpha, a, lda, b, ldb)
+    return ctypes.CFUNCTYPE(
+        None, *(ctypes.c_char_p,) * 4, int_p, int_p,
+        ctypes.POINTER(ctypes.c_double), ctypes.c_void_p, int_p,
+        ctypes.c_void_p, int_p)(address)
+
+
+_dtrsm = _load_dtrsm()
+_ONE = ctypes.c_double(1.0)
+# The lower triangle, diagonal included, of a 64x64 block.
+_LOWER = np.tri(64, dtype=bool)
+
+
+def _solve_gain(factor, m):
+    """Mean gain G = C L_k^-1 of a Cholesky factor [[L_k, 0], [C, L_c]]
+    whose first ``m`` coordinates are known.
+
+    One right-side ``dtrsm`` runs on ``factor`` in place: it reads the
+    lower triangle of L_k and overwrites C with G, and nothing else of
+    ``factor`` is touched.  Returns G copied out column-major.  ``factor``
+    must be a square, writable, column-major float64 array with
+    0 < m < n, or CovarianceError is raised before BLAS sees its pointer.
+    """
+    if (factor.ndim != 2 or factor.shape[0] != factor.shape[1]
+            or factor.dtype != np.float64 or not factor.flags.f_contiguous
+            or not factor.flags.writeable or not 0 < m < factor.shape[0]):
+        raise cov_mod.CovarianceError(
+            f"gain solve needs a square writable column-major float64 "
+            f"factor with 0 < m < n, got {factor.dtype} of shape "
+            f"{factor.shape} and m = {m}")
+    n = factor.shape[0]
+    rows, cols, ld = ctypes.c_int(n - m), ctypes.c_int(m), ctypes.c_int(n)
+    # L_k starts at element (0, 0) and C at (m, 0), both with stride n.
+    base = factor.ctypes.data
+    _dtrsm(b"R", b"L", b"N", b"N", ctypes.byref(rows), ctypes.byref(cols),
+           ctypes.byref(_ONE), base, ctypes.byref(ld),
+           base + m * factor.itemsize, ctypes.byref(ld))
+    return np.array(factor[m:, :m], order="F")
+
+
 def condition(joint, n_known, context="", refill=None):
     """Conditional law of the last 64 coordinates given the first ``n_known``.
 
@@ -141,14 +197,16 @@ def condition(joint, n_known, context="", refill=None):
     factor splits as [[L_k, 0], [C, L_c]]: L_c is exactly the Cholesky
     factor of the Schur-complement conditional covariance, and the
     conditional mean gain S12 S22^-1 is C L_k^-1, one right-side triangular
-    solve (``dtrsm``).  No matrix is ever inverted explicitly.
+    solve (``_solve_gain``).  No matrix is ever inverted explicitly.
 
     Returns (gain, chol, jitter): the conditional mean is ``gain @ known``
-    (``gain`` is None when nothing is known), ``chol`` factors the
-    conditional covariance and ``jitter`` is the shift the factorization
-    needed.  ``refill`` is passed to ``covariance.cholesky``: with it the
-    joint is factored in place, without it the joint is left unchanged.
-    ``gain`` and ``chol`` never share memory with the joint.
+    (``gain``, column-major, is None when nothing is known), ``chol``
+    factors the conditional covariance and ``jitter`` is the shift the
+    factorization needed.  ``refill`` is passed to ``covariance.cholesky``:
+    with it the joint is factored in place and its C block then holds the
+    gain, and its strict upper triangle is never read or written; without
+    it the joint is left unchanged.  ``gain`` and ``chol`` never share
+    memory with the joint.
     """
     m = n_known
     if m < 0 or m % 64 or np.shape(joint) != (m + 64, m + 64):
@@ -156,10 +214,10 @@ def condition(joint, n_known, context="", refill=None):
             f"joint covariance of shape {np.shape(joint)} does not hold "
             f"{n_known} known coordinates and one block of 64")
     factor, jitter = cov_mod.cholesky(joint, context=context, refill=refill)
-    chol = factor[m:, m:].copy(order="C")
-    # dtrsm solves X L_k = C into a copy of C (``overwrite_b`` is off).
-    gain = (sla.blas.dtrsm(1.0, factor[:m, :m], factor[m:, :m],
-                           side=1, lower=1) if m else None)
+    # L_c's strict upper part is whatever the joint's upper triangle held.
+    chol = np.zeros((64, 64))
+    np.copyto(chol, factor[m:, m:], where=_LOWER)
+    gain = _solve_gain(factor, m) if m else None
     return gain, chol, jitter
 
 
@@ -167,29 +225,39 @@ class _Workspace(threading.local):
     """One thread's reused joint-covariance buffer and block-stream
     generator.
 
-    The buffer is sized for the largest joint (a block and its eight
-    neighbors) and cut into a column-major view per block, so no block
-    allocates its own joint.  Without it, every freed joint goes back to
-    the kernel and is faulted in again for the next block.  Each block
+    The buffer is sized for one block's joint (64², all a thread that
+    factors only lattice-1 blocks needs) until a larger joint comes, and
+    then for the largest (576², a block and its eight neighbors).  It is
+    cut into a column-major view per block, so no block allocates its
+    own joint.  Without it, every freed joint goes back to the kernel and
+    is faulted in again for the next block.  Each block
     writes only the lower triangle of its joint, the part the
-    factorization reads, and its Cholesky factor overwrites that triangle
-    in place; the upper triangle holds whatever earlier blocks left there.
+    factorization reads, and its Cholesky factor and mean gain overwrite
+    that triangle in place; the upper triangle is never written and holds
+    whatever earlier blocks, or the allocation, left there.
 
     ``gen`` is re-keyed in place for every block's stream
     (``rng.block_stream(..., gen=...)``), which draws exactly what a fresh
     generator per block would, without building a Philox per block.
     """
 
-    SIDE = 9 * 64
+    SIDE = 9 * 64  # the largest joint: a block and its eight neighbors
     flat = None  # per thread, allocated by its first ``view`` call
 
     def __init__(self):
         self.gen = np.random.Generator(np.random.Philox(seed=0))
 
     def view(self, n):
-        """An (n, n) column-major array over the buffer."""
-        if self.flat is None:
-            self.flat = np.empty(self.SIDE**2)
+        """An (n, n) column-major array over the buffer.
+
+        The buffer holds one block's joint until a larger one is asked
+        for, and then the largest joint at once: each buffer given up
+        above glibc malloc's mmap threshold raises that threshold, and
+        growing through 192², 320² and 576² left a 512² embed's peak RSS
+        1.1 MB higher.
+        """
+        if self.flat is None or self.flat.size < n * n:
+            self.flat = np.empty(n * n if n == 64 else self.SIDE**2)
         return self.flat[: n * n].reshape((n, n), order="F")
 
 

@@ -249,11 +249,21 @@ def test_cholesky_in_place_matches_copy_path(rank):
     chol, jitter = cholesky(a, refill=refill)
     copied, copied_jitter = cholesky(full)
     assert np.shares_memory(chol, a)
-    assert chol.tobytes() == copied.tobytes() and jitter == copied_jitter
+    assert np.tril(chol).tobytes() == copied.tobytes()
+    assert jitter == copied_jitter
+    # The strict upper triangle is never written: it keeps src's NaNs.
+    assert np.isnan(a[np.triu_indices(96, 1)]).all()
     # Only the singular matrix needs the jitter path, and each retry
     # refills what the failed attempt overwrote.
     assert (jitter > 0.0) == (rank < 96)
     assert (len(refills) > 0) == (rank < 96)
+
+
+@pytest.mark.parametrize("a", (np.ones(3), np.ones((2, 3))),
+                         ids=["1-d", "2x3"])
+def test_cholesky_copy_path_rejects_non_square(a):
+    with pytest.raises(CovarianceError):
+        cholesky(a)
 
 
 @pytest.mark.parametrize("a", (

@@ -332,7 +332,8 @@ def test_stale_workspace_cannot_leak_into_factors(bright_raw, paper_params):
     jitter_block = next(
         tuple(e["block"]) for e in ramp.run().report.jitter_events)
     workspace = emb_mod._Workspace()
-    workspace.view(64)
+    # Sized for the largest joint, so the NaN fill covers every block's.
+    workspace.view(9 * 64)
     cases = [(emb, block) for block in (L2, L3, L4, L4_EDGE)]
     for embedder, block in cases + [(ramp, jitter_block)]:
         workspace.flat.fill(np.nan)
@@ -399,6 +400,64 @@ def test_joint_assembly_contract(bright_raw, monkeypatch, block):
     ref = sla.solve_triangular(chol[:m, :m].T, chol[m:, :m].T,
                                lower=False).T
     assert np.abs(gain - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("m", (64, 192, 256, 320, 512))
+def test_gain_solve_works_in_place_on_the_factor(m):
+    # The solve reads L_k where it lies in the factor, so neither L_k nor C
+    # is copied, and the joint's upper triangle is never read or written.
+    n = m + 64
+    rng = np.random.default_rng(m)
+    b = rng.normal(size=(n, n + 8))
+    full = b @ b.T
+    src = np.asfortranarray(np.where(np.tri(n, dtype=bool), full, np.nan))
+    joint = src.copy(order="F")
+    gain, chol, _ = emb_mod.condition(
+        joint, m, refill=lambda: np.copyto(joint, src))
+    copied_gain, copied_chol, _ = emb_mod.condition(full, m)
+    factor, _ = emb_mod.cov_mod.cholesky(full)
+    ref = sla.blas.dtrsm(1.0, np.array(factor[:m, :m]),
+                         np.array(factor[m:, :m]), side=1, lower=1)
+    assert gain.tobytes() == ref.tobytes() == copied_gain.tobytes()
+    assert chol.tobytes() == copied_chol.tobytes()
+    assert chol.tobytes() == factor[m:, m:].tobytes()
+    assert np.isnan(joint[np.triu_indices(n, 1)]).all()
+    # Column-major, as the f2py solve returned it: ``gain @ known`` then
+    # sums in the same order.
+    assert gain.flags.f_contiguous
+
+
+@pytest.mark.parametrize("factor", (
+    np.eye(128),
+    np.eye(128, dtype=np.float32, order="F"),
+), ids=["row-major", "float32"])
+def test_gain_solve_rejects_factor_before_blas(monkeypatch, factor):
+    calls = []
+    monkeypatch.setattr(emb_mod, "_dtrsm", lambda *args: calls.append(args))
+    with pytest.raises(emb_mod.cov_mod.CovarianceError):
+        emb_mod._solve_gain(factor, 64)
+    assert calls == []
+    emb_mod._solve_gain(np.eye(128, order="F"), 64)
+    assert len(calls) == 1
+
+
+def test_factored_block_allocates_only_what_it_returns(bright_raw):
+    # With a warm workspace, an interior lattice-4 block is factored and
+    # solved where it is assembled: beyond the returned gain and factor it
+    # allocates only small temporaries (the scaled tile weights), no copy
+    # of the joint, of L_k or of C.
+    emb = SimulatedEmbedder(bright_raw, EmbedConfig(qf=95, K=5, key=1))
+    workspace = emb_mod._Workspace()
+    emb._block_factors(*L4, workspace)
+    tracemalloc.start()
+    try:
+        factors = emb._block_factors(*L4, workspace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert factors.mean_gain.shape == (64, 8 * 64)
+    budget = factors.mean_gain.nbytes + factors.chol.nbytes + 64 * 1024
+    assert peak <= budget, (peak, budget)
 
 
 def test_first_lattice_block_matches_full_run(bright_raw):
