@@ -39,7 +39,7 @@ from .covariance import (
     sigma_p,
 )
 from .lattice import LatticeAssignment, Neighborhood, neighborhood, tile
-from .sampler import Pmf, costs_from_pmf, entropy, pmf, run_block_chain
+from .sampler import costs_from_pmf, entropy, pmf, run_block_chain
 from .jpeg_model import (
     ChecksumError,
     FormatError,

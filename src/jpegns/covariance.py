@@ -7,15 +7,12 @@ jitter for the singular blocks that clamped variances produce.
 """
 
 import functools
-import logging
 import os
 
 import numpy as np
 from scipy.linalg import lapack
 
 from . import pipeline
-
-log = logging.getLogger(__name__)
 
 # Escalating relative jitter applied when a covariance factorization fails;
 # clamped zero variances make dark blocks genuinely singular.
@@ -62,11 +59,13 @@ def sigma_d(m, v):
     return (dense + dense.T) / 2.0
 
 
-def cholesky(a, context="", refill=None):
+def cholesky(a, refill=None):
     """Lower-triangular L with L L^t = a, adding escalating jitter if needed.
 
-    Only ``a``'s lower triangle is read.  Returns (L, jitter_applied);
-    raises SingularCovarianceError when the matrix stays indefinite after
+    Only ``a``'s lower triangle is read.  Returns (L, jitter_applied), the
+    diagonal shift the factorization needed (0.0 when none); nothing is
+    logged, so the caller, which knows what ``a`` is, records the shift.
+    Raises SingularCovarianceError when the matrix stays indefinite after
     the maximum jitter.  Without ``refill``, ``a`` is never modified: a
     column-major copy of its lower triangle is factored, so the returned L
     has a zero strict upper triangle.  With ``refill``, ``a`` must be a
@@ -95,12 +94,8 @@ def cholesky(a, context="", refill=None):
             a[np.diag_indices(a.shape[0])] += shift
         chol, info = lapack.dpotrf(a, lower=1, clean=0, overwrite_a=1)
         if info == 0:
-            if eps:
-                log.debug("cholesky%s applied jitter %.1e",
-                          f" ({context})" if context else "", shift)
             return chol, shift
-    raise SingularCovarianceError(
-        f"covariance{' for ' + context if context else ''} not PSD after max jitter")
+    raise SingularCovarianceError("covariance not PSD after max jitter")
 
 
 def analysis_covariance(mode="full", cfa="RGGB", green_kernel="cross"):

@@ -168,16 +168,17 @@ def _solve_gain(factor, m):
 
     One right-side ``dtrsm`` runs on ``factor`` in place: it reads the
     lower triangle of L_k and overwrites C with G, and nothing else of
-    ``factor`` is touched.  Returns G copied out column-major.  ``factor``
-    must be a square, writable, column-major float64 array with
-    0 < m < n, or CovarianceError is raised before BLAS sees its pointer.
+    ``factor`` is touched.  Returns G copied out column-major, (n - m, m);
+    with m = 0 it is empty and BLAS returns at once.  ``factor`` must be a
+    square, writable, column-major float64 array with 0 <= m < n, or
+    CovarianceError is raised before BLAS sees its pointer.
     """
     if (factor.ndim != 2 or factor.shape[0] != factor.shape[1]
             or factor.dtype != np.float64 or not factor.flags.f_contiguous
-            or not factor.flags.writeable or not 0 < m < factor.shape[0]):
+            or not factor.flags.writeable or not 0 <= m < factor.shape[0]):
         raise cov_mod.CovarianceError(
             f"gain solve needs a square writable column-major float64 "
-            f"factor with 0 < m < n, got {factor.dtype} of shape "
+            f"factor with 0 <= m < n, got {factor.dtype} of shape "
             f"{factor.shape} and m = {m}")
     n = factor.shape[0]
     rows, cols, ld = ctypes.c_int(n - m), ctypes.c_int(m), ctypes.c_int(n)
@@ -189,7 +190,7 @@ def _solve_gain(factor, m):
     return np.array(factor[m:, :m], order="F")
 
 
-def condition(joint, n_known, context="", refill=None):
+def condition(joint, n_known, refill=None):
     """Conditional law of the last 64 coordinates given the first ``n_known``.
 
     ``joint`` is the joint covariance with the known blocks first and the
@@ -200,7 +201,8 @@ def condition(joint, n_known, context="", refill=None):
     solve (``_solve_gain``).  No matrix is ever inverted explicitly.
 
     Returns (gain, chol, jitter): the conditional mean is ``gain @ known``
-    (``gain``, column-major, is None when nothing is known), ``chol``
+    with ``gain`` a column-major (64, n_known) array, (64, 0) when nothing
+    is known, so its product with the empty ``known`` is zero.  ``chol``
     factors the conditional covariance and ``jitter`` is the shift the
     factorization needed.  ``refill`` is passed to ``covariance.cholesky``:
     with it the joint is factored in place and its C block then holds the
@@ -213,12 +215,11 @@ def condition(joint, n_known, context="", refill=None):
         raise cov_mod.CovarianceError(
             f"joint covariance of shape {np.shape(joint)} does not hold "
             f"{n_known} known coordinates and one block of 64")
-    factor, jitter = cov_mod.cholesky(joint, context=context, refill=refill)
+    factor, jitter = cov_mod.cholesky(joint, refill=refill)
     # L_c's strict upper part is whatever the joint's upper triangle held.
     chol = np.zeros((64, 64))
     np.copyto(chol, factor[m:, m:], where=_LOWER)
-    gain = _solve_gain(factor, m) if m else None
-    return gain, chol, jitter
+    return _solve_gain(factor, m), chol, jitter
 
 
 class _Workspace(threading.local):
@@ -265,13 +266,14 @@ class _Workspace(threading.local):
 class _BlockFactors:
     """Draw-independent conditioning factors of one live block.
 
-    ``mean_gain`` maps the concatenated samples of ``neighbors`` (block
-    coordinates) to the conditional mean; ``rows`` holds the same blocks as
-    row indices of the (blocks_h * blocks_w, 64) block plane.  ``chol`` is
-    the Cholesky factor of the conditional covariance.
+    ``rows`` holds the live conditioning neighbors as row indices of the
+    (blocks_h * blocks_w, 64) block plane, in the joint's order, and
+    ``mean_gain``, column-major (64, 64 * len(rows)), maps their
+    concatenated samples to the conditional mean.  A lattice-1 block has
+    no rows and a (64, 0) gain.  ``chol`` is the Cholesky factor of the
+    conditional covariance.
     """
 
-    neighbors: tuple
     rows: np.ndarray
     mean_gain: np.ndarray
     chol: np.ndarray
@@ -415,16 +417,15 @@ class SimulatedEmbedder:
         try:
             gain, chol, jitter = condition(
                 joint, joint.shape[0] - 64,
-                context=f"lattice {nb.lattice} block {nb.center}",
                 refill=functools.partial(self._fill_lower, blocks, joint))
         except cov_mod.SingularCovarianceError:
-            log.warning("block (%d,%d) singular after max jitter; "
-                        "embedding skipped", bi, bj)
+            log.warning("lattice %d block (%d,%d) singular after max jitter; "
+                        "embedding skipped", nb.lattice, bi, bj)
             factors = None
         else:
             rows = np.array([ni * self.blocks_w + nj for ni, nj in neighbors],
                             dtype=np.intp)
-            factors = _BlockFactors(neighbors, rows, gain, chol, jitter)
+            factors = _BlockFactors(rows, gain, chol, jitter)
         if cache is not None:
             cache[(bi, bj)] = factors
         return factors
@@ -449,10 +450,7 @@ class SimulatedEmbedder:
         factors = self._block_factors(*block, workspace)
         if factors is None:
             return None, None
-        if factors.neighbors:
-            base_mean = factors.mean_gain @ continuous[factors.rows].ravel()
-        else:
-            base_mean = np.zeros(64)
+        base_mean = factors.mean_gain @ continuous[factors.rows].ravel()
         gen = rng.block_stream(key, lat, *block, gen=workspace.gen)
         return factors.jitter, sampler.run_block_chain(
             factors.chol, base_mean, self.q_flat, self.cfg.K, gen)
@@ -541,7 +539,8 @@ class SimulatedEmbedder:
         """
         if self.assign.lattice_of(*block) != 1:
             raise ValueError("block is not in the first macro-lattice")
-        _, chain = self._visit(block, 1, _check_key(key), None, _Workspace())
+        _, chain = self._visit(block, 1, _check_key(key), np.empty((0, 64)),
+                               _Workspace())
         if chain is None:
             raise ValueError("block has no stego signal")
         return chain

@@ -208,6 +208,8 @@ def load_raw(path):
         width, height, maxval = (int(t) for t in tokens[1:4])
     except ValueError as exc:
         raise PgmError("non-numeric PGM header field") from exc
+    if width < 0 or height < 0:
+        raise PgmError(f"negative PGM dimensions {width}x{height}")
     if maxval <= 0 or maxval > 65535:
         raise PgmError(f"unsupported PGM maxval {maxval}")
     nbytes = 2 if maxval > 255 else 1

@@ -13,8 +13,8 @@ Gaussian truncated to the change's bin gives the same joint law of
 (change, signal) as drawing the signal and reading off its bin.  So the
 chain draws the whole block at once: one product with the factor gives
 every m'_i, and each change is the bin whose standardized edges hold z_i.
-The block's folded-PMF table is built from the same edges; ``pmf`` is one
-row of that table.
+The block's folded-PMF table is built from the same edges, and ``pmf``
+returns one row of that table as a plain (2K+1,) array.
 
 Conventions: rounding is half-away-from-zero; bins are half-open on the
 left, (u_k, u_{k+1}], so a z exactly on an edge draws the lower bin; the
@@ -22,8 +22,8 @@ chain consumes exactly one uniform per coefficient, so streams are
 positionally reproducible.
 """
 
+import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -43,39 +43,10 @@ class SamplerError(Exception):
     """Invalid sampling parameters."""
 
 
-@dataclass(frozen=True)
-class Pmf:
-    """Folded change PMF over the alphabet k_min..k_max.
-
-    ``center_round`` is the rounded scaled mean used for the bin edges:
-    u_k = center_round - 0.5 + k.
-    """
-
-    k_min: int
-    k_max: int
-    probs: np.ndarray
-    center_round: int
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=np.float64)
-        if p.shape != (self.k_max - self.k_min + 1,):
-            raise SamplerError("probability vector does not match alphabet")
-        if np.any(p < 0):
-            raise SamplerError("negative probability")
-        if abs(float(p.sum()) - 1.0) > 1e-9:
-            raise SamplerError("probabilities do not sum to 1")
-        object.__setattr__(self, "probs", p)
-
-    def prob(self, k):
-        if not (self.k_min <= k <= self.k_max):
-            return 0.0
-        return float(self.probs[k - self.k_min])
-
-
 def _grid(m_hat, sigma_hat, k_range):
-    """(center, edges) of the bin grids of N(m_hat, sigma_hat^2).
+    """Standardized bin edges (n, 2K) of N(m_hat, sigma_hat^2).
 
-    ``edges`` (n, 2K) are the lower edges of the symbols -K+1..K,
+    Row i holds the lower edges of the symbols -K+1..K of coefficient i,
     standardized: (base + k) * inv with base = round(m_hat) - 0.5 - m_hat
     and inv = 1 / sigma_hat.  When every sigma_hat is at least
     ``_SAFE_SIGMA`` (the common case), that is all: |base + k| <= K + 1 and
@@ -96,13 +67,13 @@ def _grid(m_hat, sigma_hat, k_range):
     if sigma_hat.min() >= _SAFE_SIGMA:
         edges = np.add.outer(base, offsets)
         edges *= (1.0 / sigma_hat)[:, None]
-        return center, edges
+        return edges
     point = sigma_hat == 0.0
     base[point] = -np.clip(center[point], -k_range, k_range) - 0.5
     with np.errstate(divide="ignore", over="ignore"):
         inv = np.minimum(1.0 / sigma_hat, _MAX_FLOAT)
         inv[point] = np.inf
-        return center, np.add.outer(base, offsets) * inv[:, None]
+        return np.add.outer(base, offsets) * inv[:, None]
 
 
 def _pmf_table(edges):
@@ -120,26 +91,31 @@ def _pmf_table(edges):
 
 
 def pmf(m_prime, sigma_prime, q_step, k_range):
-    """Folded change PMF for a Gaussian stego signal N(m', sigma'^2).
+    """Folded change PMF of a Gaussian stego signal N(m', sigma'^2).
 
-    The signal scaled by the quantization step has mean m_hat = m'/q and
-    deviation sigma_hat = sigma'/q; bin k covers (u_k, u_{k+1}] with
-    u_k = [m_hat] - 0.5 + k, each with probability
-    Phi((u_{k+1}-m_hat)/sigma_hat) - Phi((u_k-m_hat)/sigma_hat),
-    and mass beyond +-k_range folds into the end symbols.  sigma' = 0
-    degenerates to a point mass at round(m_hat) clamped into the alphabet.
+    One row of the chain's own table: a float64 (2K+1,) array over the
+    changes -K..K.  The signal scaled by the quantization step has mean
+    m_hat = m'/q and deviation sigma_hat = sigma'/q; bin k covers
+    (u_k, u_{k+1}] with u_k = round(m_hat) - 0.5 + k, each with probability
+    Phi((u_{k+1}-m_hat)/sigma_hat) - Phi((u_k-m_hat)/sigma_hat), and mass
+    beyond +-k_range folds into the end symbols.  sigma' = 0 degenerates to
+    a point mass at round(m_hat) clamped into the alphabet.
     """
-    if sigma_prime < 0:
-        raise SamplerError("sigma_prime must be >= 0")
-    if q_step <= 0:
-        raise SamplerError("q_step must be positive")
+    if not isinstance(k_range, (int, np.integer)) or isinstance(k_range, bool):
+        raise SamplerError(
+            f"alphabet half-width must be an integer, got {k_range!r}")
     if k_range < 1:
         raise SamplerError("alphabet half-width must be >= 1")
-    center, edges = _grid(np.array([m_prime / q_step]),
-                          np.array([sigma_prime / q_step]), k_range)
-    probs = _pmf_table(edges)[0]
-    return Pmf(k_min=-k_range, k_max=k_range, probs=probs,
-               center_round=int(center[0]))
+    if not (math.isfinite(q_step) and q_step > 0):
+        raise SamplerError("q_step must be positive and finite")
+    if sigma_prime < 0:
+        raise SamplerError("sigma_prime must be >= 0")
+    m_hat, sigma_hat = m_prime / q_step, sigma_prime / q_step
+    if not (math.isfinite(m_hat) and math.isfinite(sigma_hat)):
+        raise SamplerError("m_prime / q_step and sigma_prime / q_step must "
+                           "be finite")
+    return _pmf_table(_grid(np.array([m_hat]), np.array([sigma_hat]),
+                            k_range))[0]
 
 
 def entropy(p):
@@ -196,7 +172,7 @@ def run_block_chain(chol, base_mean, q_steps, k_range, gen):
     m_hat, sigma_hat = params[:, 0], params[:, 1]
     np.divide(means, steps, out=m_hat)
     np.divide(sigmas, steps, out=sigma_hat)
-    _, edges = _grid(m_hat, sigma_hat, k_range)
+    edges = _grid(m_hat, sigma_hat, k_range)
     changes = (edges < z[:, None]).sum(axis=1)
     changes -= k_range
     probs = _pmf_table(edges)

@@ -188,9 +188,9 @@ def test_criterion_06_pmf_fidelity():
         q = int(rng.integers(1, 101))
         k = int(rng.integers(1, 6))
         p = sampler.pmf(m, s, q, k)
-        worst_sum = max(worst_sum, abs(float(p.probs.sum()) - 1.0))
+        worst_sum = max(worst_sum, abs(float(p.sum()) - 1.0))
         oracle = quadrature_change_pmf(m, s, q, k)
-        worst = max(worst, float(np.abs(p.probs - oracle).max()))
+        worst = max(worst, float(np.abs(p - oracle).max()))
     assert worst <= 1e-10
     assert worst_sum <= 1e-9
     passline(6, f"1000-point sweep: max quadrature gap {worst:.1e}, "

@@ -263,3 +263,17 @@ def test_empty_mosaic_exits_cleanly(tmp_path, caplog, command):
     assert rc == 1
     assert "error: image is empty (0x8 photo-sites)" in caplog.text
     assert not out.exists()
+
+
+def test_negative_pgm_dimensions_exit_cleanly(tmp_path, caplog):
+    path = tmp_path / "negative.pgm"
+    path.write_bytes(b"P5\n-8 -8\n4095\n" + b"\x00" * 128)
+    main(["synth", "--kind", "constant", "--mu", "100", "--w", "8",
+          "--h", "8", "-o", str(tmp_path / "ok.pgm")])
+    (tmp_path / "negative.pgm.json").write_text(
+        (tmp_path / "ok.pgm.json").read_text())
+    out = tmp_path / "out.jcns"
+    rc = main(["develop", str(path), "--qf", "75", "-o", str(out)])
+    assert rc == 1
+    assert "error: negative PGM dimensions -8x-8" in caplog.text
+    assert not out.exists()

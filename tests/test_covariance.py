@@ -137,6 +137,19 @@ def test_condition_zero_known_gives_schur():
     assert np.abs(recon - schur).max() <= 1e-8 * np.abs(schur).max()
 
 
+def test_condition_with_nothing_known_is_the_block_factor():
+    # Lattice-1 blocks condition on nothing: the gain is an empty
+    # column-major (64, 0) array, whose product with the empty known
+    # vector is the zero mean, and the factor is cholesky's own.
+    full = block_cov(np.random.default_rng(5), 64)
+    gain, chol, jitter = condition(full, 0)
+    assert gain.shape == (64, 0) and gain.flags.f_contiguous
+    assert np.all((gain @ np.zeros(0)) == 0.0)
+    ref, ref_jitter = cholesky(full)
+    assert chol.tobytes() == ref.tobytes()
+    assert jitter == ref_jitter == 0.0
+
+
 def test_condition_block_diagonal_unchanged():
     rng = np.random.default_rng(4)
     full = np.zeros((128, 128))

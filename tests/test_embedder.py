@@ -75,8 +75,29 @@ def test_isolated_dead_block(bright_raw):
     assert result.report.entropy_plane[8:16, 16:24].sum() > 0.0
     # (3, 2) is a lattice-4 block: it conditions on all eight neighbors
     # except the dead one.
-    neighbors = emb._block_factors(3, 2, emb_mod._Workspace()).neighbors
-    assert len(neighbors) == 7 and (2, 2) not in neighbors
+    rows = emb._block_factors(3, 2, emb_mod._Workspace()).rows
+    assert len(rows) == 7 and 2 * emb.blocks_w + 2 not in rows
+
+
+def test_singular_blocks_are_skipped_and_reported(bright_raw, monkeypatch,
+                                                  caplog):
+    # A block still singular after the maximum jitter embeds nothing: the
+    # report lists it, and the warning names its lattice and block.
+    emb = SimulatedEmbedder(bright_raw, EmbedConfig(qf=95, K=5, key=1))
+
+    def singular(*args, **kwargs):
+        raise emb_mod.cov_mod.SingularCovarianceError(
+            "covariance not PSD after max jitter")
+
+    monkeypatch.setattr(emb_mod, "condition", singular)
+    with caplog.at_level("WARNING", logger="jpegns.embedder"):
+        result = emb.run()
+    lat = emb.assign.lattice_of(0, 0)
+    assert len(result.report.failed_blocks) == np.count_nonzero(emb.live)
+    assert {"lattice": lat, "block": [0, 0]} in result.report.failed_blocks
+    assert np.array_equal(result.stego.coeffs, emb.cover.coeffs)
+    assert (f"lattice {lat} block (0,0) singular after max jitter"
+            in caplog.text)
 
 
 def test_pseudo_embed_zero_variance_identity(paper_params):
@@ -294,7 +315,8 @@ def test_block_factors_match_public_conditioning(bright_raw):
     nb_labels = [("N", (1, 3)), ("W", (2, 2)), ("E", (2, 4)), ("S", (3, 3))]
     neighbors = [blk for _, blk in nb_labels]
     factors = emb._block_factors(bi, bj, emb_mod._Workspace())
-    assert factors.neighbors == tuple(neighbors)
+    assert factors.rows.tolist() == [ni * emb.blocks_w + nj
+                                     for ni, nj in neighbors]
 
     joint = emb.joint_covariance([(bi, bj)] + neighbors)
     s11, s12, s22 = joint[:64, :64], joint[:64, 64:], joint[64:, 64:]
@@ -339,7 +361,7 @@ def test_stale_workspace_cannot_leak_into_factors(bright_raw, paper_params):
         workspace.flat.fill(np.nan)
         reused = embedder._block_factors(*block, workspace)
         fresh = embedder._block_factors(*block, emb_mod._Workspace())
-        assert reused.neighbors == fresh.neighbors
+        assert np.array_equal(reused.rows, fresh.rows)
         assert np.array_equal(reused.mean_gain, fresh.mean_gain)
         assert np.array_equal(reused.chol, fresh.chol)
         assert reused.jitter == fresh.jitter
@@ -427,15 +449,18 @@ def test_gain_solve_works_in_place_on_the_factor(m):
     assert gain.flags.f_contiguous
 
 
-@pytest.mark.parametrize("factor", (
-    np.eye(128),
-    np.eye(128, dtype=np.float32, order="F"),
-), ids=["row-major", "float32"])
-def test_gain_solve_rejects_factor_before_blas(monkeypatch, factor):
+@pytest.mark.parametrize("factor, m", (
+    (np.eye(128), 64),
+    (np.eye(128, dtype=np.float32, order="F"), 64),
+    (np.eye(128, order="F"), -64),
+    (np.eye(128, order="F"), 128),
+    (np.eye(128, order="F"), 192),
+), ids=["row-major", "float32", "m-negative", "m-equals-n", "m-above-n"])
+def test_gain_solve_rejects_factor_before_blas(monkeypatch, factor, m):
     calls = []
     monkeypatch.setattr(emb_mod, "_dtrsm", lambda *args: calls.append(args))
     with pytest.raises(emb_mod.cov_mod.CovarianceError):
-        emb_mod._solve_gain(factor, 64)
+        emb_mod._solve_gain(factor, m)
     assert calls == []
     emb_mod._solve_gain(np.eye(128, order="F"), 64)
     assert len(calls) == 1
@@ -458,6 +483,18 @@ def test_factored_block_allocates_only_what_it_returns(bright_raw):
     assert factors.mean_gain.shape == (64, 8 * 64)
     budget = factors.mean_gain.nbytes + factors.chol.nbytes + 64 * 1024
     assert peak <= budget, (peak, budget)
+
+
+def test_first_lattice_block_factors_have_the_common_shape(bright_raw):
+    # A lattice-1 block conditions on nothing, yet its factors have the
+    # shape of every other block's: no rows and an empty (64, 0) gain.
+    emb = SimulatedEmbedder(bright_raw, EmbedConfig(qf=95, K=5, key=1))
+    block = emb.assign.block_lists[0][0]
+    assert emb.live[block]
+    factors = emb._block_factors(*block, emb_mod._Workspace())
+    assert factors.rows.shape == (0,) and factors.rows.dtype == np.intp
+    assert factors.mean_gain.shape == (64, 0)
+    assert factors.mean_gain.flags.f_contiguous
 
 
 def test_first_lattice_block_matches_full_run(bright_raw):

@@ -136,6 +136,17 @@ def test_truncated_pixel_data(tmp_path):
         load_raw(path)
 
 
+@pytest.mark.parametrize("dims", [b"-8 -8", b"-8 8", b"8 -8"])
+def test_negative_dimensions_rejected(tmp_path, dims):
+    # -8 x -8 sizes a body of 128 bytes, which the file holds.
+    path = tmp_path / "negative.pgm"
+    path.write_bytes(b"P5\n" + dims + b"\n4095\n" + b"\x00" * 128)
+    with open(str(path) + ".json", "w") as fh:
+        json.dump(BASE_SIDECAR, fh)
+    with pytest.raises(PgmError, match="negative PGM dimensions"):
+        load_raw(path)
+
+
 def test_default_cfa_is_rggb(tmp_path, caplog):
     path = tmp_path / "nocfa.pgm"
     sidecar = {k: v for k, v in BASE_SIDECAR.items() if k != "cfa"}

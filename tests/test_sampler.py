@@ -9,7 +9,6 @@ from scipy.stats import norm
 from jpegns import rng as streams
 from jpegns.jpeg_model import round_half_away_array
 from jpegns.sampler import (
-    Pmf,
     SamplerError,
     costs_from_pmf,
     entropy,
@@ -100,34 +99,35 @@ def assert_samples_in_drawn_bins(out, q_steps, k_range):
 
 def test_pmf_point_mass_at_zero():
     p = pmf(0.0, 0.0, 4.0, 3)
-    assert p.prob(0) == 1.0
-    assert p.probs.sum() == 1.0
-    assert entropy(p.probs) == 0.0
+    assert type(p) is np.ndarray and p.dtype == np.float64 and p.shape == (7,)
+    assert p[0 + 3] == 1.0
+    assert p.sum() == 1.0
+    assert entropy(p) == 0.0
 
 
 def test_pmf_point_mass_at_rounded_mean():
     # sigma' = 0 collapses to round(m_hat) clamped into the alphabet.
     p = pmf(9.0, 0.0, 4.0, 3)  # m_hat = 2.25 -> atom at 2
-    assert p.prob(2) == 1.0
+    assert p[2 + 3] == 1.0
     p = pmf(100.0, 0.0, 4.0, 3)  # m_hat = 25 -> clamped to K
-    assert p.prob(3) == 1.0
+    assert p[3 + 3] == 1.0
     p = pmf(-100.0, 0.0, 4.0, 3)
-    assert p.prob(-3) == 1.0
+    assert p[-3 + 3] == 1.0
 
 
 def test_pmf_unit_sigma_hat_values():
     # m' = 0, sigma' = Q: pi(0) = erf(0.5 / sqrt 2), tails split evenly.
     p = pmf(0.0, 3.0, 3.0, 1)
     expected0 = math.erf(0.5 / math.sqrt(2.0))
-    assert p.prob(0) == pytest.approx(expected0, abs=1e-14)
-    assert p.prob(1) == pytest.approx((1.0 - expected0) / 2.0, abs=1e-14)
-    assert p.prob(-1) == pytest.approx((1.0 - expected0) / 2.0, abs=1e-14)
+    assert p[0 + 1] == pytest.approx(expected0, abs=1e-14)
+    assert p[1 + 1] == pytest.approx((1.0 - expected0) / 2.0, abs=1e-14)
+    assert p[-1 + 1] == pytest.approx((1.0 - expected0) / 2.0, abs=1e-14)
 
 
 def test_pmf_symmetry():
     for sigma in (0.3, 1.0, 7.0):
         p = pmf(0.0, sigma, 2.0, 5)
-        assert np.allclose(p.probs, p.probs[::-1], atol=1e-15)
+        assert np.allclose(p, p[::-1], atol=1e-15)
 
 
 def test_pmf_matches_quadrature():
@@ -139,7 +139,7 @@ def test_pmf_matches_quadrature():
         k = int(rng.integers(1, 6))
         p = pmf(m, s, q, k)
         oracle = quadrature_pmf(m, s, q, k)
-        assert np.abs(p.probs - oracle).max() <= 1e-10
+        assert np.abs(p - oracle).max() <= 1e-10
 
 
 def test_pmf_folding_matches_tail_mass():
@@ -148,10 +148,10 @@ def test_pmf_folding_matches_tail_mass():
     center = 2  # round(1.5) half away from zero
     lo_edge = center - 0.5 + (-2 + 1)
     hi_edge = center - 0.5 + 2
-    assert p.prob(-2) == pytest.approx(norm.cdf((lo_edge - m_hat) / sigma_hat),
-                                       abs=1e-14)
-    assert p.prob(2) == pytest.approx(norm.sf((hi_edge - m_hat) / sigma_hat),
+    assert p[-2 + 2] == pytest.approx(norm.cdf((lo_edge - m_hat) / sigma_hat),
                                       abs=1e-14)
+    assert p[2 + 2] == pytest.approx(norm.sf((hi_edge - m_hat) / sigma_hat),
+                                     abs=1e-14)
 
 
 @settings(max_examples=80, deadline=None)
@@ -163,16 +163,16 @@ def test_pmf_folding_matches_tail_mass():
 )
 def test_pmf_normalization_property(m, sigma, q, k):
     p = pmf(m, sigma, q, k)
-    assert abs(float(p.probs.sum()) - 1.0) <= 1e-9
-    assert np.all(p.probs >= 0.0)
-    assert entropy(p.probs) <= math.log2(2 * k + 1) + 1e-12
+    assert abs(float(p.sum()) - 1.0) <= 1e-9
+    assert np.all(p >= 0.0)
+    assert entropy(p) <= math.log2(2 * k + 1) + 1e-12
 
 
 def test_pmf_and_chain_split_mean_on_edge_with_subnormal_sigma():
     # 1 / 5e-324 overflows; the bin edge through m_hat = 1.5 must still have
     # CDF 0.5, not erf(0 * inf) = NaN, in the PMF and in the chain's draw.
     p = pmf(1.5, 5e-324, 1.0, 1)
-    assert p.probs.tolist() == [0.5, 0.5, 0.0]
+    assert p.tolist() == [0.5, 0.5, 0.0]
     out = iid_chain(5e-324, 1.5, 1.0, 1, gen(3))
     assert np.all(out["probs"] == [0.5, 0.5, 0.0])
     assert set(out["changes"].tolist()) == {-1, 0}
@@ -188,6 +188,30 @@ def test_pmf_rejects_bad_arguments():
         pmf(0.0, 1.0, 1.0, 0)
 
 
+@pytest.mark.parametrize("args", [
+    (0.0, math.nan, 1.0, 2),
+    (0.0, math.inf, 1.0, 2),
+    (math.nan, 1.0, 1.0, 2),
+    (math.inf, 1.0, 1.0, 2),
+    (0.0, 1.0, math.nan, 2),
+    (0.0, 1.0, math.inf, 2),
+    (1e308, 1.0, 1e-10, 2),
+    (0.0, 1.0, 1.0, 2.5),
+    (0.0, 1.0, 1.0, 2.0),
+    (0.0, 1.0, 1.0, True),
+], ids=["sigma-nan", "sigma-inf", "mean-nan", "mean-inf", "step-nan",
+        "step-inf", "scaled-mean-overflows", "K-fractional", "K-float",
+        "K-bool"])
+def test_pmf_rejects_non_finite_or_non_integer_arguments(args):
+    with pytest.raises(SamplerError):
+        pmf(*args)
+
+
+def test_pmf_accepts_numpy_arguments():
+    assert np.array_equal(pmf(np.float64(0.7), np.float64(1.8), np.int64(2),
+                              np.int64(2)), pmf(0.7, 1.8, 2.0, 2))
+
+
 # -- entropy and costs ----------------------------------------------------------
 
 
@@ -198,9 +222,7 @@ def test_entropy_known_values():
 
 
 def test_costs_values():
-    p = Pmf(k_min=-1, k_max=1, probs=np.array([0.25, 0.5, 0.25]),
-            center_round=0)
-    rho = costs_from_pmf(p.probs)
+    rho = costs_from_pmf(np.array([0.25, 0.5, 0.25]))
     assert rho[1] == 0.0
     assert rho[0] == pytest.approx(math.log(2.0), abs=1e-15)
     assert rho[2] == pytest.approx(math.log(2.0), abs=1e-15)
@@ -208,7 +230,7 @@ def test_costs_values():
 
 def test_costs_infinite_for_zero_mass():
     p = pmf(0.0, 0.0, 1.0, 2)  # point mass at 0
-    rho = costs_from_pmf(p.probs)
+    rho = costs_from_pmf(p)
     assert rho[2] == 0.0
     assert np.all(np.isinf(rho[[0, 1, 3, 4]]))
 
@@ -219,11 +241,11 @@ def test_costs_of_pmf_array():
     pmfs = [pmf(0.7, 1.8, 2.0, 2), pmf(9.0, 0.0, 4.0, 2),
             pmf(-3.0, 5.0, 1.0, 2)]
     probs = np.zeros((2, 2, 5))
-    probs[0, 0], probs[0, 1], probs[1, 0] = (p.probs for p in pmfs)
+    probs[0, 0], probs[0, 1], probs[1, 0] = pmfs
     rho = costs_from_pmf(probs)
     assert rho.shape == probs.shape
     for idx, p in zip(((0, 0), (0, 1), (1, 0)), pmfs):
-        assert np.array_equal(rho[idx], costs_from_pmf(p.probs))
+        assert np.array_equal(rho[idx], costs_from_pmf(p))
     assert np.all(np.isposinf(rho[1, 1]))
 
 
@@ -257,8 +279,8 @@ def test_chain_discrete_frequencies():
     n = draws.size
     for k in range(-2, 3):
         freq = np.mean(draws == k)
-        se = math.sqrt(p.prob(k) * (1.0 - p.prob(k)) / n)
-        assert abs(freq - p.prob(k)) <= 5.0 * se
+        se = math.sqrt(p[k + 2] * (1.0 - p[k + 2]) / n)
+        assert abs(freq - p[k + 2]) <= 5.0 * se
 
 
 def test_chain_never_draws_zero_mass_bin():
@@ -359,7 +381,7 @@ def test_chain_first_step_params():
     # First coefficient: m' = mean[0], sigma' = chol[0, 0].
     assert np.array_equal(out["params"][0], [mean[0] / q, chol[0, 0] / q])
     ref = pmf(mean[0], abs(chol[0, 0]), q, 5)
-    assert np.array_equal(out["probs"][0], ref.probs)
+    assert np.array_equal(out["probs"][0], ref)
 
 
 def test_chain_diagonal_chol_matches_standalone_pmfs():
@@ -369,7 +391,7 @@ def test_chain_diagonal_chol_matches_standalone_pmfs():
     out = run_block_chain(chol, mean, np.full(64, 2.0), 4, gen(12))
     for i in range(64):
         ref = pmf(mean[i], sigmas[i], 2.0, 4)
-        assert np.array_equal(out["probs"][i], ref.probs)
+        assert np.array_equal(out["probs"][i], ref)
 
 
 def test_chain_determinism():
@@ -396,7 +418,7 @@ def test_chain_entropy_monotone_in_alphabet_at_matched_params():
     q = np.full(64, 2.0)
     out = run_block_chain(chol, mean, q, 5, gen(20))
     for m_hat, sigma_hat in out["params"]:
-        h = [entropy(pmf(m_hat * 2.0, sigma_hat * 2.0, 2.0, k).probs)
+        h = [entropy(pmf(m_hat * 2.0, sigma_hat * 2.0, 2.0, k))
              for k in (1, 2, 3, 5)]
         assert h[0] <= h[1] + 1e-12
         assert h[1] <= h[2] + 1e-12
