@@ -10,9 +10,8 @@ import functools
 import os
 
 import numpy as np
-from scipy.linalg import lapack
 
-from . import pipeline
+from . import blas, pipeline
 
 # Escalating relative jitter applied when a covariance factorization fails;
 # clamped zero variances make dark blocks genuinely singular.
@@ -59,7 +58,7 @@ def sigma_d(m, v):
     return (dense + dense.T) / 2.0
 
 
-def cholesky(a, refill=None):
+def cholesky(a, refill=None, lead=0):
     """Lower-triangular L with L L^t = a, adding escalating jitter if needed.
 
     Only ``a``'s lower triangle is read.  Returns (L, jitter_applied), the
@@ -69,12 +68,23 @@ def cholesky(a, refill=None):
     the maximum jitter.  Without ``refill``, ``a`` is never modified: a
     column-major copy of its lower triangle is factored, so the returned L
     has a zero strict upper triangle.  With ``refill``, ``a`` must be a
-    column-major float64 array (LAPACK's layout, so nothing is copied
-    behind it); it is factored in place and returned as L, and
+    writable column-major float64 array (LAPACK's layout, so nothing is
+    copied behind it); it is factored in place and returned as L, and
     ``refill()`` must rewrite its lower triangle before each jitter retry,
     since a failed attempt overwrites it.  The factored array's strict
     upper triangle is never read or written: in place, it keeps whatever
     ``a`` held there.
+
+    ``lead`` declares that the first ``lead`` diagonal 64 x 64 tiles are
+    the only nonzero tiles of ``a``'s leading 64 * ``lead`` rows and
+    columns, as for blocks no two of which are 8-connected.  Each of those
+    tiles is then factored on its own (``dpotrf``) and solves its panel
+    below the lead (``dtrsm``); one rank update (``dsyrk``) and one
+    ``dpotrf`` of the trailing block finish L.  The zero tiles among the
+    lead are neither read nor written, so L holds them as ``a`` did.  With
+    ``lead`` < 2 the whole matrix is one dense ``dpotrf``.  Any attempt
+    that fails, in a lead tile or in the trailing block, goes to the next
+    jitter step.
     """
     if refill is None:
         src = np.asarray(a, dtype=np.float64)
@@ -83,19 +93,42 @@ def cholesky(a, refill=None):
         a = np.array(src, order="F")
         refill = functools.partial(np.copyto, a, src)
     if (a.ndim != 2 or a.shape[0] != a.shape[1] or a.dtype != np.float64
-            or not a.flags.f_contiguous):
-        raise CovarianceError("cholesky needs a square column-major float64 "
-                              f"array, got {a.dtype} of shape {a.shape}")
+            or not a.flags.f_contiguous or not a.flags.writeable):
+        raise CovarianceError("cholesky needs a square writable column-major "
+                              f"float64 array, got {a.dtype} of shape "
+                              f"{a.shape}")
+    n = a.shape[0]
+    if not 0 <= 64 * lead <= n:
+        raise CovarianceError(f"a lead of {lead} tiles does not fit a "
+                              f"matrix of order {n}")
     shift = 0.0
     for eps in (0.0,) + JITTER_LADDER:
         if eps:
             refill()
             shift = eps * float(np.mean(np.diag(a)))
-            a[np.diag_indices(a.shape[0])] += shift
-        chol, info = lapack.dpotrf(a, lower=1, clean=0, overwrite_a=1)
-        if info == 0:
-            return chol, shift
+            a[np.diag_indices(n)] += shift
+        if _factor_in_place(a, lead) == 0:
+            return a, shift
     raise SingularCovarianceError("covariance not PSD after max jitter")
+
+
+def _factor_in_place(a, lead):
+    """LAPACK's info for the in-place lower factor of ``a`` (see cholesky)."""
+    n = a.shape[0]
+    base, item = a.ctypes.data, a.itemsize
+    if lead < 2:
+        return blas.dpotrf(n, base, n)
+    k, rest = 64 * lead, n - 64 * lead
+    trailing = base + (k * n + k) * item
+    for start in range(0, k, 64):
+        tile = base + (start * n + start) * item
+        info = blas.dpotrf(64, tile, n)
+        if info:
+            return info
+        # The tile's panel below the lead: rows k.. of its columns.
+        blas.dtrsm(b"T", rest, 64, tile, n, tile + (k - start) * item, n)
+    blas.dsyrk(rest, k, base + k * item, n, trailing, n)
+    return blas.dpotrf(rest, trailing, n)
 
 
 def analysis_covariance(mode="full", cfa="RGGB", green_kernel="cross"):

@@ -14,7 +14,6 @@ coordinates, so results are bit-identical for any worker count.
 """
 
 import contextlib
-import ctypes
 import functools
 import logging
 import math
@@ -24,8 +23,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
+import scipy.linalg as sla  # noqa: F401  (wrapped by the benchmark)
 
+from . import blas
 from . import covariance as cov_mod
 from . import jpeg_model, lattice, pipeline, rng, sampler
 from .raw_io import RawImage
@@ -134,63 +134,55 @@ class EmbedResult:
     probs: np.ndarray = None  # (bh, bw, 64, 2K+1) folded PMFs, if collected
 
 
-def _load_dtrsm():
-    """BLAS ``dtrsm`` from ``scipy.linalg.cython_blas`` as a ctypes function.
-
-    Unlike ``sla.blas.dtrsm``, whose f2py wrapper takes no leading
-    dimension and so copies any block of a larger array it is given, it
-    solves on blocks of the factor where they lie.  ctypes releases the
-    GIL for the call.
-    """
-    capsule = sla.cython_blas.__pyx_capi__["dtrsm"]
-    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))(capsule)
-    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
-                                ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, name)
-    int_p = ctypes.POINTER(ctypes.c_int)
-    # (side, uplo, transa, diag, m, n, alpha, a, lda, b, ldb)
-    return ctypes.CFUNCTYPE(
-        None, *(ctypes.c_char_p,) * 4, int_p, int_p,
-        ctypes.POINTER(ctypes.c_double), ctypes.c_void_p, int_p,
-        ctypes.c_void_p, int_p)(address)
-
-
-_dtrsm = _load_dtrsm()
-_ONE = ctypes.c_double(1.0)
 # The lower triangle, diagonal included, of a 64x64 block.
 _LOWER = np.tri(64, dtype=bool)
 
 
-def _solve_gain(factor, m):
+def _solve_gain(factor, m, lead=0):
     """Mean gain G = C L_k^-1 of a Cholesky factor [[L_k, 0], [C, L_c]]
     whose first ``m`` coordinates are known.
 
-    One right-side ``dtrsm`` runs on ``factor`` in place: it reads the
-    lower triangle of L_k and overwrites C with G, and nothing else of
-    ``factor`` is touched.  Returns G copied out column-major, (n - m, m);
-    with m = 0 it is empty and BLAS returns at once.  ``factor`` must be a
-    square, writable, column-major float64 array with 0 <= m < n, or
-    CovarianceError is raised before BLAS sees its pointer.
+    The solve runs on ``factor`` in place: it reads the lower triangle of
+    L_k and overwrites C with G, and nothing else of ``factor`` is
+    touched.  ``lead`` is the factor's lead (``covariance.cholesky``): L_k
+    splits as [[D, 0], [B, L22]] with D block-diagonal over ``lead``
+    64 x 64 tiles, so G = [G1, G2] comes from one right-side ``dtrsm`` on
+    L22 (G2 = C2 L22^-1), one ``dgemm`` (C1 - G2 B) and one ``dtrsm`` per
+    tile of D (G1).  With ``lead`` < 2 it is one ``dtrsm`` on all of L_k.
+    Returns G copied out column-major, (n - m, m); with m = 0 it is empty
+    and BLAS returns at once.  ``factor`` must be a square, writable,
+    column-major float64 array with 0 <= m < n and 0 <= 64 * lead <= m,
+    or CovarianceError is raised before BLAS sees its pointer.
     """
     if (factor.ndim != 2 or factor.shape[0] != factor.shape[1]
             or factor.dtype != np.float64 or not factor.flags.f_contiguous
-            or not factor.flags.writeable or not 0 <= m < factor.shape[0]):
+            or not factor.flags.writeable or not 0 <= m < factor.shape[0]
+            or not 0 <= 64 * lead <= m):
         raise cov_mod.CovarianceError(
             f"gain solve needs a square writable column-major float64 "
-            f"factor with 0 <= m < n, got {factor.dtype} of shape "
-            f"{factor.shape} and m = {m}")
+            f"factor with 0 <= m < n and a lead that fits m, got "
+            f"{factor.dtype} of shape {factor.shape}, m = {m} and "
+            f"lead = {lead}")
     n = factor.shape[0]
-    rows, cols, ld = ctypes.c_int(n - m), ctypes.c_int(m), ctypes.c_int(n)
-    # L_k starts at element (0, 0) and C at (m, 0), both with stride n.
-    base = factor.ctypes.data
-    _dtrsm(b"R", b"L", b"N", b"N", ctypes.byref(rows), ctypes.byref(cols),
-           ctypes.byref(_ONE), base, ctypes.byref(ld),
-           base + m * factor.itemsize, ctypes.byref(ld))
+    base, item = factor.ctypes.data, factor.itemsize
+    # C starts at element (m, 0), and every block has stride n.
+    gain = base + m * item
+    if lead < 2:
+        blas.dtrsm(b"N", n - m, m, base, n, gain, n)
+    else:
+        k = 64 * lead
+        blas.dtrsm(b"N", n - m, m - k, base + (k * n + k) * item, n,
+                   gain + k * n * item, n)
+        blas.dgemm(n - m, k, m - k, gain + k * n * item, n,
+                   base + k * item, n, gain, n)
+        for start in range(0, k, 64):
+            blas.dtrsm(b"N", n - m, 64,
+                       base + (start * n + start) * item, n,
+                       gain + start * n * item, n)
     return np.array(factor[m:, :m], order="F")
 
 
-def condition(joint, n_known, refill=None):
+def condition(joint, n_known, refill=None, lead=0):
     """Conditional law of the last 64 coordinates given the first ``n_known``.
 
     ``joint`` is the joint covariance with the known blocks first and the
@@ -204,22 +196,27 @@ def condition(joint, n_known, refill=None):
     with ``gain`` a column-major (64, n_known) array, (64, 0) when nothing
     is known, so its product with the empty ``known`` is zero.  ``chol``
     factors the conditional covariance and ``jitter`` is the shift the
-    factorization needed.  ``refill`` is passed to ``covariance.cholesky``:
-    with it the joint is factored in place and its C block then holds the
-    gain, and its strict upper triangle is never read or written; without
-    it the joint is left unchanged.  ``gain`` and ``chol`` never share
-    memory with the joint.
+    factorization needed.  ``refill`` and ``lead`` are passed to
+    ``covariance.cholesky``: with ``refill`` the joint is factored in place
+    and its C block then holds the gain, and its strict upper triangle is
+    never read or written; without it the joint is left unchanged.
+    ``lead`` (at most n_known / 64 blocks) lets the factorization and the
+    solve skip the zero tiles among the leading known blocks.  ``gain``
+    and ``chol`` never share memory with the joint.
     """
     m = n_known
     if m < 0 or m % 64 or np.shape(joint) != (m + 64, m + 64):
         raise cov_mod.CovarianceError(
             f"joint covariance of shape {np.shape(joint)} does not hold "
             f"{n_known} known coordinates and one block of 64")
-    factor, jitter = cov_mod.cholesky(joint, refill=refill)
+    if not 0 <= 64 * lead <= m:
+        raise cov_mod.CovarianceError(
+            f"a lead of {lead} blocks does not fit {m} known coordinates")
+    factor, jitter = cov_mod.cholesky(joint, refill=refill, lead=lead)
     # L_c's strict upper part is whatever the joint's upper triangle held.
     chol = np.zeros((64, 64))
     np.copyto(chol, factor[m:, m:], where=_LOWER)
-    return _solve_gain(factor, m), chol, jitter
+    return _solve_gain(factor, m, lead), chol, jitter
 
 
 class _Workspace(threading.local):
@@ -343,21 +340,25 @@ class SimulatedEmbedder:
     # -- covariance assembly ------------------------------------------------
 
     def _tile_plan(self, blocks):
-        """Lower tiles of the joint over ``blocks``: (tiles, zeros).
+        """Lower tiles of the joint over ``blocks``: (tiles, zeros, lead).
 
         ``tiles`` holds (rows, cols, a, r, c, wa, wb) for each pair of
         8-connected blocks a <= b: the joint's (rows, cols) tile, block b
         against block a, is ``((wa * var) @ wb).T`` with ``var`` the (r, c)
         overlap of block a's variance window.  ``zeros`` holds the
         (rows, cols) tiles of the other pairs, which share no photo-site
-        support.  Memoized by the blocks' offsets from the last one; an
-        image has a few dozen such layouts whatever its size.
+        support.  ``lead`` counts the leading blocks, the last one
+        excepted, no two of which are 8-connected: the joint's tiles among
+        them are zero off the diagonal (``covariance.cholesky``).
+        Memoized by the blocks' offsets from the last one; an image has a
+        few dozen such layouts whatever its size.
         """
         ri, ci = blocks[-1]
         layout = tuple((r - ri, c - ci) for r, c in blocks)
         plan = self._plans.get(layout)
         if plan is None:
             tiles, zeros = [], []
+            lead = len(layout) - 1
             for a, (ra, ca) in enumerate(layout):
                 cols = slice(64 * a, 64 * (a + 1))
                 for b in range(a, len(layout)):
@@ -368,13 +369,15 @@ class SimulatedEmbedder:
                     else:
                         tiles.append((rows, cols, a)
                                      + self._overlap[(rb - ra, cb - ca)])
-            plan = self._plans[layout] = (tuple(tiles), tuple(zeros))
+                        if a < b:
+                            lead = min(lead, b)
+            plan = self._plans[layout] = (tuple(tiles), tuple(zeros), lead)
         return plan
 
     def _fill_lower(self, blocks, out):
         """Write the lower triangle of the joint over ``blocks`` into
         ``out`` (column-major, 64 rows and columns per block)."""
-        tiles, zeros = self._tile_plan(blocks)
+        tiles, zeros, _ = self._tile_plan(blocks)
         for rows, cols in zeros:
             out[rows, cols] = 0.0
         for rows, cols, a, r, c, wa, wb in tiles:
@@ -398,6 +401,22 @@ class SimulatedEmbedder:
 
     # -- factors -------------------------------------------------------------
 
+    def joint_blocks(self, block):
+        """The blocks of ``block``'s joint in the order it is factored: the
+        live neighbors, latest lattice first, then ``block`` itself.
+
+        Dead neighbors carry no information and only make the conditioning
+        singular.  Blocks of one lattice are never 8-connected, so the
+        order puts a run of mutually unconnected blocks first (the joint's
+        ``lead``): the four lattice-1 corners of a lattice-2 block, the
+        lattice-2 N and S of a lattice-3 block and the four lattice-3
+        corners of a lattice-4 block.
+        """
+        nb = lattice.neighborhood(self.assign, block)
+        live = [blk for blk in nb.neighbors if self.live[blk]]
+        live.sort(key=lambda blk: -self.assign.lattice_of(*blk))
+        return tuple(live) + (block,)
+
     def _block_factors(self, bi, bj, workspace):
         """Factors of a live block; None if it stays singular after jitter.
 
@@ -407,24 +426,22 @@ class SimulatedEmbedder:
         cache = self._factor_cache
         if cache is not None and (bi, bj) in cache:
             return cache[(bi, bj)]
-        nb = lattice.neighborhood(self.assign, (bi, bj))
-        # Dead neighbors carry no information and only make the
-        # conditioning singular.
-        neighbors = tuple(blk for blk in nb.neighbors if self.live[blk])
-        blocks = neighbors + (nb.center,)
+        blocks = self.joint_blocks((bi, bj))
         joint = workspace.view(64 * len(blocks))
         self._fill_lower(blocks, joint)
         try:
             gain, chol, jitter = condition(
                 joint, joint.shape[0] - 64,
-                refill=functools.partial(self._fill_lower, blocks, joint))
+                refill=functools.partial(self._fill_lower, blocks, joint),
+                lead=self._tile_plan(blocks)[2])
         except cov_mod.SingularCovarianceError:
             log.warning("lattice %d block (%d,%d) singular after max jitter; "
-                        "embedding skipped", nb.lattice, bi, bj)
+                        "embedding skipped", self.assign.lattice_of(bi, bj),
+                        bi, bj)
             factors = None
         else:
-            rows = np.array([ni * self.blocks_w + nj for ni, nj in neighbors],
-                            dtype=np.intp)
+            rows = np.array([ni * self.blocks_w + nj
+                             for ni, nj in blocks[:-1]], dtype=np.intp)
             factors = _BlockFactors(rows, gain, chol, jitter)
         if cache is not None:
             cache[(bi, bj)] = factors

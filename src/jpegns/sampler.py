@@ -48,7 +48,10 @@ def _grid(m_hat, sigma_hat, k_range):
 
     Row i holds the lower edges of the symbols -K+1..K of coefficient i,
     standardized: (base + k) * inv with base = round(m_hat) - 0.5 - m_hat
-    and inv = 1 / sigma_hat.  When every sigma_hat is at least
+    and inv = 1 / sigma_hat.  ``base`` is formed as
+    (round(m_hat) - m_hat) - 0.5: the difference is exact (Sterbenz), so
+    the one rounding is the final one, also where round(m_hat) - 0.5 is
+    not representable (|m_hat| >= 2**52).  When every sigma_hat is at least
     ``_SAFE_SIGMA`` (the common case), that is all: |base + k| <= K + 1 and
     inv <= 2**960, so no edge overflows.  Otherwise two kinds of row need
     care:
@@ -62,7 +65,7 @@ def _grid(m_hat, sigma_hat, k_range):
       a huge value or +-inf.
     """
     center = round_half_away_array(m_hat)
-    base = center - 0.5 - m_hat
+    base = (center - m_hat) - 0.5
     offsets = np.arange(-k_range + 1, k_range + 1, dtype=np.float64)
     if sigma_hat.min() >= _SAFE_SIGMA:
         edges = np.add.outer(base, offsets)

@@ -109,3 +109,17 @@ def cov_standard_error(sigma, n_draws):
     """Entrywise standard error of an empirical covariance of Gaussians."""
     d = np.diag(sigma)
     return np.sqrt((np.outer(d, d) + sigma**2) / n_draws)
+
+
+def lead_joint(rng, lead, trailing):
+    """Well-conditioned random SPD matrix, column-major, over ``lead`` +
+    ``trailing`` blocks of 64 whose lead cross tiles are exactly zero, as
+    for blocks no two of which are 8-connected."""
+    n = 64 * (lead + trailing)
+    b = rng.normal(size=(n, 2 * n))
+    for i in range(lead):
+        # Lead block i draws on its own 128 columns only.
+        rows = slice(64 * i, 64 * (i + 1))
+        b[rows, : 128 * i] = 0.0
+        b[rows, 128 * (i + 1) :] = 0.0
+    return np.asfortranarray(b @ b.T)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import blas
+from scipy.linalg import blas, lapack
 
 from jpegns import condition
 from jpegns import covariance as cm
@@ -15,7 +15,7 @@ from jpegns.covariance import (
     sigma_p,
 )
 
-from conftest import cov_standard_error
+from conftest import cov_standard_error, lead_joint
 
 
 # -- photon variance ----------------------------------------------------------
@@ -270,6 +270,83 @@ def test_cholesky_in_place_matches_copy_path(rank):
     # refills what the failed attempt overwrote.
     assert (jitter > 0.0) == (rank < 96)
     assert (len(refills) > 0) == (rank < 96)
+
+
+@pytest.mark.parametrize("lead, trailing", [
+    (lead, trailing) for lead in range(5) for trailing in range(6)
+    if lead + trailing])
+def test_cholesky_with_lead_matches_dense_factor(lead, trailing):
+    n = 64 * (lead + trailing)
+    full = lead_joint(np.random.default_rng(10 * lead + trailing), lead,
+                      trailing)
+    for i in range(lead):
+        for j in range(i):
+            assert not full[64 * i : 64 * (i + 1), 64 * j : 64 * (j + 1)].any()
+    dense, dense_jitter = cholesky(full)
+    # In place over a NaN upper triangle: it is never read or written.
+    src = np.asfortranarray(np.where(np.tri(n, dtype=bool), full, np.nan))
+    a = src.copy(order="F")
+    chol, jitter = cholesky(a, refill=lambda: np.copyto(a, src), lead=lead)
+    assert jitter == dense_jitter == 0.0
+    assert np.shares_memory(chol, a)
+    assert np.isnan(a[np.triu_indices(n, 1)]).all()
+    lower = np.tril(chol)
+    assert np.abs(lower - dense).max() <= 1e-12 * np.abs(dense).max()
+    if lead < 2:  # one tile has no structure: the dense dpotrf, bit for bit
+        assert lower.tobytes() == dense.tobytes()
+    # The copy path factors the same way.
+    copied, _ = cholesky(full, lead=lead)
+    assert copied.tobytes() == lower.tobytes()
+
+
+@pytest.mark.parametrize("lead", (0, 1))
+def test_cholesky_dense_lead_is_lapack_dpotrf(lead):
+    # The ctypes dpotrf is LAPACK's own: the f2py wrapper's factor, bit for
+    # bit, so no lattice-1 block and no joint without a lead moves.
+    full = lead_joint(np.random.default_rng(lead), 1, 4)
+    chol, _ = cholesky(full, lead=lead)
+    ref, info = lapack.dpotrf(full, lower=1, clean=1)
+    assert info == 0
+    assert chol.tobytes() == ref.tobytes()
+
+
+def test_cholesky_rank_deficient_lead_tile_uses_jitter():
+    # A singular lead tile fails its own dpotrf; the retry with jitter
+    # happens inside the same call and refills the matrix first.
+    full = lead_joint(np.random.default_rng(7), 3, 2)
+    # Sixteen coordinates of the second lead block without variance, as a
+    # dark block's are: still semidefinite, but its tile is singular.
+    full[64:80, :] = 0.0
+    full[:, 64:80] = 0.0
+    src = np.asfortranarray(np.tril(full))
+    a = src.copy(order="F")
+    refills = []
+
+    def refill():
+        refills.append(1)
+        np.copyto(a, src)
+
+    chol, jitter = cholesky(a, refill=refill, lead=3)
+    assert jitter > 0.0 and refills
+    shifted = np.tril(full + jitter * np.eye(full.shape[0]))
+    recon = np.tril(np.tril(chol) @ np.tril(chol).T)
+    assert np.abs(recon - shifted).max() <= 1e-12 * np.abs(full).max()
+
+
+@pytest.mark.parametrize("lead", (-1, 3))
+def test_cholesky_rejects_lead_that_does_not_fit(monkeypatch, lead):
+    calls = []
+    monkeypatch.setattr(cm.blas, "dpotrf", lambda *args: calls.append(args))
+    a = np.eye(128, order="F")
+    with pytest.raises(CovarianceError, match="lead"):
+        cholesky(a, refill=lambda: None, lead=lead)
+    with pytest.raises(CovarianceError, match="lead"):
+        cholesky(a, lead=lead)
+    # ``cholesky`` alone would factor a 192 x 192 joint with a lead of 3,
+    # but ``condition`` refuses a lead that reaches the unknown block.
+    with pytest.raises(CovarianceError, match="lead"):
+        condition(np.eye(192), 128, lead=lead)
+    assert calls == []
 
 
 @pytest.mark.parametrize("a", (np.ones(3), np.ones((2, 3))),

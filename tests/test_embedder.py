@@ -29,6 +29,8 @@ from jpegns.covariance import photon_variance, sigma_d, sigma_p
 from jpegns.jpeg_model import CoefficientsError
 from jpegns.sampler import costs_from_pmf, entropy
 
+from conftest import lead_joint
+
 
 def small_raw(params, size=48, seed=11, mu=2000.0, sigma=80.0):
     spec = SynthSpec(kind="iid_gaussian", mu=mu, sigma=sigma,
@@ -312,8 +314,8 @@ def test_block_factors_match_public_conditioning(bright_raw):
     cfg = EmbedConfig(qf=95, K=5, key=1)
     emb = SimulatedEmbedder(bright_raw, cfg)
     bi, bj = 2, 3  # interior lattice-3 block
-    nb_labels = [("N", (1, 3)), ("W", (2, 2)), ("E", (2, 4)), ("S", (3, 3))]
-    neighbors = [blk for _, blk in nb_labels]
+    neighbors = list(emb.joint_blocks((bi, bj))[:-1])
+    assert sorted(neighbors) == [(1, 3), (2, 2), (2, 4), (3, 3)]
     factors = emb._block_factors(bi, bj, emb_mod._Workspace())
     assert factors.rows.tolist() == [ni * emb.blocks_w + nj
                                      for ni, nj in neighbors]
@@ -331,17 +333,57 @@ def test_block_factors_match_public_conditioning(bright_raw):
     assert np.abs(recon - cond).max() <= 1e-8 * scale
 
 
-def _joint_blocks(emb, block):
-    """The blocks of ``block``'s joint in the embedder's order: its live
-    neighbors, then the block itself."""
-    nb = emb_mod.lattice.neighborhood(emb.assign, block)
-    return tuple(b for b in nb.neighbors if emb.live[b]) + (block,)
-
-
 # On the 6x6 block grid of ``bright_raw``: an interior lattice-2 block, an
 # interior lattice-3 block, an interior and an edge lattice-4 block, and a
 # lattice-4 corner (three neighbors).
 L2, L3, L4, L4_EDGE, L4_CORNER = (1, 1), (2, 3), (3, 2), (3, 0), (5, 0)
+
+
+def test_joint_order_leads_with_unconnected_blocks(bright_raw):
+    # With one dead block on the 6x6 grid, every block's joint starts with
+    # its lead: blocks whose tiles among them are all exactly zero, and the
+    # next block has a nonzero tile with one of them.  Interior blocks
+    # lead with their latest lattice: four corners (L2, L4) or N and S (L3).
+    data = bright_raw.data.copy()
+    data[31:41, 31:41] = 1000.0  # block (4, 4)'s support: dead
+    emb = SimulatedEmbedder(RawImage(data=data, cfa="RGGB", bit_depth=12,
+                                     params=bright_raw.params),
+                            EmbedConfig(qf=95, K=5, key=1))
+    assert not emb.live[4, 4] and np.count_nonzero(emb.live) == 35
+    leads = {}
+    for bi in range(emb.blocks_h):
+        for bj in range(emb.blocks_w):
+            blocks = emb.joint_blocks((bi, bj))
+            lead = emb._tile_plan(blocks)[2]
+            leads[bi, bj] = lead
+            lats = [emb.assign.lattice_of(*blk) for blk in blocks[:-1]]
+            assert lats == sorted(lats, reverse=True)
+            joint = emb.joint_covariance(blocks)
+            tile = lambda i, j: joint[64 * i : 64 * (i + 1),
+                                      64 * j : 64 * (j + 1)]
+            for i in range(lead):
+                for j in range(i):
+                    assert not tile(i, j).any(), ((bi, bj), i, j)
+            if lead < len(blocks) - 1:
+                assert any(tile(lead, j).any() for j in range(lead))
+    lattice_of = emb.assign.lattice_of
+    assert leads[L2] == 4 and leads[L3] == 2 and leads[L4] == 4
+    assert leads[L4_EDGE] == 2 and leads[L4_CORNER] == 1
+    assert leads[0, 0] == 0 and lattice_of(0, 0) == 1
+    # Next to the dead block: a lattice-2 block keeps three corners.
+    assert leads[3, 3] == 3 and lattice_of(3, 3) == 2
+
+
+def test_first_lattice_blocks_factor_as_plain_lapack(bright_raw):
+    # A lattice-1 joint is one tile with nothing known: its factor is
+    # LAPACK's dense dpotrf of the block's covariance, bit for bit.
+    emb = SimulatedEmbedder(bright_raw, EmbedConfig(qf=95, K=5, key=1))
+    for block in emb.assign.block_lists[0]:
+        factors = emb._block_factors(*block, emb_mod._Workspace())
+        ref, info = sla.lapack.dpotrf(emb.joint_covariance([block]),
+                                      lower=1, clean=1)
+        assert info == 0 and factors.jitter == 0.0
+        assert factors.chol.tobytes() == ref.tobytes()
 
 
 def test_stale_workspace_cannot_leak_into_factors(bright_raw, paper_params):
@@ -397,7 +439,7 @@ def test_jitter_retries_stay_inside_one_cholesky_call(paper_params,
                          ids=["L2", "L3", "L4", "L4-corner"])
 def test_joint_assembly_contract(bright_raw, monkeypatch, block):
     emb = SimulatedEmbedder(bright_raw, EmbedConfig(qf=95, K=5, key=1))
-    blocks = _joint_blocks(emb, block)
+    blocks = emb.joint_blocks(block)
     joint = emb.joint_covariance(blocks)
     assert np.array_equal(joint, joint.T)
 
@@ -449,18 +491,47 @@ def test_gain_solve_works_in_place_on_the_factor(m):
     assert gain.flags.f_contiguous
 
 
-@pytest.mark.parametrize("factor, m", (
-    (np.eye(128), 64),
-    (np.eye(128, dtype=np.float32, order="F"), 64),
-    (np.eye(128, order="F"), -64),
-    (np.eye(128, order="F"), 128),
-    (np.eye(128, order="F"), 192),
-), ids=["row-major", "float32", "m-negative", "m-equals-n", "m-above-n"])
-def test_gain_solve_rejects_factor_before_blas(monkeypatch, factor, m):
+@pytest.mark.parametrize("trailing", range(1, 6))
+@pytest.mark.parametrize("lead", range(5))
+def test_gain_solve_with_lead_matches_dense_solve(lead, trailing):
+    # The split solve (one dtrsm on L22, one dgemm, one dtrsm per lead
+    # tile) gives the dense one-dtrsm gain, works in place on C only, and
+    # never reads or writes the upper triangle.
+    n, m = 64 * (lead + trailing), 64 * (lead + trailing - 1)
+    factor, _ = emb_mod.cov_mod.cholesky(
+        lead_joint(np.random.default_rng(10 * lead + trailing), lead,
+                   trailing), lead=lead)
+    dense = emb_mod._solve_gain(factor.copy(order="F"), m)
+    split = np.where(np.tri(n, dtype=bool), factor, np.nan).copy(order="F")
+    gain = emb_mod._solve_gain(split, m, lead)
+    scale = np.abs(dense).max(initial=0.0)
+    assert np.abs(gain - dense).max(initial=0.0) <= 1e-12 * scale
+    assert np.array_equal(split[:m, :m], np.where(
+        np.tri(m, dtype=bool), factor[:m, :m], np.nan), equal_nan=True)
+    assert np.array_equal(split[m:, m:], np.where(
+        np.tri(64, dtype=bool), factor[m:, m:], np.nan), equal_nan=True)
+    assert gain.tobytes() == np.array(split[m:, :m], order="F").tobytes()
+    if lead < 2:  # one tile has no structure: the dense call, bit for bit
+        assert gain.tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("factor, m, lead", (
+    (np.eye(128), 64, 0),
+    (np.eye(128, dtype=np.float32, order="F"), 64, 0),
+    (np.eye(128, order="F"), -64, 0),
+    (np.eye(128, order="F"), 128, 0),
+    (np.eye(128, order="F"), 192, 0),
+    (np.eye(192, order="F"), 128, 3),
+    (np.eye(192, order="F"), 128, -1),
+), ids=["row-major", "float32", "m-negative", "m-equals-n", "m-above-n",
+        "lead-above-m", "lead-negative"])
+def test_gain_solve_rejects_factor_before_blas(monkeypatch, factor, m, lead):
     calls = []
-    monkeypatch.setattr(emb_mod, "_dtrsm", lambda *args: calls.append(args))
+    for name in ("dtrsm", "dgemm"):
+        monkeypatch.setattr(emb_mod.blas, name,
+                            lambda *args: calls.append(args))
     with pytest.raises(emb_mod.cov_mod.CovarianceError):
-        emb_mod._solve_gain(factor, m)
+        emb_mod._solve_gain(factor, m, lead)
     assert calls == []
     emb_mod._solve_gain(np.eye(128, order="F"), 64)
     assert len(calls) == 1

@@ -130,6 +130,13 @@ def test_pmf_symmetry():
         assert np.allclose(p, p[::-1], atol=1e-15)
 
 
+@pytest.mark.parametrize("m_hat", (2.0**53, -(2.0**53), 1e17))
+def test_pmf_of_a_large_integral_mean_is_centered(m_hat):
+    # round(m_hat) - 0.5 is not a float beyond 2**52; the bins must still
+    # be centered on the mean, as they are at zero.
+    assert np.array_equal(pmf(m_hat, 1.0, 1.0, 2), pmf(0.0, 1.0, 1.0, 2))
+
+
 def test_pmf_matches_quadrature():
     rng = np.random.default_rng(5)
     for _ in range(40):
