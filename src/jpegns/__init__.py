@@ -38,7 +38,7 @@ from .covariance import (
     sigma_d,
     sigma_p,
 )
-from .lattice import LatticeAssignment, Neighborhood, neighborhood, tile
+from .lattice import LatticeAssignment, neighborhood, tile
 from .sampler import costs_from_pmf, entropy, pmf, run_block_chain
 from .jpeg_model import (
     ChecksumError,

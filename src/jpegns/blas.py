@@ -43,38 +43,35 @@ _dsyrk = _load(cython_blas, "dsyrk", _CHAR, _CHAR, _INT, _INT, _DOUBLE,
 _dgemm = _load(cython_blas, "dgemm", _CHAR, _CHAR, _INT, _INT, _INT,
                _DOUBLE, _ADDR, _INT, _ADDR, _INT, _DOUBLE, _ADDR, _INT)
 
+# ctypes passes a c_int or c_double to a POINTER argument by reference.
 _ONE = ctypes.c_double(1.0)
 _MINUS_ONE = ctypes.c_double(-1.0)
-
-
-def _int(value):
-    return ctypes.byref(ctypes.c_int(value))
 
 
 def dpotrf(n, a, lda):
     """Factor the n x n lower triangle at ``a`` in place; LAPACK's info."""
     info = ctypes.c_int(0)
-    _dpotrf(b"L", _int(n), a, _int(lda), ctypes.byref(info))
+    _dpotrf(b"L", ctypes.c_int(n), a, ctypes.c_int(lda), info)
     return info.value
 
 
 def dtrsm(trans, m, n, a, lda, b, ldb):
     """B := B op(A)^-1 for the m x n B at ``b`` and the n x n lower
     triangular A at ``a``, op(A) = A^t when ``trans`` is b"T"."""
-    _dtrsm(b"R", b"L", trans, b"N", _int(m), _int(n), ctypes.byref(_ONE), a,
-           _int(lda), b, _int(ldb))
+    _dtrsm(b"R", b"L", trans, b"N", ctypes.c_int(m), ctypes.c_int(n), _ONE,
+           a, ctypes.c_int(lda), b, ctypes.c_int(ldb))
 
 
 def dsyrk(n, k, a, lda, c, ldc):
     """C := C - A A^t on the lower triangle of the n x n C at ``c``, with
     A the n x k matrix at ``a``."""
-    _dsyrk(b"L", b"N", _int(n), _int(k), ctypes.byref(_MINUS_ONE), a,
-           _int(lda), ctypes.byref(_ONE), c, _int(ldc))
+    _dsyrk(b"L", b"N", ctypes.c_int(n), ctypes.c_int(k), _MINUS_ONE, a,
+           ctypes.c_int(lda), _ONE, c, ctypes.c_int(ldc))
 
 
 def dgemm(m, n, k, a, lda, b, ldb, c, ldc):
     """C := C - A B for the m x n C at ``c``, the m x k A at ``a`` and the
     k x n B at ``b``."""
-    _dgemm(b"N", b"N", _int(m), _int(n), _int(k),
-           ctypes.byref(_MINUS_ONE), a, _int(lda), b, _int(ldb),
-           ctypes.byref(_ONE), c, _int(ldc))
+    _dgemm(b"N", b"N", ctypes.c_int(m), ctypes.c_int(n), ctypes.c_int(k),
+           _MINUS_ONE, a, ctypes.c_int(lda), b, ctypes.c_int(ldb), _ONE, c,
+           ctypes.c_int(ldc))

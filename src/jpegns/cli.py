@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, covariance, embedder, jpeg_model, pipeline, raw_io
+from . import covariance, embedder, jpeg_model, pipeline, raw_io
 
 log = logging.getLogger("jpegns")
 
@@ -162,14 +162,17 @@ def build_parser():
         description="Photon-noise-mimicking simulated embedding for JPEG covers")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # The green demosaicking kernel of the modelled development pipeline.
+    kernel = argparse.ArgumentParser(add_help=False)
+    kernel.add_argument("--green-kernel", choices=("cross", "corner"),
+                        default="cross")
+
     # Options shared by the subcommands that run the embedding chain.
-    chain = argparse.ArgumentParser(add_help=False)
+    chain = argparse.ArgumentParser(add_help=False, parents=[kernel])
     chain.add_argument("raw")
     chain.add_argument("--qf", type=int, required=True)
     chain.add_argument("--K", type=int, default=5)
     chain.add_argument("--key", default="0")
-    chain.add_argument("--green-kernel", choices=("cross", "corner"),
-                       default="cross")
     chain.add_argument("--workers", type=int, default=1)
     chain.add_argument("-o", "--output", required=True)
 
@@ -186,11 +189,10 @@ def build_parser():
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("develop", help="develop RAW to cover coefficients")
+    p = sub.add_parser("develop", parents=[kernel],
+                       help="develop RAW to cover coefficients")
     p.add_argument("raw")
     p.add_argument("--qf", type=int, required=True)
-    p.add_argument("--green-kernel", choices=("cross", "corner"),
-                   default="cross")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_develop)
 
@@ -207,14 +209,13 @@ def build_parser():
     p = sub.add_parser("capacity", parents=[chain], help="capacity report")
     p.set_defaults(func=cmd_capacity)
 
-    p = sub.add_parser("covariance", help="covariance / operator CSV export")
+    p = sub.add_parser("covariance", parents=[kernel],
+                       help="covariance / operator CSV export")
     p.add_argument("--neighborhood", choices=("L1", "L2", "L3", "L4"),
                    default="L4")
     p.add_argument("--mode", choices=("full", "demosaic", "lowpass"),
                    default="full")
     p.add_argument("--cfa", choices=raw_io.BAYER_PATTERNS, default="RGGB")
-    p.add_argument("--green-kernel", choices=("cross", "corner"),
-                   default="cross")
     p.add_argument("--dump-operator", metavar="KIND", choices=OPERATORS,
                    help="emit one operator as (row, col, value) triplets")
     p.add_argument("-o", "--output", required=True)

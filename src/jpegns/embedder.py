@@ -403,19 +403,17 @@ class SimulatedEmbedder:
 
     def joint_blocks(self, block):
         """The blocks of ``block``'s joint in the order it is factored: the
-        live neighbors, latest lattice first, then ``block`` itself.
+        live neighbors in ``lattice.neighborhood``'s order (latest lattice
+        first), then ``block`` itself.
 
         Dead neighbors carry no information and only make the conditioning
-        singular.  Blocks of one lattice are never 8-connected, so the
-        order puts a run of mutually unconnected blocks first (the joint's
-        ``lead``): the four lattice-1 corners of a lattice-2 block, the
-        lattice-2 N and S of a lattice-3 block and the four lattice-3
-        corners of a lattice-4 block.
+        singular.  The order puts a run of mutually unconnected blocks
+        first (the joint's ``lead``): the four lattice-1 corners of a
+        lattice-2 block, the lattice-2 N and S of a lattice-3 block and the
+        four lattice-3 corners of a lattice-4 block.
         """
-        nb = lattice.neighborhood(self.assign, block)
-        live = [blk for blk in nb.neighbors if self.live[blk]]
-        live.sort(key=lambda blk: -self.assign.lattice_of(*blk))
-        return tuple(live) + (block,)
+        return tuple(blk for blk in lattice.neighborhood(self.assign, block)
+                     if self.live[blk]) + (block,)
 
     def _block_factors(self, bi, bj, workspace):
         """Factors of a live block; None if it stays singular after jitter.

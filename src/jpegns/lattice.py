@@ -3,12 +3,15 @@
 Blocks are split into four macro-lattices by coordinate parity so that no
 two blocks of the same lattice are 8-connected.  Lattices are embedded in
 order; each block conditions only on neighbors from strictly earlier
-lattices:
+lattices, which ``neighborhood`` lists latest lattice first:
 
     lattice 1: (even row, even col)   no conditioning
-    lattice 2: (odd,  odd)            diagonal neighbors (all lattice 1)
-    lattice 3: (even, odd)            horizontal/vertical (lattices 1, 2)
-    lattice 4: (odd,  even)           all 8 neighbors     (lattices 1-3)
+    lattice 2: (odd,  odd)            NW, NE, SW, SE                (1)
+    lattice 3: (even, odd)            N, S | W, E                   (2 | 1)
+    lattice 4: (odd,  even)           NW, NE, SW, SE | W, E | N, S  (3 | 2 | 1)
+
+So the embedder's joint of a block and its neighbors opens with blocks of
+one lattice, whose cross-covariance tiles are exactly zero.
 """
 
 from dataclasses import dataclass
@@ -23,6 +26,20 @@ LABEL_OFFSETS = {lbl: (i - 1, j - 1) for lbl, (i, j) in GRID_POS.items()
                  if lbl != "C"}
 
 _PARITY_TO_LATTICE = {(0, 0): 1, (1, 1): 2, (0, 1): 3, (1, 0): 4}
+
+
+def _factor_offsets(parity):
+    """Neighbor offsets of the lattice with block parity ``parity``: its
+    ``NEIGHBOR_LABELS``, stably sorted latest neighbor lattice first."""
+    offsets = [LABEL_OFFSETS[lbl]
+               for lbl in NEIGHBOR_LABELS[f"L{_PARITY_TO_LATTICE[parity]}"]]
+    return tuple(sorted(offsets, key=lambda d: -_PARITY_TO_LATTICE[
+        (parity[0] + d[0]) % 2, (parity[1] + d[1]) % 2]))
+
+
+# Offsets of each lattice's conditioning neighbors, latest lattice first.
+_FACTOR_OFFSETS = {lat: _factor_offsets(parity)
+                   for parity, lat in _PARITY_TO_LATTICE.items()}
 
 
 @dataclass(frozen=True)
@@ -56,38 +73,13 @@ def tile(blocks_w, blocks_h):
         assignment=assignment, block_lists=tuple(lists))
 
 
-@dataclass(frozen=True)
-class Neighborhood:
-    """Conditioning neighborhood of one block.
-
-    ``labels`` holds the neighbor names that actually exist in the grid, in
-    the lattice's canonical order; ``neighbors`` the matching (row, col)
-    block coordinates.  n_blocks counts the central block plus neighbors.
-    """
-
-    center: tuple
-    lattice: int
-    labels: tuple
-    neighbors: tuple
-
-    @property
-    def n_blocks(self):
-        return 1 + len(self.labels)
-
-
 def neighborhood(assign, block):
-    """Conditioning neighborhood for ``block``; off-grid neighbors are dropped."""
+    """In-grid conditioning neighbors of ``block`` as (row, col) pairs,
+    latest lattice first; off-grid neighbors are dropped."""
     bi, bj = block
     if not (0 <= bi < assign.blocks_h and 0 <= bj < assign.blocks_w):
         raise ValueError(f"block {block} outside the grid")
-    lat = assign.lattice_of(bi, bj)
-    labels = []
-    coords = []
-    for lbl in NEIGHBOR_LABELS[f"L{lat}"]:
-        di, dj = LABEL_OFFSETS[lbl]
-        ni, nj = bi + di, bj + dj
-        if 0 <= ni < assign.blocks_h and 0 <= nj < assign.blocks_w:
-            labels.append(lbl)
-            coords.append((ni, nj))
-    return Neighborhood(center=(bi, bj), lattice=lat,
-                        labels=tuple(labels), neighbors=tuple(coords))
+    return tuple((bi + di, bj + dj)
+                 for di, dj in _FACTOR_OFFSETS[assign.lattice_of(bi, bj)]
+                 if 0 <= bi + di < assign.blocks_h
+                 and 0 <= bj + dj < assign.blocks_w)

@@ -36,6 +36,9 @@ DOMAIN_PSEUDO = 2
 DOMAIN_BLOCK = 3
 
 _ZEROS4 = (0, 0, 0, 0)
+# A uniform u = 0 is read as the smallest positive uniform of the stream's
+# 2**-53 grid, so every z = ndtri(u) is finite.
+_MIN_UNIFORM = 2.0**-53
 
 
 def check_seed(value, name, error):
@@ -87,6 +90,9 @@ def block_stream(key, lattice, block_row, block_col, gen=None):
     return make_stream(key, DOMAIN_BLOCK, payload, gen)
 
 
-def standard_normal_icdf(gen, size=None):
-    """Standard normal draws via the inverse CDF of uniforms from ``gen``."""
-    return ndtri(gen.random(size))
+def standard_normal_icdf(gen, size):
+    """Array of ``size`` standard normal draws via the inverse CDF of
+    uniforms from ``gen``; all finite (see ``_MIN_UNIFORM``)."""
+    u = gen.random(size)
+    np.maximum(u, _MIN_UNIFORM, out=u)
+    return ndtri(u, out=u)

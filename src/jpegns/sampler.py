@@ -26,16 +26,14 @@ import math
 import sys
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
+from . import rng
 from .jpeg_model import round_half_away_array
 
 _MAX_FLOAT = sys.float_info.max
 # Below this deviation an edge's standardization can overflow (see _grid).
 _SAFE_SIGMA = 2.0**-960
-# The chain's uniform u = 0 is read as the smallest positive uniform of the
-# stream's 2**-53 grid, so every z = ndtri(u) is finite.
-_MIN_UNIFORM = 2.0**-53
 _STRICT_LOWER = np.tri(64, k=-1, dtype=bool)
 
 
@@ -156,16 +154,14 @@ def run_block_chain(chol, base_mean, q_steps, k_range, gen):
     conditional ``params`` (m_hat, sigma_hat) in quantization steps (64, 2)
     and the per-coefficient ``entropy_bits`` (64) of ``probs``.
 
-    Draws the block's 64 uniforms up front, one per coefficient, and maps
-    them to z = ndtri(u).  The conditional means are
+    Draws the block's 64 normals z up front, one uniform per coefficient
+    through ``rng.standard_normal_icdf``.  The conditional means are
     base_mean + strictly_lower(chol) @ z, the candidates are
     means + |diag(chol)| * z, and change i is the number of coefficient i's
     standardized edges below z_i, minus K.  A zero-deviation coefficient is
     its own mean and draws its clamped atom: its edges are all infinite.
     """
-    u = gen.random(64)
-    np.maximum(u, _MIN_UNIFORM, out=u)
-    z = ndtri(u, out=u)
+    z = rng.standard_normal_icdf(gen, 64)
     steps = np.asarray(q_steps, dtype=np.float64)
     sigmas = np.abs(chol.diagonal())
     lower = np.zeros((64, 64))

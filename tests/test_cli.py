@@ -5,7 +5,7 @@ import pytest
 
 from jpegns import load_raw, read_coeffs
 from jpegns import pipeline as pl
-from jpegns.cli import main
+from jpegns.cli import build_parser, main
 from jpegns.embedder import read_costs
 from jpegns.pipeline import NEIGHBOR_LABELS
 
@@ -277,3 +277,16 @@ def test_negative_pgm_dimensions_exit_cleanly(tmp_path, caplog):
     assert rc == 1
     assert "error: negative PGM dimensions -8x-8" in caplog.text
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["develop", "r.pgm", "--qf", "90", "-o", "out"],
+    ["covariance", "-o", "out"],
+    *([cmd, "r.pgm", "--qf", "90", "-o", "out"]
+      for cmd in ("embed", "capacity", "costs")),
+])
+def test_green_kernel_option_on_every_modelling_command(argv):
+    parser = build_parser()
+    assert parser.parse_args(argv).green_kernel == "cross"
+    corner = parser.parse_args(argv + ["--green-kernel", "corner"])
+    assert corner.green_kernel == "corner"

@@ -24,6 +24,7 @@ from jpegns import (
     synthesize_raw,
 )
 from jpegns import embedder as emb_mod
+from jpegns import lattice
 from jpegns import pipeline as pl
 from jpegns.covariance import photon_variance, sigma_d, sigma_p
 from jpegns.jpeg_model import CoefficientsError
@@ -339,17 +340,35 @@ def test_block_factors_match_public_conditioning(bright_raw):
 L2, L3, L4, L4_EDGE, L4_CORNER = (1, 1), (2, 3), (3, 2), (3, 0), (5, 0)
 
 
+def one_dead_block(raw):
+    """Embedder on ``raw`` (6x6 blocks) with block (4, 4) dead."""
+    data = raw.data.copy()
+    data[31:41, 31:41] = 1000.0  # block (4, 4)'s support: dead
+    emb = SimulatedEmbedder(RawImage(data=data, cfa="RGGB", bit_depth=12,
+                                     params=raw.params),
+                            EmbedConfig(qf=95, K=5, key=1))
+    assert not emb.live[4, 4] and np.count_nonzero(emb.live) == 35
+    return emb
+
+
+def test_joint_blocks_are_live_neighborhood_then_block(bright_raw):
+    # The joint keeps lattice.neighborhood's order and drops dead blocks.
+    emb = one_dead_block(bright_raw)
+    for bi in range(emb.blocks_h):
+        for bj in range(emb.blocks_w):
+            nb = lattice.neighborhood(emb.assign, (bi, bj))
+            live = tuple(blk for blk in nb if emb.live[blk])
+            assert emb.joint_blocks((bi, bj)) == live + ((bi, bj),)
+    assert (4, 4) in lattice.neighborhood(emb.assign, (3, 3))
+    assert (4, 4) not in emb.joint_blocks((3, 3))
+
+
 def test_joint_order_leads_with_unconnected_blocks(bright_raw):
     # With one dead block on the 6x6 grid, every block's joint starts with
     # its lead: blocks whose tiles among them are all exactly zero, and the
     # next block has a nonzero tile with one of them.  Interior blocks
     # lead with their latest lattice: four corners (L2, L4) or N and S (L3).
-    data = bright_raw.data.copy()
-    data[31:41, 31:41] = 1000.0  # block (4, 4)'s support: dead
-    emb = SimulatedEmbedder(RawImage(data=data, cfa="RGGB", bit_depth=12,
-                                     params=bright_raw.params),
-                            EmbedConfig(qf=95, K=5, key=1))
-    assert not emb.live[4, 4] and np.count_nonzero(emb.live) == 35
+    emb = one_dead_block(bright_raw)
     leads = {}
     for bi in range(emb.blocks_h):
         for bj in range(emb.blocks_w):

@@ -1,0 +1,43 @@
+"""Every library module uses each name it imports, as flake8's F401 asks.
+
+No linter ships with the test dependencies, so this parses the sources
+with ``ast``.  ``__init__.py`` is left out: its imports are the package's
+exports.  An import line marked ``# noqa: F401`` is exempt.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "jpegns"
+MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source):
+    """Names that ``source``'s unexempted imports bind and nothing reads."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    bound = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if any("# noqa: F401" in line
+               for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        bound.update(alias.asname or alias.name.split(".")[0]
+                     for alias in node.names)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(bound - used)
+
+
+def test_checker_finds_unused_and_honours_noqa():
+    source = ("import os\nimport os.path as osp\nimport sys\n"
+              "from math import (\n    pi,  # noqa: F401\n    tau,\n)\n"
+              "sys.exit(tau)\n")
+    assert unused_imports(source) == ["os", "osp"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    assert unused_imports((SRC / module).read_text()) == []

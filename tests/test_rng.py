@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
-from jpegns import rng
+from jpegns import RawImage, SynthSpec, pseudo_embed, rng, synthesize_raw
+from jpegns.covariance import photon_variance
 
 SEEDS = [0, 1, 0xDEADBEEF, 2**63 + 5, 2**64 - 1]
 
@@ -90,3 +92,39 @@ def test_check_seed_rejects(value):
 @pytest.mark.parametrize("value", [0, 2**64 - 1])
 def test_check_seed_accepts_range_ends(value):
     assert rng.check_seed(value, "seed", KeyError) == value
+
+
+class ZeroUniforms:
+    """Stand-in stream whose uniforms are all exactly 0."""
+
+    def random(self, size):
+        return np.zeros(size)
+
+
+# u = 0 is read as the smallest positive uniform of the 2**-53 grid.
+Z_FLOOR = ndtri(2.0**-53)
+
+
+def test_zero_uniform_draws_a_finite_normal():
+    z = rng.standard_normal_icdf(ZeroUniforms(), (2, 3))
+    assert np.isfinite(Z_FLOOR)
+    assert np.array_equal(z, np.full((2, 3), Z_FLOOR))
+
+
+def test_zero_uniform_keeps_photo_sites_finite(monkeypatch, paper_params):
+    # Synthesis and pseudo embedding draw through the same inverse CDF: at
+    # zero noise a site keeps its level, and a bright site moves by the floor
+    # normal instead of being clipped to 0.
+    monkeypatch.setattr(rng, "make_stream", lambda *args: ZeroUniforms())
+    flat = synthesize_raw(SynthSpec("iid_gaussian", 2000.0, 0.0, 8, 8, 1),
+                          paper_params)
+    assert np.array_equal(flat.data, np.full((8, 8), 2000.0))
+    for level in (500.0, 2000.0):
+        raw = RawImage(data=np.full((8, 8), level), cfa="RGGB", bit_depth=12,
+                       params=paper_params)
+        sd = np.sqrt(photon_variance(raw.data, paper_params))
+        noisy = pseudo_embed(raw, 3)
+        # The variance clamps to 0 below level 1000 (a2 x + b2 = 0).
+        assert np.all(sd > 0) == (level > 1000.0)
+        assert np.array_equal(noisy.data, level + sd * Z_FLOOR)
+        assert noisy.data.min() > 0
