@@ -34,6 +34,7 @@ from .covariance import (
     SingularCovarianceError,
     analysis_covariance,
     cholesky,
+    condition,
     photon_variance,
     sigma_d,
     sigma_p,
@@ -58,7 +59,6 @@ from .embedder import (
     EmbedConfig,
     SimulatedEmbedder,
     capacity_map,
-    condition,
     embed_simulated,
     export_costs,
     pseudo_embed,

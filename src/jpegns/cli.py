@@ -235,7 +235,7 @@ def main(argv=None):
         args.func(args)
     except (raw_io.RawIoError, jpeg_model.CoefficientsError,
             covariance.CovarianceError, pipeline.PipelineError,
-            embedder.ConfigError) as exc:
+            embedder.ConfigError, OSError) as exc:
         log.error("error: %s", exc)
         return 1
     return 0

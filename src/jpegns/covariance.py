@@ -3,10 +3,12 @@
 The photo-site stego signal is independent heteroscedastic Gaussian noise,
 so its DCT-domain image under the pipeline operator M has covariance
 M diag(v) M^t.  ``cholesky`` factors such a covariance, with escalating
-jitter for the singular blocks that clamped variances produce.
+jitter for the singular blocks that clamped variances produce, and
+``condition`` reads a block's conditional law off that factor.
 """
 
 import functools
+import operator
 import os
 
 import numpy as np
@@ -16,6 +18,9 @@ from . import blas, pipeline
 # Escalating relative jitter applied when a covariance factorization fails;
 # clamped zero variances make dark blocks genuinely singular.
 JITTER_LADDER = (1e-12, 1e-10, 1e-8)
+
+# The lower triangle, diagonal included, of a 64x64 block.
+_LOWER = np.tri(64, dtype=bool)
 
 
 class CovarianceError(Exception):
@@ -27,10 +32,18 @@ class SingularCovarianceError(CovarianceError):
 
 
 def photon_variance(x, params):
-    """Stego-signal variance max(0, (a2-a1)*x + (b2-b1)); works elementwise."""
+    """Stego-signal variance max(0, (a2-a1)*x + (b2-b1)); works elementwise.
+
+    Finite parameters can still overflow float64 on a bright photo-site;
+    such a variance raises CovarianceError rather than reaching a joint.
+    """
     gain = params.a2 - params.a1
     offset = params.b2 - params.b1
-    return np.maximum(0.0, gain * np.asarray(x, dtype=np.float64) + offset)
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = np.maximum(0.0, gain * np.asarray(x, dtype=np.float64) + offset)
+    if not np.isfinite(var).all():
+        raise CovarianceError("stego-signal variance overflows float64")
+    return var
 
 
 def sigma_p(patch, params):
@@ -66,8 +79,9 @@ def cholesky(a, refill=None, lead=0):
     logged, so the caller, which knows what ``a`` is, records the shift.
     Raises SingularCovarianceError when the matrix stays indefinite after
     the maximum jitter.  Without ``refill``, ``a`` is never modified: a
-    column-major copy of its lower triangle is factored, so the returned L
-    has a zero strict upper triangle.  With ``refill``, ``a`` must be a
+    column-major copy of its lower triangle, which must be finite (LAPACK
+    factors a NaN without failing), is factored, so the returned L has a
+    zero strict upper triangle.  With ``refill``, ``a`` must be a
     writable column-major float64 array (LAPACK's layout, so nothing is
     copied behind it); it is factored in place and returned as L, and
     ``refill()`` must rewrite its lower triangle before each jitter retry,
@@ -81,15 +95,18 @@ def cholesky(a, refill=None, lead=0):
     tiles is then factored on its own (``dpotrf``) and solves its panel
     below the lead (``dtrsm``); one rank update (``dsyrk``) and one
     ``dpotrf`` of the trailing block finish L.  The zero tiles among the
-    lead are neither read nor written, so L holds them as ``a`` did.  With
-    ``lead`` < 2 the whole matrix is one dense ``dpotrf``.  Any attempt
+    lead are neither read nor written, so L holds them as ``a`` did.  Below
+    a lead of two the trailing block is the whole matrix.  Any attempt
     that fails, in a lead tile or in the trailing block, goes to the next
-    jitter step.
+    jitter step.  ``lead`` is an integer (``operator.index``).
     """
+    lead = operator.index(lead)
     if refill is None:
         src = np.asarray(a, dtype=np.float64)
         # ``tril`` would broadcast a 1-d array to a square one.
         src = np.tril(src) if src.ndim == 2 else src
+        if not np.isfinite(src).all():
+            raise CovarianceError("cholesky needs a finite matrix")
         a = np.array(src, order="F")
         refill = functools.partial(np.copyto, a, src)
     if (a.ndim != 2 or a.shape[0] != a.shape[1] or a.dtype != np.float64
@@ -116,9 +133,9 @@ def _factor_in_place(a, lead):
     """LAPACK's info for the in-place lower factor of ``a`` (see cholesky)."""
     n = a.shape[0]
     base, item = a.ctypes.data, a.itemsize
-    if lead < 2:
-        return blas.dpotrf(n, base, n)
-    k, rest = 64 * lead, n - 64 * lead
+    # A lone tile stays dense: split off, it would round differently.
+    k = 64 * lead if lead > 1 else 0
+    rest = n - k
     trailing = base + (k * n + k) * item
     for start in range(0, k, 64):
         tile = base + (start * n + start) * item
@@ -129,6 +146,84 @@ def _factor_in_place(a, lead):
         blas.dtrsm(b"T", rest, 64, tile, n, tile + (k - start) * item, n)
     blas.dsyrk(rest, k, base + k * item, n, trailing, n)
     return blas.dpotrf(rest, trailing, n)
+
+
+def _solve_gain(factor, m, lead=0):
+    """Mean gain G = C L_k^-1 of a Cholesky factor [[L_k, 0], [C, L_c]]
+    whose first ``m`` coordinates are known.
+
+    The solve runs on ``factor`` in place: it reads the lower triangle of
+    L_k and overwrites C with G, and nothing else of ``factor`` is
+    touched.  ``lead`` is the factor's lead (``cholesky``): L_k splits as
+    [[D, 0], [B, L22]] with D block-diagonal over ``lead`` 64 x 64 tiles,
+    so G = [G1, G2] comes from one right-side ``dtrsm`` on L22
+    (G2 = C2 L22^-1), one ``dgemm`` (C1 - G2 B) and one ``dtrsm`` per tile
+    of D (G1); below a lead of two, L22 is all of L_k.  Returns G copied
+    out column-major, (n - m, m); with m = 0 it is empty and BLAS returns
+    at once.  ``factor`` must be a square, writable, column-major
+    float64 array with 0 <= m < n and 0 <= 64 * lead <= m, or
+    CovarianceError is raised before BLAS sees its pointer.
+    """
+    if (factor.ndim != 2 or factor.shape[0] != factor.shape[1]
+            or factor.dtype != np.float64 or not factor.flags.f_contiguous
+            or not factor.flags.writeable or not 0 <= m < factor.shape[0]
+            or not 0 <= 64 * lead <= m):
+        raise CovarianceError(
+            f"gain solve needs a square writable column-major float64 "
+            f"factor with 0 <= m < n and a lead that fits m, got "
+            f"{factor.dtype} of shape {factor.shape}, m = {m} and "
+            f"lead = {lead}")
+    n = factor.shape[0]
+    base, item = factor.ctypes.data, factor.itemsize
+    k = 64 * lead if lead > 1 else 0  # as ``_factor_in_place`` splits
+    # C starts at element (m, 0), and every block has stride n.
+    gain = base + m * item
+    blas.dtrsm(b"N", n - m, m - k, base + (k * n + k) * item, n,
+               gain + k * n * item, n)
+    blas.dgemm(n - m, k, m - k, gain + k * n * item, n, base + k * item, n,
+               gain, n)
+    for start in range(0, k, 64):
+        blas.dtrsm(b"N", n - m, 64, base + (start * n + start) * item, n,
+                   gain + start * n * item, n)
+    return np.array(factor[m:, :m], order="F")
+
+
+def condition(joint, n_known, refill=None, lead=0):
+    """Conditional law of the last 64 coordinates given the first ``n_known``.
+
+    ``joint`` is the joint covariance with the known blocks first and the
+    center block last; only its lower triangle is read.  Its Cholesky
+    factor splits as [[L_k, 0], [C, L_c]]: L_c is exactly the Cholesky
+    factor of the Schur-complement conditional covariance, and the
+    conditional mean gain S12 S22^-1 is C L_k^-1, one right-side triangular
+    solve (``_solve_gain``).  No matrix is ever inverted explicitly.
+
+    Returns (gain, chol, jitter): the conditional mean is ``gain @ known``
+    with ``gain`` a column-major (64, n_known) array, (64, 0) when nothing
+    is known, so its product with the empty ``known`` is zero.  ``chol``
+    factors the conditional covariance and ``jitter`` is the shift the
+    factorization needed.  ``refill`` and ``lead`` are passed to
+    ``cholesky``: with ``refill`` the joint is factored in place and its C
+    block then holds the gain, and its strict upper triangle is never read
+    or written; without it the joint is left unchanged.  ``lead`` (at most
+    n_known / 64 blocks) lets the factorization and the solve skip the
+    zero tiles among the leading known blocks.  Both counts are integers
+    (``operator.index``); ``gain`` and ``chol`` never share memory with
+    the joint.
+    """
+    m, lead = operator.index(n_known), operator.index(lead)
+    if m < 0 or m % 64 or np.shape(joint) != (m + 64, m + 64):
+        raise CovarianceError(
+            f"joint covariance of shape {np.shape(joint)} does not hold "
+            f"{m} known coordinates and one block of 64")
+    if not 0 <= 64 * lead <= m:
+        raise CovarianceError(
+            f"a lead of {lead} blocks does not fit {m} known coordinates")
+    factor, jitter = cholesky(joint, refill=refill, lead=lead)
+    # L_c's strict upper part is whatever the joint's upper triangle held.
+    chol = np.zeros((64, 64))
+    np.copyto(chol, factor[m:, m:], where=_LOWER)
+    return _solve_gain(factor, m, lead), chol, jitter
 
 
 def analysis_covariance(mode="full", cfa="RGGB", green_kernel="cross"):

@@ -4,9 +4,10 @@ Embedding walks the four macro-lattices in order.  For every block it
 assembles the joint DCT covariance of the block and its not-yet-used
 neighbors directly from the per-block pipeline weight tensor and the
 photo-site variance map, conditions on the continuous stego values already
-drawn for neighboring blocks (``condition``: the Schur complement read off
-one Cholesky factor), and runs the 64-coefficient sampling chain.  Stego
-coefficients are the cover coefficients plus the sampled changes.
+drawn for neighboring blocks (``covariance.condition``: the Schur
+complement read off one Cholesky factor), and runs the 64-coefficient
+sampling chain.  Stego coefficients are the cover coefficients plus the
+sampled changes.
 
 Everything is a pure function of (raw image, config): per-block random
 streams are derived from the secret key, the lattice index and the block
@@ -25,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla  # noqa: F401  (wrapped by the benchmark)
 
-from . import blas
 from . import covariance as cov_mod
 from . import jpeg_model, lattice, pipeline, rng, sampler
 from .raw_io import RawImage
@@ -132,91 +132,6 @@ class EmbedResult:
     report: CapacityReport
     continuous: np.ndarray  # (H, W) continuous stego DCT candidates
     probs: np.ndarray = None  # (bh, bw, 64, 2K+1) folded PMFs, if collected
-
-
-# The lower triangle, diagonal included, of a 64x64 block.
-_LOWER = np.tri(64, dtype=bool)
-
-
-def _solve_gain(factor, m, lead=0):
-    """Mean gain G = C L_k^-1 of a Cholesky factor [[L_k, 0], [C, L_c]]
-    whose first ``m`` coordinates are known.
-
-    The solve runs on ``factor`` in place: it reads the lower triangle of
-    L_k and overwrites C with G, and nothing else of ``factor`` is
-    touched.  ``lead`` is the factor's lead (``covariance.cholesky``): L_k
-    splits as [[D, 0], [B, L22]] with D block-diagonal over ``lead``
-    64 x 64 tiles, so G = [G1, G2] comes from one right-side ``dtrsm`` on
-    L22 (G2 = C2 L22^-1), one ``dgemm`` (C1 - G2 B) and one ``dtrsm`` per
-    tile of D (G1).  With ``lead`` < 2 it is one ``dtrsm`` on all of L_k.
-    Returns G copied out column-major, (n - m, m); with m = 0 it is empty
-    and BLAS returns at once.  ``factor`` must be a square, writable,
-    column-major float64 array with 0 <= m < n and 0 <= 64 * lead <= m,
-    or CovarianceError is raised before BLAS sees its pointer.
-    """
-    if (factor.ndim != 2 or factor.shape[0] != factor.shape[1]
-            or factor.dtype != np.float64 or not factor.flags.f_contiguous
-            or not factor.flags.writeable or not 0 <= m < factor.shape[0]
-            or not 0 <= 64 * lead <= m):
-        raise cov_mod.CovarianceError(
-            f"gain solve needs a square writable column-major float64 "
-            f"factor with 0 <= m < n and a lead that fits m, got "
-            f"{factor.dtype} of shape {factor.shape}, m = {m} and "
-            f"lead = {lead}")
-    n = factor.shape[0]
-    base, item = factor.ctypes.data, factor.itemsize
-    # C starts at element (m, 0), and every block has stride n.
-    gain = base + m * item
-    if lead < 2:
-        blas.dtrsm(b"N", n - m, m, base, n, gain, n)
-    else:
-        k = 64 * lead
-        blas.dtrsm(b"N", n - m, m - k, base + (k * n + k) * item, n,
-                   gain + k * n * item, n)
-        blas.dgemm(n - m, k, m - k, gain + k * n * item, n,
-                   base + k * item, n, gain, n)
-        for start in range(0, k, 64):
-            blas.dtrsm(b"N", n - m, 64,
-                       base + (start * n + start) * item, n,
-                       gain + start * n * item, n)
-    return np.array(factor[m:, :m], order="F")
-
-
-def condition(joint, n_known, refill=None, lead=0):
-    """Conditional law of the last 64 coordinates given the first ``n_known``.
-
-    ``joint`` is the joint covariance with the known blocks first and the
-    center block last; only its lower triangle is read.  Its Cholesky
-    factor splits as [[L_k, 0], [C, L_c]]: L_c is exactly the Cholesky
-    factor of the Schur-complement conditional covariance, and the
-    conditional mean gain S12 S22^-1 is C L_k^-1, one right-side triangular
-    solve (``_solve_gain``).  No matrix is ever inverted explicitly.
-
-    Returns (gain, chol, jitter): the conditional mean is ``gain @ known``
-    with ``gain`` a column-major (64, n_known) array, (64, 0) when nothing
-    is known, so its product with the empty ``known`` is zero.  ``chol``
-    factors the conditional covariance and ``jitter`` is the shift the
-    factorization needed.  ``refill`` and ``lead`` are passed to
-    ``covariance.cholesky``: with ``refill`` the joint is factored in place
-    and its C block then holds the gain, and its strict upper triangle is
-    never read or written; without it the joint is left unchanged.
-    ``lead`` (at most n_known / 64 blocks) lets the factorization and the
-    solve skip the zero tiles among the leading known blocks.  ``gain``
-    and ``chol`` never share memory with the joint.
-    """
-    m = n_known
-    if m < 0 or m % 64 or np.shape(joint) != (m + 64, m + 64):
-        raise cov_mod.CovarianceError(
-            f"joint covariance of shape {np.shape(joint)} does not hold "
-            f"{n_known} known coordinates and one block of 64")
-    if not 0 <= 64 * lead <= m:
-        raise cov_mod.CovarianceError(
-            f"a lead of {lead} blocks does not fit {m} known coordinates")
-    factor, jitter = cov_mod.cholesky(joint, refill=refill, lead=lead)
-    # L_c's strict upper part is whatever the joint's upper triangle held.
-    chol = np.zeros((64, 64))
-    np.copyto(chol, factor[m:, m:], where=_LOWER)
-    return _solve_gain(factor, m, lead), chol, jitter
 
 
 class _Workspace(threading.local):
@@ -428,7 +343,7 @@ class SimulatedEmbedder:
         joint = workspace.view(64 * len(blocks))
         self._fill_lower(blocks, joint)
         try:
-            gain, chol, jitter = condition(
+            gain, chol, jitter = cov_mod.condition(
                 joint, joint.shape[0] - 64,
                 refill=functools.partial(self._fill_lower, blocks, joint),
                 lead=self._tile_plan(blocks)[2])
@@ -628,6 +543,12 @@ def read_costs(path):
         path, _COSTS_MAGIC, ">IIBB",
         # 2K+1 costs and pi(0) per coefficient, float64 each.
         lambda bh, bw, qf, k: 8 * bh * bw * 64 * (2 * k + 2), "cost-file")
+    if not 1 <= qf <= 100:
+        raise jpeg_model.FormatError(f"cost-file quality factor {qf} is "
+                                     "outside 1..100")
+    if k_range < 1:
+        raise jpeg_model.FormatError(f"cost-file alphabet half-width K = "
+                                     f"{k_range} is below 1")
     n_costs = bh * bw * 64 * (2 * k_range + 1)
     costs = np.frombuffer(body[: 8 * n_costs], dtype=">f8").reshape(
         bh, bw, 64, 2 * k_range + 1)

@@ -279,6 +279,22 @@ def test_negative_pgm_dimensions_exit_cleanly(tmp_path, caplog):
     assert not out.exists()
 
 
+def test_os_errors_exit_cleanly(tmp_path, caplog):
+    # A missing input and an unwritable output are reported, not raised.
+    missing = tmp_path / "missing.pgm"
+    rc = main(["embed", str(missing), "--qf", "95", "-o",
+               str(tmp_path / "x")])
+    assert rc == 1
+    assert f"error: [Errno 2] No such file or directory: '{missing}'" \
+        in caplog.text
+    out = tmp_path / "missing_dir" / "x.pgm"
+    rc = main(["synth", "--kind", "constant", "--mu", "100", "--w", "16",
+               "--h", "16", "-o", str(out)])
+    assert rc == 1
+    assert f"error: [Errno 2] No such file or directory: '{out}'" \
+        in caplog.text
+
+
 @pytest.mark.parametrize("argv", [
     ["develop", "r.pgm", "--qf", "90", "-o", "out"],
     ["covariance", "-o", "out"],

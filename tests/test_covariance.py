@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import blas, lapack
 
-from jpegns import condition
+from jpegns import SensorParams, condition
 from jpegns import covariance as cm
 from jpegns import pipeline as pl
 from jpegns.covariance import (
@@ -31,8 +31,6 @@ def test_photon_variance_linear_region(paper_params):
 
 
 def test_photon_variance_zero_params():
-    from jpegns import SensorParams
-
     assert photon_variance(0.0, SensorParams(0, 0, 0, 0)) == 0.0
 
 
@@ -41,6 +39,18 @@ def test_photon_variance_vectorized(paper_params):
     vec = photon_variance(xs, paper_params)
     scalar = np.array([photon_variance(float(x), paper_params) for x in xs])
     assert np.array_equal(vec, scalar)
+
+
+def test_photon_variance_overflow_is_refused():
+    # Finite parameters whose variance overflows float64: refused, with no
+    # RuntimeWarning on the way, rather than passed on as inf.  The second
+    # gain overflows itself, and inf * 0 is NaN.
+    for params, level in ((SensorParams(0.0, 0.0, 1e306, 0.0), 2000.0),
+                          (SensorParams(-1e308, 0.0, 1e308, 0.0), 0.0)):
+        with pytest.raises(CovarianceError, match="overflows"):
+            photon_variance(np.full(4, level), params)
+        with pytest.raises(CovarianceError, match="overflows"):
+            sigma_p(np.full((26, 26), level), params)
 
 
 # -- sigma_p ------------------------------------------------------------------
@@ -199,6 +209,31 @@ def test_condition_rejects_bad_shapes():
         condition(np.eye(128)[:, :64], 64)
 
 
+def test_counts_accept_numpy_integers():
+    # Block counts often come out of numpy arithmetic: they give the bytes
+    # Python ints give, and no BLAS call sees a numpy scalar.
+    full = lead_joint(np.random.default_rng(3), 3, 2)
+    chol, _ = cholesky(full, lead=3)
+    assert cholesky(full, lead=np.int64(3))[0].tobytes() == chol.tobytes()
+    gain, chol, _ = condition(full, 256, lead=3)
+    np_gain, np_chol, _ = condition(full, np.int64(256), lead=np.int32(3))
+    assert np_gain.tobytes() == gain.tobytes()
+    assert np_chol.tobytes() == chol.tobytes()
+
+
+@pytest.mark.parametrize("call", (
+    lambda: cholesky(np.eye(128, order="F"), lead=1.5),
+    lambda: condition(np.eye(128), 64.0),
+    lambda: condition(np.eye(128), 64, lead=1.0),
+), ids=["cholesky-lead", "condition-n_known", "condition-lead"])
+def test_float_counts_raise_before_blas(monkeypatch, call):
+    calls = []
+    monkeypatch.setattr(cm.blas, "dpotrf", lambda *args: calls.append(args))
+    with pytest.raises(TypeError):
+        call()
+    assert calls == []
+
+
 # -- cholesky -----------------------------------------------------------------
 
 
@@ -347,6 +382,18 @@ def test_cholesky_rejects_lead_that_does_not_fit(monkeypatch, lead):
     with pytest.raises(CovarianceError, match="lead"):
         condition(np.eye(192), 128, lead=lead)
     assert calls == []
+
+
+def test_cholesky_copy_path_refuses_non_finite():
+    # LAPACK's dpotrf reports success on a NaN pivot and returns a NaN
+    # factor, so the copy path checks the lower triangle it reads.
+    for bad in (np.full((64, 64), np.nan), np.diag([1.0, np.inf])):
+        with pytest.raises(CovarianceError, match="finite"):
+            cholesky(bad)
+    # The strict upper triangle is never read.
+    upper = np.eye(64)
+    upper[3, 40] = np.nan
+    assert cholesky(upper)[0].tobytes() == np.eye(64).tobytes()
 
 
 @pytest.mark.parametrize("a", (np.ones(3), np.ones((2, 3))),

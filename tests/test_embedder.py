@@ -23,6 +23,7 @@ from jpegns import (
     pseudo_embed,
     synthesize_raw,
 )
+from jpegns import blas
 from jpegns import embedder as emb_mod
 from jpegns import lattice
 from jpegns import pipeline as pl
@@ -92,7 +93,7 @@ def test_singular_blocks_are_skipped_and_reported(bright_raw, monkeypatch,
         raise emb_mod.cov_mod.SingularCovarianceError(
             "covariance not PSD after max jitter")
 
-    monkeypatch.setattr(emb_mod, "condition", singular)
+    monkeypatch.setattr(emb_mod.cov_mod, "condition", singular)
     with caplog.at_level("WARNING", logger="jpegns.embedder"):
         result = emb.run()
     lat = emb.assign.lattice_of(0, 0)
@@ -101,6 +102,17 @@ def test_singular_blocks_are_skipped_and_reported(bright_raw, monkeypatch,
     assert np.array_equal(result.stego.coeffs, emb.cover.coeffs)
     assert (f"lattice {lat} block (0,0) singular after max jitter"
             in caplog.text)
+
+
+def test_overflowing_variance_is_refused():
+    # Finite sensor parameters whose variance overflows float64 at the
+    # image's level: refused, not embedded as zero capacity.
+    raw = RawImage(data=np.full((16, 16), 2000.0), cfa="RGGB", bit_depth=12,
+                   params=SensorParams(a1=0.0, b1=0.0, a2=1e306, b2=0.0))
+    with pytest.raises(emb_mod.cov_mod.CovarianceError, match="overflows"):
+        embed_simulated(raw, EmbedConfig(qf=95, K=5, key=1))
+    with pytest.raises(emb_mod.cov_mod.CovarianceError, match="overflows"):
+        pseudo_embed(raw, seed=1)
 
 
 def test_pseudo_embed_zero_variance_identity(paper_params):
@@ -478,7 +490,7 @@ def test_joint_assembly_contract(bright_raw, monkeypatch, block):
 
     # The right-side solve gives the gain of the transposed left-side one.
     m = joint.shape[0] - 64
-    gain, _, _ = emb_mod.condition(joint, m)
+    gain, _, _ = emb_mod.cov_mod.condition(joint, m)
     chol, _ = cholesky(joint)
     ref = sla.solve_triangular(chol[:m, :m].T, chol[m:, :m].T,
                                lower=False).T
@@ -495,9 +507,9 @@ def test_gain_solve_works_in_place_on_the_factor(m):
     full = b @ b.T
     src = np.asfortranarray(np.where(np.tri(n, dtype=bool), full, np.nan))
     joint = src.copy(order="F")
-    gain, chol, _ = emb_mod.condition(
+    gain, chol, _ = emb_mod.cov_mod.condition(
         joint, m, refill=lambda: np.copyto(joint, src))
-    copied_gain, copied_chol, _ = emb_mod.condition(full, m)
+    copied_gain, copied_chol, _ = emb_mod.cov_mod.condition(full, m)
     factor, _ = emb_mod.cov_mod.cholesky(full)
     ref = sla.blas.dtrsm(1.0, np.array(factor[:m, :m]),
                          np.array(factor[m:, :m]), side=1, lower=1)
@@ -514,15 +526,16 @@ def test_gain_solve_works_in_place_on_the_factor(m):
 @pytest.mark.parametrize("lead", range(5))
 def test_gain_solve_with_lead_matches_dense_solve(lead, trailing):
     # The split solve (one dtrsm on L22, one dgemm, one dtrsm per lead
-    # tile) gives the dense one-dtrsm gain, works in place on C only, and
-    # never reads or writes the upper triangle.
+    # tile) gives the dense one-dtrsm gain of scipy's f2py solve, works in
+    # place on C only, and never reads or writes the upper triangle.
     n, m = 64 * (lead + trailing), 64 * (lead + trailing - 1)
     factor, _ = emb_mod.cov_mod.cholesky(
         lead_joint(np.random.default_rng(10 * lead + trailing), lead,
                    trailing), lead=lead)
-    dense = emb_mod._solve_gain(factor.copy(order="F"), m)
+    dense = sla.blas.dtrsm(1.0, np.tril(factor[:m, :m]), factor[m:, :m],
+                           side=1, lower=1)
     split = np.where(np.tri(n, dtype=bool), factor, np.nan).copy(order="F")
-    gain = emb_mod._solve_gain(split, m, lead)
+    gain = emb_mod.cov_mod._solve_gain(split, m, lead)
     scale = np.abs(dense).max(initial=0.0)
     assert np.abs(gain - dense).max(initial=0.0) <= 1e-12 * scale
     assert np.array_equal(split[:m, :m], np.where(
@@ -530,7 +543,7 @@ def test_gain_solve_with_lead_matches_dense_solve(lead, trailing):
     assert np.array_equal(split[m:, m:], np.where(
         np.tri(64, dtype=bool), factor[m:, m:], np.nan), equal_nan=True)
     assert gain.tobytes() == np.array(split[m:, :m], order="F").tobytes()
-    if lead < 2:  # one tile has no structure: the dense call, bit for bit
+    if lead < 2:  # nothing is split off: the dense solve, bit for bit
         assert gain.tobytes() == dense.tobytes()
 
 
@@ -547,13 +560,14 @@ def test_gain_solve_with_lead_matches_dense_solve(lead, trailing):
 def test_gain_solve_rejects_factor_before_blas(monkeypatch, factor, m, lead):
     calls = []
     for name in ("dtrsm", "dgemm"):
-        monkeypatch.setattr(emb_mod.blas, name,
-                            lambda *args: calls.append(args))
+        monkeypatch.setattr(blas, name, lambda *args: calls.append(args))
     with pytest.raises(emb_mod.cov_mod.CovarianceError):
-        emb_mod._solve_gain(factor, m, lead)
+        emb_mod.cov_mod._solve_gain(factor, m, lead)
     assert calls == []
-    emb_mod._solve_gain(np.eye(128, order="F"), 64)
-    assert len(calls) == 1
+    # Without a lead the sequence is the same: a solve on all of L_k and
+    # an empty update.
+    emb_mod.cov_mod._solve_gain(np.eye(128, order="F"), 64)
+    assert len(calls) == 2
 
 
 def test_factored_block_allocates_only_what_it_returns(bright_raw):

@@ -1,4 +1,5 @@
-"""Every library module uses each name it imports, as flake8's F401 asks.
+"""Every library module uses each name it imports, as flake8's F401 asks,
+and only ``covariance`` imports ``blas``.
 
 No linter ships with the test dependencies, so this parses the sources
 with ``ast``.  ``__init__.py`` is left out: its imports are the package's
@@ -41,3 +42,34 @@ def test_checker_finds_unused_and_honours_noqa():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def imported_modules(source):
+    """Dotted names that ``source``'s imports may bind, relative ones
+    resolved inside ``jpegns``: a module and, for ``from`` imports, each
+    name it is asked for."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = (".".join(filter(None, ("jpegns", node.module)))
+                    if node.level else node.module)
+            found.add(base)
+            found.update(f"{base}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_import_finder_resolves_relative_imports():
+    source = ("import jpegns.rng\nfrom . import blas as b, lattice\n"
+              "from .sampler import pmf\nfrom scipy.linalg import blas\n")
+    assert {"jpegns.rng", "jpegns.blas", "jpegns.lattice",
+            "jpegns.sampler", "scipy.linalg.blas"} <= imported_modules(source)
+
+
+def test_only_covariance_imports_blas():
+    # The factor's layout is known in one module: only it passes pointers
+    # into BLAS.
+    users = [module for module in MODULES
+             if "jpegns.blas" in imported_modules((SRC / module).read_text())]
+    assert users == ["covariance.py"]

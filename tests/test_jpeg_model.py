@@ -212,6 +212,20 @@ def test_damaged_container_errors(tmp_path, write, read, damage, error):
         read(path)
 
 
+@pytest.mark.parametrize("qf, k_range, message", [
+    (0, 2, "quality factor 0 is outside 1..100"),
+    (200, 2, "quality factor 200 is outside 1..100"),
+    (90, 0, "K = 0 is below 1"),
+], ids=["qf-0", "qf-200", "K-0"])
+def test_cost_file_header_fields_are_checked(tmp_path, qf, k_range, message):
+    # A well-formed container whose header no cost plane can have.
+    path = tmp_path / "costs.jcst"
+    jm._write_container(path, b"JCST", ">IIBB", (1, 1, qf, k_range),
+                        bytes(8 * 64 * (2 * k_range + 2)))
+    with pytest.raises(FormatError, match=message):
+        read_costs(path)
+
+
 def test_plane_block_round_trip():
     c = random_coeffs(7)
     rebuilt = JpegCoefficients.from_plane(c.plane(), c.table, role=c.role)
