@@ -5,7 +5,10 @@ a larger array they are given, and their ``dpotrf`` holds the GIL.  These
 entry points work on blocks where they lie in a column-major float64
 array and release the GIL for the call.  Every matrix argument is an
 address and a leading dimension: callers check shape, dtype, layout and
-writability before they pass a pointer, since nothing here can.
+writability before they pass a pointer, since nothing here can.  Sizes
+and leading dimensions are ``ctypes.c_int`` objects, so a caller binds
+them once for many calls; the routines only read them, so threads may
+share them.
 """
 
 import ctypes
@@ -51,27 +54,24 @@ _MINUS_ONE = ctypes.c_double(-1.0)
 def dpotrf(n, a, lda):
     """Factor the n x n lower triangle at ``a`` in place; LAPACK's info."""
     info = ctypes.c_int(0)
-    _dpotrf(b"L", ctypes.c_int(n), a, ctypes.c_int(lda), info)
+    _dpotrf(b"L", n, a, lda, info)
     return info.value
 
 
 def dtrsm(trans, m, n, a, lda, b, ldb):
     """B := B op(A)^-1 for the m x n B at ``b`` and the n x n lower
     triangular A at ``a``, op(A) = A^t when ``trans`` is b"T"."""
-    _dtrsm(b"R", b"L", trans, b"N", ctypes.c_int(m), ctypes.c_int(n), _ONE,
-           a, ctypes.c_int(lda), b, ctypes.c_int(ldb))
+    _dtrsm(b"R", b"L", trans, b"N", m, n, _ONE, a, lda, b, ldb)
 
 
 def dsyrk(n, k, a, lda, c, ldc):
     """C := C - A A^t on the lower triangle of the n x n C at ``c``, with
     A the n x k matrix at ``a``."""
-    _dsyrk(b"L", b"N", ctypes.c_int(n), ctypes.c_int(k), _MINUS_ONE, a,
-           ctypes.c_int(lda), _ONE, c, ctypes.c_int(ldc))
+    _dsyrk(b"L", b"N", n, k, _MINUS_ONE, a, lda, _ONE, c, ldc)
 
 
-def dgemm(m, n, k, a, lda, b, ldb, c, ldc):
-    """C := C - A B for the m x n C at ``c``, the m x k A at ``a`` and the
-    k x n B at ``b``."""
-    _dgemm(b"N", b"N", ctypes.c_int(m), ctypes.c_int(n), ctypes.c_int(k),
-           _MINUS_ONE, a, ctypes.c_int(lda), b, ctypes.c_int(ldb), _ONE, c,
-           ctypes.c_int(ldc))
+def dgemm(trans, m, n, k, a, lda, b, ldb, c, ldc):
+    """C := C - A op(B) for the m x n C at ``c`` and the m x k A at ``a``;
+    B at ``b`` is k x n, or n x k with op(B) = B^t when ``trans`` is
+    b"T"."""
+    _dgemm(b"N", trans, m, n, k, _MINUS_ONE, a, lda, b, ldb, _ONE, c, ldc)

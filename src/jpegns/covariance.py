@@ -7,6 +7,7 @@ jitter for the singular blocks that clamped variances produce, and
 ``condition`` reads a block's conditional law off that factor.
 """
 
+import ctypes
 import functools
 import operator
 import os
@@ -71,7 +72,7 @@ def sigma_d(m, v):
     return (dense + dense.T) / 2.0
 
 
-def cholesky(a, refill=None, lead=0):
+def cholesky(a, refill=None, zeros=()):
     """Lower-triangular L with L L^t = a, adding escalating jitter if needed.
 
     Only ``a``'s lower triangle is read.  Returns (L, jitter_applied), the
@@ -89,18 +90,23 @@ def cholesky(a, refill=None, lead=0):
     upper triangle is never read or written: in place, it keeps whatever
     ``a`` held there.
 
-    ``lead`` declares that the first ``lead`` diagonal 64 x 64 tiles are
-    the only nonzero tiles of ``a``'s leading 64 * ``lead`` rows and
-    columns, as for blocks no two of which are 8-connected.  Each of those
-    tiles is then factored on its own (``dpotrf``) and solves its panel
-    below the lead (``dtrsm``); one rank update (``dsyrk``) and one
-    ``dpotrf`` of the trailing block finish L.  The zero tiles among the
-    lead are neither read nor written, so L holds them as ``a`` did.  Below
-    a lead of two the trailing block is the whole matrix.  Any attempt
-    that fails, in a lead tile or in the trailing block, goes to the next
-    jitter step.  ``lead`` is an integer (``operator.index``).
+    ``zeros`` lists (row, col) pairs, row > col, of 64 x 64 tiles of
+    ``a``'s lower triangle that are exactly zero, as for blocks that are
+    not 8-connected.  The factor skips them (``_schedule``): tile columns
+    are eliminated in groups of mutually zero columns with the same
+    nonzero rows below them, each tile by its own ``dpotrf`` and one
+    ``dtrsm`` per run of consecutive nonzero rows, then one ``dsyrk`` or
+    ``dgemm`` per pair of runs, until the rest is dense or its first
+    column would skip nothing split off; one ``dpotrf`` factors that
+    rest.  Without zeros it is the whole matrix: LAPACK's dense factor,
+    bit for bit.  Zero tiles that the elimination never fills are neither
+    read nor written, so L holds them as ``a`` did.  Any attempt that
+    fails, in a tile or in the dense rest, goes to the next jitter step.
+    A pair outside the lower triangle of ``a``'s tiles raises
+    CovarianceError, and a pair not of integers (``operator.index``)
+    TypeError, before BLAS runs.
     """
-    lead = operator.index(lead)
+    zeros = _zero_pairs(zeros)
     if refill is None:
         src = np.asarray(a, dtype=np.float64)
         # ``tril`` would broadcast a 1-d array to a square one.
@@ -115,80 +121,199 @@ def cholesky(a, refill=None, lead=0):
                               f"float64 array, got {a.dtype} of shape "
                               f"{a.shape}")
     n = a.shape[0]
-    if not 0 <= 64 * lead <= n:
-        raise CovarianceError(f"a lead of {lead} tiles does not fit a "
-                              f"matrix of order {n}")
+    ops = _factor_ops(n, zeros)
     shift = 0.0
     for eps in (0.0,) + JITTER_LADDER:
         if eps:
             refill()
             shift = eps * float(np.mean(np.diag(a)))
             a[np.diag_indices(n)] += shift
-        if _factor_in_place(a, lead) == 0:
+        if _factor_in_place(a, ops) == 0:
             return a, shift
     raise SingularCovarianceError("covariance not PSD after max jitter")
 
 
-def _factor_in_place(a, lead):
+def _zero_pairs(zeros):
+    """``zeros`` as a tuple of (row, col) pairs of Python ints."""
+    return tuple((operator.index(r), operator.index(c)) for r, c in zeros)
+
+
+@functools.lru_cache(maxsize=256)
+def _schedule(n, zeros):
+    """Elimination order of an order-``n`` factor whose lower 64 x 64
+    tiles ``zeros`` are zero: (groups, start), in matrix coordinates.
+
+    Each group (c0, c1, runs) covers the tile columns c0..c1-1, no two of
+    which share a nonzero tile, and all of which have the same nonzero
+    rows below c1; ``runs`` lists those rows as maximal ranges [r0, r1).
+    Eliminating a group fills every tile between two of its rows, and the
+    next group is read off the filled pattern.  The columns from ``start``
+    on are left to one dense ``dpotrf``: the rest is dense there, or its
+    first column, alone and with every row below nonzero, would skip
+    nothing.  Without zeros there are no groups and ``start`` is 0.
+    """
+    if not zeros:
+        return (), 0
+    tiles, part = divmod(n, 64)
+    if part:
+        raise CovarianceError(
+            f"zero tiles need a matrix of 64 x 64 tiles, got order {n}")
+    nonzero = np.ones((tiles, tiles), dtype=bool)
+    for r, c in zeros:
+        if not 0 <= c < r < tiles:
+            raise CovarianceError(f"zero tile ({r}, {c}) is not below the "
+                                  f"diagonal of {tiles} x {tiles} tiles")
+        nonzero[r, c] = False
+    groups, j = [], 0
+    while not nonzero[j:, j:].all():
+        end = j + 1
+        while (end < tiles and not nonzero[end, j:end].any()
+               and np.array_equal(nonzero[end + 1 :, end],
+                                  nonzero[end + 1 :, j])):
+            end += 1
+        rows = (np.flatnonzero(nonzero[end:, j]) + end).tolist()
+        if end == j + 1 and len(rows) == tiles - end:
+            break
+        nonzero[np.ix_(rows, rows)] = True
+        runs = []
+        for r in rows:
+            if runs and runs[-1][1] == 64 * r:
+                runs[-1][1] += 64
+            else:
+                runs.append([64 * r, 64 * (r + 1)])
+        groups.append((64 * j, 64 * end, tuple(map(tuple, runs))))
+        j = end
+    return tuple(groups), 64 * j
+
+
+# BLAS calls bound to an order-n column-major matrix: each takes the
+# matrix's base address and returns LAPACK's info (``dpotrf``) or None.
+# Matrix arguments are given by the (row, col) element they start at, and
+# every leading dimension is n.  A call with an empty dimension would do
+# nothing, and its builder returns None in its place.
+
+def _potrf(n, size, d):
+    """Factor the size x size block at (d, d)."""
+    if size > 0:
+        size, ld, a = ctypes.c_int(size), ctypes.c_int(n), 8 * (d * n + d)
+        return lambda base: blas.dpotrf(size, base + a, ld)
+    return None
+
+
+def _trsm(n, trans, rows, size, d, b):
+    """B := B op(A)^-1 for the rows x size B at ``b`` and the size x size
+    lower triangle A at (d, d)."""
+    if rows > 0 and size > 0:
+        rows, size, ld = map(ctypes.c_int, (rows, size, n))
+        a, b = 8 * (d * n + d), 8 * (b[1] * n + b[0])
+        return lambda base: blas.dtrsm(trans, rows, size, base + a, ld,
+                                       base + b, ld)
+    return None
+
+
+def _syrk(n, size, k, a, d):
+    """C := C - A A^t on the lower triangle of the size x size C at
+    (d, d), with A the size x k block at ``a``."""
+    if size > 0 and k > 0:
+        size, k, ld = map(ctypes.c_int, (size, k, n))
+        a, c = 8 * (a[1] * n + a[0]), 8 * (d * n + d)
+        return lambda base: blas.dsyrk(size, k, base + a, ld, base + c, ld)
+    return None
+
+
+def _gemm(n, trans, rows, cols, k, a, b, c):
+    """C := C - A op(B) for the rows x cols C at ``c`` and the rows x k A
+    at ``a``, with op(B) as in ``blas.dgemm``."""
+    if rows > 0 and cols > 0 and k > 0:
+        rows, cols, k, ld = map(ctypes.c_int, (rows, cols, k, n))
+        a, b, c = (8 * (col * n + row) for row, col in (a, b, c))
+        return lambda base: blas.dgemm(trans, rows, cols, k, base + a, ld,
+                                       base + b, ld, base + c, ld)
+    return None
+
+
+@functools.lru_cache(maxsize=256)
+def _factor_ops(n, zeros):
+    """``cholesky``'s calls on an order-``n`` matrix with zero tiles
+    ``zeros``, in ``_schedule``'s order."""
+    groups, start = _schedule(n, zeros)
+    ops = []
+    for c0, c1, runs in groups:
+        for c in range(c0, c1, 64):
+            ops.append(_potrf(n, 64, c))
+            ops += [_trsm(n, b"T", r1 - r0, 64, c, (r0, c))
+                    for r0, r1 in runs]
+        for i, (r0, r1) in enumerate(runs):
+            ops.append(_syrk(n, r1 - r0, c1 - c0, (r0, c0), r0))
+            ops += [_gemm(n, b"T", r1 - r0, s1 - s0, c1 - c0, (r0, c0),
+                          (s0, c0), (r0, s0)) for s0, s1 in runs[:i]]
+    ops.append(_potrf(n, n - start, start))
+    return tuple(op for op in ops if op)
+
+
+def _factor_in_place(a, ops):
     """LAPACK's info for the in-place lower factor of ``a`` (see cholesky)."""
-    n = a.shape[0]
-    base, item = a.ctypes.data, a.itemsize
-    # A lone tile stays dense: split off, it would round differently.
-    k = 64 * lead if lead > 1 else 0
-    rest = n - k
-    trailing = base + (k * n + k) * item
-    for start in range(0, k, 64):
-        tile = base + (start * n + start) * item
-        info = blas.dpotrf(64, tile, n)
+    base = a.ctypes.data
+    for op in ops:
+        info = op(base)
         if info:
             return info
-        # The tile's panel below the lead: rows k.. of its columns.
-        blas.dtrsm(b"T", rest, 64, tile, n, tile + (k - start) * item, n)
-    blas.dsyrk(rest, k, base + k * item, n, trailing, n)
-    return blas.dpotrf(rest, trailing, n)
+    return 0
 
 
-def _solve_gain(factor, m, lead=0):
+@functools.lru_cache(maxsize=256)
+def _gain_ops(n, m, zeros):
+    """``_solve_gain``'s calls on an order-``n`` factor with zero tiles
+    ``zeros`` and ``m`` known coordinates: a solve on the part of the
+    dense rest that lies in L_k, then ``_schedule``'s groups backwards."""
+    groups, start = _schedule(n, zeros)
+    if zeros and m % 64:
+        raise CovarianceError(f"{m} known coordinates split a 64 x 64 tile")
+    rows, start = n - m, min(start, m)
+    ops = [_trsm(n, b"N", rows, m - start, start, (m, start))]
+    for c0, c1, runs in reversed(groups):
+        c1 = min(c1, m)
+        ops += [_gemm(n, b"N", rows, c1 - c0, min(r1, m) - r0, (m, r0),
+                      (r0, c0), (m, c0)) for r0, r1 in runs]
+        ops += [_trsm(n, b"N", rows, 64, c, (m, c))
+                for c in range(c0, c1, 64)]
+    return tuple(op for op in ops if op)
+
+
+def _solve_gain(factor, m, zeros=()):
     """Mean gain G = C L_k^-1 of a Cholesky factor [[L_k, 0], [C, L_c]]
     whose first ``m`` coordinates are known.
 
     The solve runs on ``factor`` in place: it reads the lower triangle of
     L_k and overwrites C with G, and nothing else of ``factor`` is
-    touched.  ``lead`` is the factor's lead (``cholesky``): L_k splits as
-    [[D, 0], [B, L22]] with D block-diagonal over ``lead`` 64 x 64 tiles,
-    so G = [G1, G2] comes from one right-side ``dtrsm`` on L22
-    (G2 = C2 L22^-1), one ``dgemm`` (C1 - G2 B) and one ``dtrsm`` per tile
-    of D (G1); below a lead of two, L22 is all of L_k.  Returns G copied
-    out column-major, (n - m, m); with m = 0 it is empty and BLAS returns
-    at once.  ``factor`` must be a square, writable, column-major
-    float64 array with 0 <= m < n and 0 <= 64 * lead <= m, or
-    CovarianceError is raised before BLAS sees its pointer.
+    touched.  ``zeros`` are the factor's zero tiles (``cholesky``), so
+    L_k splits as [[D, 0], [B, L22]], with L22 the part of the dense rest
+    that lies in L_k and D holding ``_schedule``'s groups.  G2 = C2 L22^-1
+    is one right-side ``dtrsm``; then, group by group from the last, one
+    ``dgemm`` per run of nonzero rows below the group subtracts what the
+    solved columns contribute, and one ``dtrsm`` per tile solves the
+    group's columns.  Without zeros L22 is all of L_k.  Returns G copied
+    out column-major, (n - m, m); with m = 0 it is empty.  ``factor``
+    must be a square, writable, column-major float64 array with
+    0 <= m < n, and with zeros m must be a multiple of 64, or
+    CovarianceError is raised before BLAS sees its pointer; ``zeros`` is
+    checked as ``cholesky`` checks it.
     """
+    zeros = _zero_pairs(zeros)
     if (factor.ndim != 2 or factor.shape[0] != factor.shape[1]
             or factor.dtype != np.float64 or not factor.flags.f_contiguous
-            or not factor.flags.writeable or not 0 <= m < factor.shape[0]
-            or not 0 <= 64 * lead <= m):
+            or not factor.flags.writeable or not 0 <= m < factor.shape[0]):
         raise CovarianceError(
             f"gain solve needs a square writable column-major float64 "
-            f"factor with 0 <= m < n and a lead that fits m, got "
-            f"{factor.dtype} of shape {factor.shape}, m = {m} and "
-            f"lead = {lead}")
-    n = factor.shape[0]
-    base, item = factor.ctypes.data, factor.itemsize
-    k = 64 * lead if lead > 1 else 0  # as ``_factor_in_place`` splits
-    # C starts at element (m, 0), and every block has stride n.
-    gain = base + m * item
-    blas.dtrsm(b"N", n - m, m - k, base + (k * n + k) * item, n,
-               gain + k * n * item, n)
-    blas.dgemm(n - m, k, m - k, gain + k * n * item, n, base + k * item, n,
-               gain, n)
-    for start in range(0, k, 64):
-        blas.dtrsm(b"N", n - m, 64, base + (start * n + start) * item, n,
-                   gain + start * n * item, n)
+            f"factor with 0 <= m < n, got {factor.dtype} of shape "
+            f"{factor.shape} and m = {m}")
+    base = factor.ctypes.data
+    for op in _gain_ops(factor.shape[0], m, zeros):
+        op(base)
     return np.array(factor[m:, :m], order="F")
 
 
-def condition(joint, n_known, refill=None, lead=0):
+def condition(joint, n_known, refill=None, zeros=()):
     """Conditional law of the last 64 coordinates given the first ``n_known``.
 
     ``joint`` is the joint covariance with the known blocks first and the
@@ -202,28 +327,24 @@ def condition(joint, n_known, refill=None, lead=0):
     with ``gain`` a column-major (64, n_known) array, (64, 0) when nothing
     is known, so its product with the empty ``known`` is zero.  ``chol``
     factors the conditional covariance and ``jitter`` is the shift the
-    factorization needed.  ``refill`` and ``lead`` are passed to
+    factorization needed.  ``refill`` and ``zeros`` are passed to
     ``cholesky``: with ``refill`` the joint is factored in place and its C
     block then holds the gain, and its strict upper triangle is never read
-    or written; without it the joint is left unchanged.  ``lead`` (at most
-    n_known / 64 blocks) lets the factorization and the solve skip the
-    zero tiles among the leading known blocks.  Both counts are integers
-    (``operator.index``); ``gain`` and ``chol`` never share memory with
-    the joint.
+    or written; without it the joint is left unchanged.  ``zeros``, the
+    joint's zero tiles, lets the factorization and the solve skip them.
+    ``n_known`` is an integer (``operator.index``); ``gain`` and ``chol``
+    never share memory with the joint.
     """
-    m, lead = operator.index(n_known), operator.index(lead)
+    m = operator.index(n_known)
     if m < 0 or m % 64 or np.shape(joint) != (m + 64, m + 64):
         raise CovarianceError(
             f"joint covariance of shape {np.shape(joint)} does not hold "
             f"{m} known coordinates and one block of 64")
-    if not 0 <= 64 * lead <= m:
-        raise CovarianceError(
-            f"a lead of {lead} blocks does not fit {m} known coordinates")
-    factor, jitter = cholesky(joint, refill=refill, lead=lead)
+    factor, jitter = cholesky(joint, refill=refill, zeros=zeros)
     # L_c's strict upper part is whatever the joint's upper triangle held.
     chol = np.zeros((64, 64))
     np.copyto(chol, factor[m:, m:], where=_LOWER)
-    return _solve_gain(factor, m, lead), chol, jitter
+    return _solve_gain(factor, m, zeros), chol, jitter
 
 
 def analysis_covariance(mode="full", cfa="RGGB", green_kernel="cross"):

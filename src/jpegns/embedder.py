@@ -255,46 +255,40 @@ class SimulatedEmbedder:
     # -- covariance assembly ------------------------------------------------
 
     def _tile_plan(self, blocks):
-        """Lower tiles of the joint over ``blocks``: (tiles, zeros, lead).
+        """Lower tiles of the joint over ``blocks``: (tiles, zeros).
 
         ``tiles`` holds (rows, cols, a, r, c, wa, wb) for each pair of
         8-connected blocks a <= b: the joint's (rows, cols) tile, block b
         against block a, is ``((wa * var) @ wb).T`` with ``var`` the (r, c)
-        overlap of block a's variance window.  ``zeros`` holds the
-        (rows, cols) tiles of the other pairs, which share no photo-site
-        support.  ``lead`` counts the leading blocks, the last one
-        excepted, no two of which are 8-connected: the joint's tiles among
-        them are zero off the diagonal (``covariance.cholesky``).
-        Memoized by the blocks' offsets from the last one; an image has a
-        few dozen such layouts whatever its size.
+        overlap of block a's variance window.  ``zeros`` holds the (b, a)
+        block pairs, b > a, of the other tiles, which share no photo-site
+        support and are exactly zero: the pattern ``covariance.cholesky``
+        factors around.  Memoized by the blocks' offsets from the last
+        one; an image has a few dozen such layouts whatever its size.
         """
         ri, ci = blocks[-1]
         layout = tuple((r - ri, c - ci) for r, c in blocks)
         plan = self._plans.get(layout)
         if plan is None:
             tiles, zeros = [], []
-            lead = len(layout) - 1
             for a, (ra, ca) in enumerate(layout):
                 cols = slice(64 * a, 64 * (a + 1))
                 for b in range(a, len(layout)):
                     rb, cb = layout[b]
-                    rows = slice(64 * b, 64 * (b + 1))
                     if max(abs(rb - ra), abs(cb - ca)) > 1:
-                        zeros.append((rows, cols))
+                        zeros.append((b, a))
                     else:
-                        tiles.append((rows, cols, a)
+                        tiles.append((slice(64 * b, 64 * (b + 1)), cols, a)
                                      + self._overlap[(rb - ra, cb - ca)])
-                        if a < b:
-                            lead = min(lead, b)
-            plan = self._plans[layout] = (tuple(tiles), tuple(zeros), lead)
+            plan = self._plans[layout] = (tuple(tiles), tuple(zeros))
         return plan
 
     def _fill_lower(self, blocks, out):
         """Write the lower triangle of the joint over ``blocks`` into
         ``out`` (column-major, 64 rows and columns per block)."""
-        tiles, zeros, _ = self._tile_plan(blocks)
-        for rows, cols in zeros:
-            out[rows, cols] = 0.0
+        tiles, zeros = self._tile_plan(blocks)
+        for b, a in zeros:
+            out[64 * b : 64 * (b + 1), 64 * a : 64 * (a + 1)] = 0.0
         for rows, cols, a, r, c, wa, wb in tiles:
             ra, ca = blocks[a]
             var = self.var_win[ra, ca, r, c].reshape(-1)
@@ -323,9 +317,13 @@ class SimulatedEmbedder:
 
         Dead neighbors carry no information and only make the conditioning
         singular.  The order puts a run of mutually unconnected blocks
-        first (the joint's ``lead``): the four lattice-1 corners of a
-        lattice-2 block, the lattice-2 N and S of a lattice-3 block and the
-        four lattice-3 corners of a lattice-4 block.
+        first: the four lattice-1 corners of a lattice-2 block, the
+        lattice-2 N and S of a lattice-3 block and the four lattice-3
+        corners of a lattice-4 block, each of which touches only two of
+        the lattice-4 block's W, E, N and S.  W and E, next, stay
+        unconnected once the corners are factored, so a lattice-4 joint
+        has a second such level.  ``_tile_plan``'s ``zeros`` give
+        ``covariance.cholesky`` the whole pattern.
         """
         return tuple(blk for blk in lattice.neighborhood(self.assign, block)
                      if self.live[blk]) + (block,)
@@ -346,7 +344,7 @@ class SimulatedEmbedder:
             gain, chol, jitter = cov_mod.condition(
                 joint, joint.shape[0] - 64,
                 refill=functools.partial(self._fill_lower, blocks, joint),
-                lead=self._tile_plan(blocks)[2])
+                zeros=self._tile_plan(blocks)[1])
         except cov_mod.SingularCovarianceError:
             log.warning("lattice %d block (%d,%d) singular after max jitter; "
                         "embedding skipped", self.assign.lattice_of(bi, bj),
@@ -543,9 +541,7 @@ def read_costs(path):
         path, _COSTS_MAGIC, ">IIBB",
         # 2K+1 costs and pi(0) per coefficient, float64 each.
         lambda bh, bw, qf, k: 8 * bh * bw * 64 * (2 * k + 2), "cost-file")
-    if not 1 <= qf <= 100:
-        raise jpeg_model.FormatError(f"cost-file quality factor {qf} is "
-                                     "outside 1..100")
+    jpeg_model._check_header(bh, bw, qf, "cost-file")
     if k_range < 1:
         raise jpeg_model.FormatError(f"cost-file alphabet half-width K = "
                                      f"{k_range} is below 1")

@@ -221,6 +221,15 @@ def _read_container(path, magic, fmt, body_size, what):
     return fields, buf[n_header:-4]
 
 
+def _check_header(bh, bw, qf, what):
+    """Raise FormatError unless a container header's block grid and
+    quality factor are ones a plane can have."""
+    if not bh or not bw:
+        raise FormatError(f"{what} block grid {bh} x {bw} is empty")
+    if not 1 <= qf <= 100:
+        raise FormatError(f"{what} quality factor {qf} is outside 1..100")
+
+
 def write_coeffs(c, path):
     """Write a coefficient plane in the JCNS container.
 
@@ -244,6 +253,7 @@ def read_coeffs(path):
         "coefficient")
     if role_idx >= len(_ROLES):
         raise FormatError(f"unknown role byte {role_idx}")
+    _check_header(bh, bw, qf, "coefficient")
     plane = np.frombuffer(body, dtype=">i2").reshape(bh * 8, bw * 8)
     return JpegCoefficients.from_plane(
         plane.astype(np.int32), quant_table(qf), role=_ROLES[role_idx])

@@ -11,7 +11,10 @@ lattices, which ``neighborhood`` lists latest lattice first:
     lattice 4: (odd,  even)           NW, NE, SW, SE | W, E | N, S  (3 | 2 | 1)
 
 So the embedder's joint of a block and its neighbors opens with blocks of
-one lattice, whose cross-covariance tiles are exactly zero.
+one lattice, whose cross-covariance tiles are exactly zero.  Lattice 4 has
+a second unconnected level, W | E: each corner touches only two of W, E,
+N and S, and none both W and E, so W and E stay unconnected once the
+corners are factored (N and S do not: W touches both).
 """
 
 from dataclasses import dataclass

@@ -123,3 +123,50 @@ def lead_joint(rng, lead, trailing):
         b[rows, : 128 * i] = 0.0
         b[rows, 128 * (i + 1) :] = 0.0
     return np.asfortranarray(b @ b.T)
+
+
+def lead_zeros(lead):
+    """The zero tiles of a ``lead_joint``'s lead, as ``cholesky``'s
+    ``zeros``: every pair of its first ``lead`` blocks."""
+    return tuple((i, j) for i in range(lead) for j in range(i))
+
+
+# An interior lattice-4 block's joint in factor order, as (row, col)
+# offsets from the block: NW, NE, SW, SE, W, E, N, S, then the block.
+LATTICE4_LAYOUT = ((-1, -1), (-1, 1), (1, -1), (1, 1), (0, -1), (0, 1),
+                   (-1, 0), (1, 0), (0, 0))
+
+
+def layout_joint(rng, layout):
+    """Well-conditioned random SPD matrix, column-major, over blocks of 64
+    at the grid positions ``layout``, and its zero tiles as ``cholesky``'s
+    ``zeros``: as in an image, two blocks share a nonzero tile exactly
+    when they are 8-connected.  Returns (joint, zeros)."""
+    rows = np.array(layout)
+    windows = [(r, c) for r in range(rows[:, 0].min() - 1, rows[:, 0].max() + 1)
+               for c in range(rows[:, 1].min() - 1, rows[:, 1].max() + 1)]
+    # Each block draws on 64 columns of its own and 64 per 2x2 window of
+    # the grid it lies in; 8-connected blocks share such a window.
+    b = np.zeros((64 * len(layout), 64 * (len(layout) + len(windows))))
+    for i, (r, c) in enumerate(layout):
+        block = slice(64 * i, 64 * (i + 1))
+        b[block, 64 * i : 64 * (i + 1)] = rng.normal(size=(64, 64))
+        for w, (wr, wc) in enumerate(windows, start=len(layout)):
+            if 0 <= r - wr <= 1 and 0 <= c - wc <= 1:
+                b[block, 64 * w : 64 * (w + 1)] = rng.normal(size=(64, 64))
+    zeros = tuple((i, j) for i in range(len(layout)) for j in range(i)
+                  if max(abs(rows[i] - rows[j])) > 1)
+    return np.asfortranarray(b @ b.T), zeros
+
+
+def never_filled(zeros, tiles):
+    """The pairs of ``zeros`` whose tiles stay zero through the Cholesky
+    factor of a matrix of ``tiles`` x ``tiles`` tiles: eliminating a
+    column fills every tile between two of its nonzero rows."""
+    nonzero = np.ones((tiles, tiles), dtype=bool)
+    for i, j in zeros:
+        nonzero[i, j] = False
+    for j in range(tiles):
+        rows = np.flatnonzero(nonzero[j + 1 :, j]) + j + 1
+        nonzero[np.ix_(rows, rows)] = True
+    return [(i, j) for i, j in zeros if not nonzero[i, j]]

@@ -15,7 +15,14 @@ from jpegns.covariance import (
     sigma_p,
 )
 
-from conftest import cov_standard_error, lead_joint
+from conftest import (
+    LATTICE4_LAYOUT,
+    cov_standard_error,
+    layout_joint,
+    lead_joint,
+    lead_zeros,
+    never_filled,
+)
 
 
 # -- photon variance ----------------------------------------------------------
@@ -213,19 +220,20 @@ def test_counts_accept_numpy_integers():
     # Block counts often come out of numpy arithmetic: they give the bytes
     # Python ints give, and no BLAS call sees a numpy scalar.
     full = lead_joint(np.random.default_rng(3), 3, 2)
-    chol, _ = cholesky(full, lead=3)
-    assert cholesky(full, lead=np.int64(3))[0].tobytes() == chol.tobytes()
-    gain, chol, _ = condition(full, 256, lead=3)
-    np_gain, np_chol, _ = condition(full, np.int64(256), lead=np.int32(3))
+    np_zeros = [(np.int64(i), np.int32(j)) for i, j in lead_zeros(3)]
+    chol, _ = cholesky(full, zeros=lead_zeros(3))
+    assert cholesky(full, zeros=np_zeros)[0].tobytes() == chol.tobytes()
+    gain, chol, _ = condition(full, 256, zeros=lead_zeros(3))
+    np_gain, np_chol, _ = condition(full, np.int64(256), zeros=np_zeros)
     assert np_gain.tobytes() == gain.tobytes()
     assert np_chol.tobytes() == chol.tobytes()
 
 
 @pytest.mark.parametrize("call", (
-    lambda: cholesky(np.eye(128, order="F"), lead=1.5),
+    lambda: cholesky(np.eye(128, order="F"), zeros=((1.5, 0),)),
     lambda: condition(np.eye(128), 64.0),
-    lambda: condition(np.eye(128), 64, lead=1.0),
-), ids=["cholesky-lead", "condition-n_known", "condition-lead"])
+    lambda: condition(np.eye(128), 64, zeros=((1, 0.0),)),
+), ids=["cholesky-zeros", "condition-n_known", "condition-zeros"])
 def test_float_counts_raise_before_blas(monkeypatch, call):
     calls = []
     monkeypatch.setattr(cm.blas, "dpotrf", lambda *args: calls.append(args))
@@ -321,7 +329,8 @@ def test_cholesky_with_lead_matches_dense_factor(lead, trailing):
     # In place over a NaN upper triangle: it is never read or written.
     src = np.asfortranarray(np.where(np.tri(n, dtype=bool), full, np.nan))
     a = src.copy(order="F")
-    chol, jitter = cholesky(a, refill=lambda: np.copyto(a, src), lead=lead)
+    chol, jitter = cholesky(a, refill=lambda: np.copyto(a, src),
+                            zeros=lead_zeros(lead))
     assert jitter == dense_jitter == 0.0
     assert np.shares_memory(chol, a)
     assert np.isnan(a[np.triu_indices(n, 1)]).all()
@@ -330,7 +339,32 @@ def test_cholesky_with_lead_matches_dense_factor(lead, trailing):
     if lead < 2:  # one tile has no structure: the dense dpotrf, bit for bit
         assert lower.tobytes() == dense.tobytes()
     # The copy path factors the same way.
-    copied, _ = cholesky(full, lead=lead)
+    copied, _ = cholesky(full, zeros=lead_zeros(lead))
+    assert copied.tobytes() == lower.tobytes()
+
+
+def test_cholesky_with_lattice4_zeros_matches_dense_factor():
+    # An interior lattice-4 joint has a second unconnected level (W | E)
+    # after its four corners; its factor skips both, and every zero tile
+    # that no elimination step fills, upper triangle included, is neither
+    # read nor written.
+    full, zeros = layout_joint(np.random.default_rng(4), LATTICE4_LAYOUT)
+    n = full.shape[0]
+    dense, _ = cholesky(full)
+    marked = np.where(np.tri(n, dtype=bool), full, np.nan)
+    kept = never_filled(zeros, 9)
+    # Of the 16 zero tiles only S against N fills, from W.
+    assert len(zeros) == 16 and set(zeros) - set(kept) == {(7, 6)}
+    for i, j in kept:
+        marked[64 * i : 64 * (i + 1), 64 * j : 64 * (j + 1)] = np.nan
+    src = np.asfortranarray(marked)
+    a = src.copy(order="F")
+    chol, jitter = cholesky(a, refill=lambda: np.copyto(a, src), zeros=zeros)
+    assert jitter == 0.0
+    assert np.array_equal(np.isnan(chol), np.isnan(src))
+    lower = np.where(np.isnan(src), 0.0, chol)
+    assert np.abs(lower - dense).max() <= 1e-12 * np.abs(dense).max()
+    copied, _ = cholesky(full, zeros=zeros)
     assert copied.tobytes() == lower.tobytes()
 
 
@@ -339,7 +373,7 @@ def test_cholesky_dense_lead_is_lapack_dpotrf(lead):
     # The ctypes dpotrf is LAPACK's own: the f2py wrapper's factor, bit for
     # bit, so no lattice-1 block and no joint without a lead moves.
     full = lead_joint(np.random.default_rng(lead), 1, 4)
-    chol, _ = cholesky(full, lead=lead)
+    chol, _ = cholesky(full, zeros=lead_zeros(lead))
     ref, info = lapack.dpotrf(full, lower=1, clean=1)
     assert info == 0
     assert chol.tobytes() == ref.tobytes()
@@ -361,26 +395,33 @@ def test_cholesky_rank_deficient_lead_tile_uses_jitter():
         refills.append(1)
         np.copyto(a, src)
 
-    chol, jitter = cholesky(a, refill=refill, lead=3)
+    chol, jitter = cholesky(a, refill=refill, zeros=lead_zeros(3))
     assert jitter > 0.0 and refills
     shifted = np.tril(full + jitter * np.eye(full.shape[0]))
     recon = np.tril(np.tril(chol) @ np.tril(chol).T)
     assert np.abs(recon - shifted).max() <= 1e-12 * np.abs(full).max()
 
 
-@pytest.mark.parametrize("lead", (-1, 3))
-def test_cholesky_rejects_lead_that_does_not_fit(monkeypatch, lead):
+@pytest.mark.parametrize("pair", ((3, 0), (1, -1), (0, 1), (1, 1)),
+                         ids=["outside", "negative", "upper", "diagonal"])
+def test_cholesky_rejects_zeros_that_do_not_fit(monkeypatch, pair):
     calls = []
     monkeypatch.setattr(cm.blas, "dpotrf", lambda *args: calls.append(args))
     a = np.eye(128, order="F")
-    with pytest.raises(CovarianceError, match="lead"):
-        cholesky(a, refill=lambda: None, lead=lead)
-    with pytest.raises(CovarianceError, match="lead"):
-        cholesky(a, lead=lead)
-    # ``cholesky`` alone would factor a 192 x 192 joint with a lead of 3,
-    # but ``condition`` refuses a lead that reaches the unknown block.
-    with pytest.raises(CovarianceError, match="lead"):
-        condition(np.eye(192), 128, lead=lead)
+    with pytest.raises(CovarianceError, match="zero tile"):
+        cholesky(a, refill=lambda: None, zeros=(pair,))
+    with pytest.raises(CovarianceError, match="zero tile"):
+        cholesky(a, zeros=(pair,))
+    with pytest.raises(CovarianceError, match="zero tile"):
+        condition(np.eye(192), 128, zeros=(pair,))
+    assert calls == []
+
+
+def test_cholesky_rejects_zeros_in_a_matrix_not_of_tiles(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cm.blas, "dpotrf", lambda *args: calls.append(args))
+    with pytest.raises(CovarianceError, match="64 x 64 tiles"):
+        cholesky(np.eye(160), zeros=((1, 0),))
     assert calls == []
 
 

@@ -1,4 +1,6 @@
+import ctypes
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -31,7 +33,13 @@ from jpegns.covariance import photon_variance, sigma_d, sigma_p
 from jpegns.jpeg_model import CoefficientsError
 from jpegns.sampler import costs_from_pmf, entropy
 
-from conftest import lead_joint
+from conftest import (
+    LATTICE4_LAYOUT,
+    layout_joint,
+    lead_joint,
+    lead_zeros,
+    never_filled,
+)
 
 
 def small_raw(params, size=48, seed=11, mu=2000.0, sigma=80.0):
@@ -380,18 +388,26 @@ def test_joint_order_leads_with_unconnected_blocks(bright_raw):
     # its lead: blocks whose tiles among them are all exactly zero, and the
     # next block has a nonzero tile with one of them.  Interior blocks
     # lead with their latest lattice: four corners (L2, L4) or N and S (L3).
+    # The tile plan's zeros are the tiles of blocks that are not
+    # 8-connected, and they are exactly zero.
     emb = one_dead_block(bright_raw)
     leads = {}
     for bi in range(emb.blocks_h):
         for bj in range(emb.blocks_w):
             blocks = emb.joint_blocks((bi, bj))
-            lead = emb._tile_plan(blocks)[2]
+            zeros = emb._tile_plan(blocks)[1]
+            lead = min((i for i in range(len(blocks)) for j in range(i)
+                        if (i, j) not in zeros), default=len(blocks) - 1)
             leads[bi, bj] = lead
             lats = [emb.assign.lattice_of(*blk) for blk in blocks[:-1]]
             assert lats == sorted(lats, reverse=True)
             joint = emb.joint_covariance(blocks)
             tile = lambda i, j: joint[64 * i : 64 * (i + 1),
                                       64 * j : 64 * (j + 1)]
+            assert sorted(zeros) == [
+                (i, j) for i in range(len(blocks)) for j in range(i)
+                if max(abs(np.subtract(blocks[i], blocks[j]))) > 1]
+            assert not any(tile(i, j).any() for i, j in zeros)
             for i in range(lead):
                 for j in range(i):
                     assert not tile(i, j).any(), ((bi, bj), i, j)
@@ -403,6 +419,8 @@ def test_joint_order_leads_with_unconnected_blocks(bright_raw):
     assert leads[0, 0] == 0 and lattice_of(0, 0) == 1
     # Next to the dead block: a lattice-2 block keeps three corners.
     assert leads[3, 3] == 3 and lattice_of(3, 3) == 2
+    # A lattice-4 block's W and E (blocks 4 and 5) share no tile either.
+    assert (5, 4) in emb._tile_plan(emb.joint_blocks(L4))[1]
 
 
 def test_first_lattice_blocks_factor_as_plain_lapack(bright_raw):
@@ -531,11 +549,11 @@ def test_gain_solve_with_lead_matches_dense_solve(lead, trailing):
     n, m = 64 * (lead + trailing), 64 * (lead + trailing - 1)
     factor, _ = emb_mod.cov_mod.cholesky(
         lead_joint(np.random.default_rng(10 * lead + trailing), lead,
-                   trailing), lead=lead)
+                   trailing), zeros=lead_zeros(lead))
     dense = sla.blas.dtrsm(1.0, np.tril(factor[:m, :m]), factor[m:, :m],
                            side=1, lower=1)
     split = np.where(np.tri(n, dtype=bool), factor, np.nan).copy(order="F")
-    gain = emb_mod.cov_mod._solve_gain(split, m, lead)
+    gain = emb_mod.cov_mod._solve_gain(split, m, lead_zeros(lead))
     scale = np.abs(dense).max(initial=0.0)
     assert np.abs(gain - dense).max(initial=0.0) <= 1e-12 * scale
     assert np.array_equal(split[:m, :m], np.where(
@@ -547,27 +565,150 @@ def test_gain_solve_with_lead_matches_dense_solve(lead, trailing):
         assert gain.tobytes() == dense.tobytes()
 
 
-@pytest.mark.parametrize("factor, m, lead", (
-    (np.eye(128), 64, 0),
-    (np.eye(128, dtype=np.float32, order="F"), 64, 0),
-    (np.eye(128, order="F"), -64, 0),
-    (np.eye(128, order="F"), 128, 0),
-    (np.eye(128, order="F"), 192, 0),
-    (np.eye(192, order="F"), 128, 3),
-    (np.eye(192, order="F"), 128, -1),
+@pytest.mark.parametrize("factor, m, zeros", (
+    (np.eye(128), 64, ()),
+    (np.eye(128, dtype=np.float32, order="F"), 64, ()),
+    (np.eye(128, order="F"), -64, ()),
+    (np.eye(128, order="F"), 128, ()),
+    (np.eye(128, order="F"), 192, ()),
+    (np.eye(192, order="F"), 128, ((3, 0),)),
+    (np.eye(192, order="F"), 128, ((1, -1),)),
+    (np.eye(192, order="F"), 96, ((1, 0),)),
 ), ids=["row-major", "float32", "m-negative", "m-equals-n", "m-above-n",
-        "lead-above-m", "lead-negative"])
-def test_gain_solve_rejects_factor_before_blas(monkeypatch, factor, m, lead):
+        "zeros-outside", "zeros-negative", "m-splits-tile"])
+def test_gain_solve_rejects_factor_before_blas(monkeypatch, factor, m, zeros):
     calls = []
     for name in ("dtrsm", "dgemm"):
         monkeypatch.setattr(blas, name, lambda *args: calls.append(args))
     with pytest.raises(emb_mod.cov_mod.CovarianceError):
-        emb_mod.cov_mod._solve_gain(factor, m, lead)
+        emb_mod.cov_mod._solve_gain(factor, m, zeros)
     assert calls == []
-    # Without a lead the sequence is the same: a solve on all of L_k and
-    # an empty update.
+    # Without zeros the solve is one dtrsm on all of L_k; a call with an
+    # empty dimension, such as the parent's empty update, is not made.
     emb_mod.cov_mod._solve_gain(np.eye(128, order="F"), 64)
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def test_gain_solve_with_lattice4_zeros_matches_dense_solve():
+    # The solve walks the factor's groups backwards (N and S in the dense
+    # rest, then W | E, then each corner) and gives the dense one-dtrsm
+    # gain of scipy's f2py solve, in place on C only.
+    full, zeros = layout_joint(np.random.default_rng(4), LATTICE4_LAYOUT)
+    n, m = full.shape[0], full.shape[0] - 64
+    factor, _ = emb_mod.cov_mod.cholesky(full, zeros=zeros)
+    dense = sla.blas.dtrsm(1.0, np.tril(factor[:m, :m]), factor[m:, :m],
+                           side=1, lower=1)
+    split = np.where(np.tri(n, dtype=bool), factor, np.nan).copy(order="F")
+    gain = emb_mod.cov_mod._solve_gain(split, m, zeros)
+    assert np.abs(gain - dense).max() <= 1e-12 * np.abs(dense).max()
+    assert np.array_equal(split[:m, :m], np.where(
+        np.tri(m, dtype=bool), factor[:m, :m], np.nan), equal_nan=True)
+    assert gain.tobytes() == np.array(split[m:, :m], order="F").tobytes()
+
+
+def test_structural_zeros_are_neither_read_nor_written(bright_raw):
+    # NaN in every zero tile that the factor never fills: every layout of
+    # the grid, dead neighbour included, gives the zero-filled run's gain
+    # and factor bit for bit, and the NaNs are still there afterwards.
+    emb = one_dead_block(bright_raw)
+    kept_by_block = {}
+    for block in zip(*map(np.ndarray.tolist, np.nonzero(emb.live))):
+        blocks = emb.joint_blocks(block)
+        zeros = emb._tile_plan(blocks)[1]
+        kept = kept_by_block[block] = never_filled(zeros, len(blocks))
+        n = 64 * len(blocks)
+
+        def assemble(out, marked):
+            emb._fill_lower(blocks, out)
+            for i, j in kept if marked else ():
+                out[64 * i : 64 * (i + 1), 64 * j : 64 * (j + 1)] = np.nan
+
+        runs = []
+        for marked in (False, True):
+            joint = np.empty((n, n), order="F")
+            refill = functools.partial(assemble, joint, marked)
+            refill()
+            gain, chol, jitter = emb_mod.cov_mod.condition(
+                joint, n - 64, refill=refill, zeros=zeros)
+            runs.append((gain.tobytes(), chol.tobytes(), jitter))
+            for i, j in kept if marked else ():
+                assert np.isnan(joint[64 * i : 64 * (i + 1),
+                                      64 * j : 64 * (j + 1)]).all()
+        assert runs[0] == runs[1], block
+    # An interior lattice-4 joint keeps 15 of its 16 zero tiles (W fills
+    # S against N); with S dead, block (3, 4)'s joint keeps all 13.
+    assert len(kept_by_block[L4]) == 15
+    assert len(kept_by_block[3, 4]) == 13 and emb.joint_blocks(
+        (3, 4))[-2] == (2, 4)
+
+
+def record_blas(monkeypatch, base):
+    """Run covariance's BLAS calls and record each as (routine, op chars,
+    sizes, matrix arguments), a matrix argument as the (row, col) element
+    of the order-n matrix at ``base`` where it starts."""
+    calls = []
+    for name in ("dpotrf", "dtrsm", "dsyrk", "dgemm"):
+        def spy(*args, name=name, real=getattr(blas, name)):
+            ints = [arg.value for arg in args
+                    if isinstance(arg, ctypes.c_int)]
+            addresses = [arg for arg in args if type(arg) is int]
+            sizes = ints[: len(ints) - len(addresses)]
+            leading = set(ints[len(sizes) :])
+            assert len(leading) == 1
+            elements = tuple(divmod((addr - base) // 8, *leading)[::-1]
+                             for addr in addresses)
+            calls.append((name,)
+                         + tuple(arg for arg in args if type(arg) is bytes)
+                         + tuple(sizes) + elements)
+            return real(*args)
+
+        monkeypatch.setattr(blas, name, spy)
+    return calls
+
+
+def blas_flops(calls):
+    """Nominal flops of recorded calls: n^3 / 3, m n^2, n^2 k, 2 m n k."""
+    count = {"dpotrf": lambda n, _: n**3 / 3,
+             "dtrsm": lambda trans, m, n, _a, _b: m * n * n,
+             "dsyrk": lambda n, k, _a, _c: n * n * k,
+             "dgemm": lambda trans, m, n, k, _a, _b, _c: 2 * m * n * k}
+    return sum(count[call[0]](*call[1:]) for call in calls)
+
+
+def test_factor_calls_and_flops_per_lattice(bright_raw, monkeypatch):
+    # Interior lattice-1, -2 and -3 joints open with a lead and end dense:
+    # they make the lead factorization's calls (less its calls with an
+    # empty dimension), so their factors and gains keep its bits.  An
+    # interior lattice-4 joint also skips W | E and each corner's zero
+    # rows: at most 32 Mflop for factor and gain, 56.3 with its lead alone.
+    emb = SimulatedEmbedder(bright_raw, EmbedConfig(qf=95, K=5, key=1))
+    workspace = emb_mod._Workspace()
+    workspace.view(9 * 64)
+    calls = record_blas(monkeypatch, workspace.flat.ctypes.data)
+    lead = {}
+    for block in ((2, 2), L2, L3, L4):
+        calls.clear()
+        emb._block_factors(*block, workspace)
+        lead[emb.assign.lattice_of(*block)] = list(calls)
+    assert lead[1] == [("dpotrf", 64, (0, 0))]
+    assert lead[2] == [
+        call for c in range(0, 256, 64)
+        for call in (("dpotrf", 64, (c, c)),
+                     ("dtrsm", b"T", 64, 64, (c, c), (256, c)))] + [
+        ("dsyrk", 64, 256, (256, 0), (256, 256)),
+        ("dpotrf", 64, (256, 256))] + [
+        ("dtrsm", b"N", 64, 64, (c, c), (256, c)) for c in range(0, 256, 64)]
+    assert lead[3] == [
+        call for c in (0, 64)
+        for call in (("dpotrf", 64, (c, c)),
+                     ("dtrsm", b"T", 192, 64, (c, c), (128, c)))] + [
+        ("dsyrk", 192, 128, (128, 0), (128, 128)),
+        ("dpotrf", 192, (128, 128)),
+        ("dtrsm", b"N", 64, 128, (128, 128), (256, 128)),
+        ("dgemm", b"N", 64, 128, 128, (256, 128), (128, 0), (256, 0)),
+        ("dtrsm", b"N", 64, 64, (0, 0), (256, 0)),
+        ("dtrsm", b"N", 64, 64, (64, 64), (256, 64))]
+    assert blas_flops(lead[4]) <= 32e6
 
 
 def test_factored_block_allocates_only_what_it_returns(bright_raw):

@@ -226,6 +226,31 @@ def test_cost_file_header_fields_are_checked(tmp_path, qf, k_range, message):
         read_costs(path)
 
 
+@pytest.mark.parametrize("header, message", [
+    ((0, 0, 3, 90), "grid 0 x 3 is empty"),
+    ((0, 2, 0, 90), "grid 2 x 0 is empty"),
+    ((1, 1, 1, 0), "quality factor 0 is outside 1..100"),
+    ((0, 1, 1, 101), "quality factor 101 is outside 1..100"),
+], ids=["no-rows", "no-cols", "qf-0", "qf-101"])
+def test_coefficient_file_header_fields_are_checked(tmp_path, header,
+                                                    message):
+    # A well-formed container whose header no coefficient plane can have.
+    path = tmp_path / "plane.jcns"
+    _, bh, bw, _ = header
+    jm._write_container(path, b"JCNS", ">BIIB", header,
+                        bytes(bh * bw * 64 * 2))
+    with pytest.raises(FormatError, match=message):
+        read_coeffs(path)
+
+
+@pytest.mark.parametrize("bh, bw", [(0, 3), (3, 0)])
+def test_cost_file_with_an_empty_grid_is_refused(tmp_path, bh, bw):
+    path = tmp_path / "costs.jcst"
+    jm._write_container(path, b"JCST", ">IIBB", (bh, bw, 90, 2), b"")
+    with pytest.raises(FormatError, match="is empty"):
+        read_costs(path)
+
+
 def test_plane_block_round_trip():
     c = random_coeffs(7)
     rebuilt = JpegCoefficients.from_plane(c.plane(), c.table, role=c.role)
