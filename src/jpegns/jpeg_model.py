@@ -129,6 +129,9 @@ class JpegCoefficients:
     @classmethod
     def from_plane(cls, plane, table, role="cover"):
         plane = np.asarray(plane)
+        if plane.ndim != 2:
+            raise DimensionError(
+                f"plane must be 2-D, got shape {plane.shape}")
         h, w = plane.shape
         if h % 8 or w % 8:
             raise DimensionError("plane dimensions must be multiples of 8")

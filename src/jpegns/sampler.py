@@ -11,10 +11,14 @@ beyond the alphabet fold into the end symbols.
 Drawing the change from the folded PMF and then the signal from the
 Gaussian truncated to the change's bin gives the same joint law of
 (change, signal) as drawing the signal and reading off its bin.  So the
-chain draws the whole block at once: one product with the factor gives
-every m'_i, and each change is the bin whose standardized edges hold z_i.
-The block's folded-PMF table is built from the same edges, and ``pmf``
-returns one row of that table as a plain (2K+1,) array.
+chain draws the whole block at once: one product with the strictly lower
+part of L gives every m'_i, and each change is the bin whose standardized
+edges hold z_i.  The draw needs only those edges, so the chain returns
+them and builds no PMF.  ``pmf_table`` turns edges into folded PMFs and
+``entropy`` reduces them; both act on each coefficient's row alone, so
+the embedder tabulates the edges of several blocks in one pass, with the
+values of one pass per block.  ``pmf`` returns one row of such a table as
+a plain (2K+1,) array.
 
 Conventions: rounding is half-away-from-zero; bins are half-open on the
 left, (u_k, u_{k+1}], so a z exactly on an edge draws the lower bin; the
@@ -34,7 +38,6 @@ from .jpeg_model import round_half_away_array
 _MAX_FLOAT = sys.float_info.max
 # Below this deviation an edge's standardization can overflow (see _grid).
 _SAFE_SIGMA = 2.0**-960
-_STRICT_LOWER = np.tri(64, k=-1, dtype=bool)
 
 
 class SamplerError(Exception):
@@ -77,7 +80,7 @@ def _grid(m_hat, sigma_hat, k_range):
         return np.add.outer(base, offsets) * inv[:, None]
 
 
-def _pmf_table(edges):
+def pmf_table(edges):
     """Folded PMFs (n, 2K+1) from the standardized edges of ``_grid``.
 
     cdf[:, j] = P(change <= -K + j) and its final column is exactly 1, so
@@ -115,8 +118,8 @@ def pmf(m_prime, sigma_prime, q_step, k_range):
     if not (math.isfinite(m_hat) and math.isfinite(sigma_hat)):
         raise SamplerError("m_prime / q_step and sigma_prime / q_step must "
                            "be finite")
-    return _pmf_table(_grid(np.array([m_hat]), np.array([sigma_hat]),
-                            k_range))[0]
+    return pmf_table(_grid(np.array([m_hat]), np.array([sigma_hat]),
+                           k_range))[0]
 
 
 def entropy(p):
@@ -146,34 +149,32 @@ def costs_from_pmf(p):
     return np.where(np.isnan(costs), np.inf, costs)
 
 
-def run_block_chain(chol, base_mean, q_steps, k_range, gen):
-    """Run the full 64-coefficient chain for one block.
+def run_block_chain(lower, sigmas, base_mean, q_steps, k_range, gen):
+    """Run the full 64-coefficient chain for one block: its draw only.
 
-    Returns a dict with the discrete ``changes`` (64), the continuous
-    candidates ``samples`` (64), the folded PMFs ``probs`` (64, 2K+1), the
-    conditional ``params`` (m_hat, sigma_hat) in quantization steps (64, 2)
-    and the per-coefficient ``entropy_bits`` (64) of ``probs``.
+    The conditional factor L comes in the chain's form: ``lower`` (64, 64)
+    holds its strictly lower part, zero on and above the diagonal, and
+    ``sigmas`` (64) its deviations |diag(L)|.  Returns a dict with the
+    discrete ``changes`` (64), the continuous candidates ``samples`` (64),
+    the conditional ``params`` (m_hat, sigma_hat) in quantization steps
+    (64, 2) and the standardized bin ``edges`` (64, 2K) of ``_grid``, from
+    which ``pmf_table`` builds the block's folded PMFs.
 
     Draws the block's 64 normals z up front, one uniform per coefficient
     through ``rng.standard_normal_icdf``.  The conditional means are
-    base_mean + strictly_lower(chol) @ z, the candidates are
-    means + |diag(chol)| * z, and change i is the number of coefficient i's
-    standardized edges below z_i, minus K.  A zero-deviation coefficient is
-    its own mean and draws its clamped atom: its edges are all infinite.
+    base_mean + lower @ z, the candidates are means + sigmas * z, and
+    change i is the number of coefficient i's edges below z_i, minus K.  A
+    zero-deviation coefficient is its own mean and draws its clamped atom:
+    its edges are all infinite.
     """
     z = rng.standard_normal_icdf(gen, 64)
-    steps = np.asarray(q_steps, dtype=np.float64)
-    sigmas = np.abs(chol.diagonal())
-    lower = np.zeros((64, 64))
-    np.copyto(lower, chol, where=_STRICT_LOWER)
     means = base_mean + lower @ z
     params = np.empty((64, 2))
     m_hat, sigma_hat = params[:, 0], params[:, 1]
-    np.divide(means, steps, out=m_hat)
-    np.divide(sigmas, steps, out=sigma_hat)
+    np.divide(means, q_steps, out=m_hat)
+    np.divide(sigmas, q_steps, out=sigma_hat)
     edges = _grid(m_hat, sigma_hat, k_range)
     changes = (edges < z[:, None]).sum(axis=1)
     changes -= k_range
-    probs = _pmf_table(edges)
     return {"changes": changes, "samples": means + sigmas * z,
-            "probs": probs, "params": params, "entropy_bits": entropy(probs)}
+            "params": params, "edges": edges}

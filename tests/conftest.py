@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -8,7 +9,6 @@ from scipy.stats import norm
 
 from jpegns import RawImage, SensorParams
 from jpegns.jpeg_model import round_half_away_array
-from jpegns.sampler import entropy
 
 
 def quadrature_change_pmf(m_prime, sigma_prime, q_step, k_range):
@@ -37,52 +37,103 @@ def quadrature_change_pmf(m_prime, sigma_prime, q_step, k_range):
     return np.array(probs)
 
 
-def reference_block_chain(chol, base_mean, q_steps, k_range, gen):
+def chain_form(chol):
+    """A Cholesky factor in the form ``sampler.run_block_chain`` takes:
+    (strictly lower part, |diagonal|)."""
+    return np.tril(chol, -1), np.abs(np.diagonal(chol))
+
+
+def reference_block_chain(lower, sigmas, base_mean, q_steps, k_range, gen):
     """Scan oracle for ``sampler.run_block_chain``: same outputs, plain loops.
 
     Takes the block's 64 uniforms (u = 0 read as 2**-53) and z = ndtri(u).
-    The conditional means use the kernel's arithmetic,
-    base_mean + tril(chol, -1) @ z: one BLAS product, whose summation order
-    a scalar loop would not reproduce bit for bit.  Every coefficient then
-    lists the standardized lower edges (u_k - m_hat) / sigma_hat of the
-    symbols -K+1..K, with u_k = round(m_hat) - 0.5 + k, and its change is
-    -K plus the number of edges a linear scan passes below z.  Its folded
-    CDF is ndtr of those edges, with a final 1.  A zero deviation draws
-    round(m_hat) clamped into the alphabet and gives that atom's step CDF.
+    The conditional means use the kernel's arithmetic, base_mean + lower @ z:
+    one BLAS product, whose summation order a scalar loop would not
+    reproduce bit for bit.  Every coefficient then lists the standardized
+    lower edges (u_k - m_hat) / sigma_hat of the symbols -K+1..K, with
+    u_k = round(m_hat) - 0.5 + k, and its change is -K plus the number of
+    edges a linear scan passes below z.  A zero deviation draws round(m_hat)
+    clamped into the alphabet: the edges of the symbols up to that atom are
+    -inf and the others +inf.
     """
     uniforms = [u if u > 0.0 else 2.0**-53 for u in gen.random(64).tolist()]
     z = ndtri(np.array(uniforms))
-    means = base_mean + np.tril(chol, -1) @ z
+    means = base_mean + lower @ z
     steps = np.asarray(q_steps, dtype=np.float64)
-    sigmas = np.abs(np.diagonal(chol))
     changes = np.zeros(64, dtype=np.int64)
     samples = np.zeros(64)
-    probs = []
+    edges = []
+    symbols = range(-k_range + 1, k_range + 1)
     for i in range(64):
         sigma_prime, z_i, q = float(sigmas[i]), float(z[i]), float(steps[i])
         m_hat, sigma_hat = float(means[i]) / q, sigma_prime / q
         center = float(round_half_away_array(m_hat))
         if sigma_hat == 0.0:
-            k = int(min(max(center, -k_range), k_range))
-            cdf = [0.0] * (k + k_range) + [1.0] * (k_range + 1 - k)
+            atom = min(max(center, -k_range), k_range)
+            row = [-math.inf if j <= atom else math.inf for j in symbols]
         else:
             inv = min(1.0 / sigma_hat, sys.float_info.max)
             base = center - 0.5 - m_hat
-            edges = [(base + j) * inv for j in range(-k_range + 1, k_range + 1)]
-            k = -k_range
-            for edge in edges:
-                if not edge < z_i:
-                    break
-                k += 1
-            cdf = [float(ndtr(edge)) for edge in edges] + [1.0]
-        probs.extend(hi - lo if hi > lo else 0.0
-                     for lo, hi in zip([0.0] + cdf, cdf))
+            row = [(base + j) * inv for j in symbols]
+        k = -k_range
+        for edge in row:
+            if not edge < z_i:
+                break
+            k += 1
+        edges.append(row)
         changes[i] = k
         samples[i] = means[i] + sigma_prime * z_i
-    probs = np.array(probs).reshape(64, -1)
     params = np.column_stack((means, sigmas)) / steps[:, None]
-    return {"changes": changes, "samples": samples, "probs": probs,
-            "params": params, "entropy_bits": entropy(probs)}
+    return {"changes": changes, "samples": samples, "params": params,
+            "edges": np.array(edges)}
+
+
+def reference_pmf_table(edges):
+    """Scan oracle for ``sampler.pmf_table``: each row's folded CDF is ndtr
+    of its edges with a final 1, and each symbol's mass the CDF step up to
+    it, floored at 0."""
+    probs = []
+    for row in edges.tolist():
+        cdf = [float(ndtr(edge)) for edge in row] + [1.0]
+        probs.append([hi - lo if hi > lo else 0.0
+                      for lo, hi in zip([0.0] + cdf, cdf)])
+    return np.array(probs).reshape(len(edges), -1)
+
+
+def propagated_covariance(emb):
+    """Covariance of a whole ``SimulatedEmbedder`` run's continuous draw,
+    propagated exactly, without sampling.
+
+    The chain is linear Gaussian: block b draws s_b = G_b s_N(b) + L_b z_b
+    with G_b its factors' ``mean_gain``, s_N(b) its conditioning
+    neighbours' draws in the factors' ``rows`` order, L_b = ``lower`` +
+    diag(``sigmas``), the factor in the chain's form, and z_b iid N(0, 1),
+    independent of every earlier draw.  Visiting the blocks in the run's
+    order, the covariance of s_b with every block drawn before is G_b times
+    its neighbours' rows, and its own is G_b Cov(s_N(b)) G_bᵀ + L_b L_bᵀ.
+    Returns an (n, n) array over the blocks in row-major order, 64
+    coefficients each, n = 64 * blocks_h * blocks_w; a dead block's rows
+    stay zero.
+    """
+    from jpegns.embedder import _Workspace
+
+    cov = np.zeros((64 * emb.live.size,) * 2)
+    workspace = _Workspace()
+    for bi, bj in (blk for blocks in emb.assign.block_lists for blk in blocks):
+        if not emb.live[bi, bj]:
+            continue
+        factors = emb._block_factors(bi, bj, workspace)
+        own = 64 * (bi * emb.blocks_w + bj) + np.arange(64)
+        known = (64 * factors.rows[:, None] + np.arange(64)).ravel()
+        gain = factors.mean_gain
+        chol = factors.lower + np.diag(factors.sigmas)
+        # Zero in the columns of blocks not drawn yet, this one included.
+        cross = gain @ cov[known]
+        cov[own] = cross
+        cov[:, own] = cross.T
+        cov[np.ix_(own, own)] = (gain @ cov[np.ix_(known, known)] @ gain.T
+                                 + chol @ chol.T)
+    return cov
 
 
 @pytest.fixture

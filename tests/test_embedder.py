@@ -31,14 +31,16 @@ from jpegns import lattice
 from jpegns import pipeline as pl
 from jpegns.covariance import photon_variance, sigma_d, sigma_p
 from jpegns.jpeg_model import CoefficientsError
-from jpegns.sampler import costs_from_pmf, entropy
+from jpegns.sampler import costs_from_pmf, entropy, pmf_table
 
 from conftest import (
     LATTICE4_LAYOUT,
+    chain_form,
     layout_joint,
     lead_joint,
     lead_zeros,
     never_filled,
+    propagated_covariance,
 )
 
 
@@ -220,6 +222,44 @@ def test_cached_factors_match_uncached(bright_raw, paper_params, ramp,
         assert np.array_equal(plain.continuous, result.continuous)
 
 
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("chunk", [16, 5])
+def test_chunked_tabulation_matches_per_block_tables(paper_params, monkeypatch,
+                                                     chunk, workers):
+    # ``run`` builds the PMF tables and entropies of up to _TABULATE_BLOCKS
+    # written-back blocks in one pass; each block's rows must be those of a
+    # pass over its own edges, bit for bit.  The ramp's lattices hold 8 or
+    # 12 live blocks among dead ones, so chunks of 16 end only at a
+    # lattice's end and chunks of 5 also within it.
+    monkeypatch.setattr(emb_mod, "_TABULATE_BLOCKS", chunk)
+    edges = {}
+    visit = SimulatedEmbedder._visit
+
+    def recording_visit(self, block, *args, **kwargs):
+        jitter, chain = visit(self, block, *args, **kwargs)
+        if chain is not None:
+            edges[block] = chain["edges"]
+        return jitter, chain
+
+    monkeypatch.setattr(SimulatedEmbedder, "_visit", recording_visit)
+    emb = SimulatedEmbedder(clamp_ramp(paper_params),
+                            EmbedConfig(qf=95, K=5, key=0x5EED,
+                                        workers=workers))
+    result = emb.run(collect_probs=True)
+    assert [sum(emb.live[blk] for blk in blocks)
+            for blocks in emb.assign.block_lists] == [8, 12, 12, 8]
+    assert sorted(edges) == sorted(map(tuple, np.argwhere(emb.live)))
+    ent = result.report.entropy_plane.reshape(8, 8, 8, 8).transpose(
+        0, 2, 1, 3).reshape(8, 8, 64)
+    for block in np.ndindex(8, 8):
+        if block in edges:
+            table = pmf_table(edges[block])
+            assert np.array_equal(result.probs[block], table), block
+            assert np.array_equal(ent[block], entropy(table)), block
+        else:
+            assert not result.probs[block].any() and not ent[block].any()
+
+
 def test_embed_memory_does_not_grow_with_image_area(paper_params):
     # Four times the blocks: only the result planes may grow (about 0.5 MB);
     # per-block factors must be freed as each block is written back.
@@ -350,8 +390,46 @@ def test_block_factors_match_public_conditioning(bright_raw):
     mean_embedder = factors.mean_gain @ known
     scale = np.abs(cond).max()
     assert np.abs(mean_embedder - mean).max() <= 1e-8 * np.abs(mean).max()
-    recon = factors.chol @ factors.chol.T.copy()
+    chol = factors.lower + np.diag(factors.sigmas)
+    recon = chol @ chol.T.copy()
     assert np.abs(recon - cond).max() <= 1e-8 * scale
+
+
+def test_whole_image_law_matches_joint_covariance(paper_params):
+    # The law of every block's draw, propagated through the chain's linear
+    # form from ``_block_factors``' gains and chain-form factors, against
+    # the exact covariance of the whole image's DCT stego signal.  Lattice-1 blocks condition on
+    # nothing, and a lattice-2 or -3 block conditions exactly on its
+    # adjacent lattice-1 blocks: those pairs agree to rounding.  The rest
+    # differs only because a block conditions on its 3x3 neighbours alone
+    # (errors in correlation units, bounds about twice the measured ones).
+    emb = SimulatedEmbedder(small_raw(paper_params, size=48, sigma=100.0),
+                            EmbedConfig(qf=95, K=5, key=1))
+    blocks = [(bi, bj) for bi in range(emb.blocks_h)
+              for bj in range(emb.blocks_w)]
+    assert emb.live.all()
+    truth = emb.joint_covariance(blocks)
+    law = propagated_covariance(emb)
+    dev = np.sqrt(np.diag(truth))
+    corr = (np.abs(law - truth) / np.outer(dev, dev)).reshape(
+        len(blocks), 64, len(blocks), 64).max(axis=(1, 3))
+    lat = np.array([emb.assign.lattice_of(*blk) for blk in blocks])
+    pos = np.array(blocks)
+    dist = np.abs(pos[:, None] - pos[None]).max(axis=2)
+    first = lat[:, None] == 1
+    exact = (first & first.T) | ((dist == 1) & (
+        (first & np.isin(lat, (2, 3))) | (first & np.isin(lat, (2, 3))).T))
+    # 25 lattice-1 corners of lattice-2 blocks, 15 W or E of lattice-3 ones.
+    assert np.count_nonzero(exact & (dist == 1)) == 2 * 40
+    assert corr[exact].max() <= 1e-12
+    for d, bound in ((1, 1.3e-3), (2, 4.2e-3)):
+        assert corr[~exact & (dist == d)].max() <= bound, d
+    assert corr[dist >= 3].max() <= 1.2e-4
+    for b in range(len(blocks)):
+        own = slice(64 * b, 64 * (b + 1))
+        scale = np.abs(truth[own, own]).max()
+        assert np.abs(law[own, own] - truth[own, own]).max() <= 3.6e-4 * scale
+    assert np.linalg.norm(law - truth) <= 3.6e-3 * np.linalg.norm(truth)
 
 
 # On the 6x6 block grid of ``bright_raw``: an interior lattice-2 block, an
@@ -425,14 +503,17 @@ def test_joint_order_leads_with_unconnected_blocks(bright_raw):
 
 def test_first_lattice_blocks_factor_as_plain_lapack(bright_raw):
     # A lattice-1 joint is one tile with nothing known: its factor is
-    # LAPACK's dense dpotrf of the block's covariance, bit for bit.
+    # LAPACK's dense dpotrf of the block's covariance, bit for bit, kept
+    # in the chain's form.
     emb = SimulatedEmbedder(bright_raw, EmbedConfig(qf=95, K=5, key=1))
     for block in emb.assign.block_lists[0]:
         factors = emb._block_factors(*block, emb_mod._Workspace())
         ref, info = sla.lapack.dpotrf(emb.joint_covariance([block]),
                                       lower=1, clean=1)
         assert info == 0 and factors.jitter == 0.0
-        assert factors.chol.tobytes() == ref.tobytes()
+        lower, sigmas = chain_form(ref)
+        assert factors.lower.tobytes() == lower.tobytes()
+        assert factors.sigmas.tobytes() == sigmas.tobytes()
 
 
 def test_stale_workspace_cannot_leak_into_factors(bright_raw, paper_params):
@@ -454,11 +535,13 @@ def test_stale_workspace_cannot_leak_into_factors(bright_raw, paper_params):
         fresh = embedder._block_factors(*block, emb_mod._Workspace())
         assert np.array_equal(reused.rows, fresh.rows)
         assert np.array_equal(reused.mean_gain, fresh.mean_gain)
-        assert np.array_equal(reused.chol, fresh.chol)
+        assert np.array_equal(reused.lower, fresh.lower)
+        assert np.array_equal(reused.sigmas, fresh.sigmas)
         assert reused.jitter == fresh.jitter
         assert (reused.jitter > 0.0) == (embedder is ramp)
         assert not np.shares_memory(reused.mean_gain, workspace.flat)
-        assert not np.shares_memory(reused.chol, workspace.flat)
+        assert not np.shares_memory(reused.lower, workspace.flat)
+        assert not np.shares_memory(reused.sigmas, workspace.flat)
 
 
 def test_jitter_retries_stay_inside_one_cholesky_call(paper_params,
@@ -726,7 +809,8 @@ def test_factored_block_allocates_only_what_it_returns(bright_raw):
     finally:
         tracemalloc.stop()
     assert factors.mean_gain.shape == (64, 8 * 64)
-    budget = factors.mean_gain.nbytes + factors.chol.nbytes + 64 * 1024
+    budget = (factors.mean_gain.nbytes + factors.lower.nbytes
+              + factors.sigmas.nbytes + 64 * 1024)
     assert peak <= budget, (peak, budget)
 
 

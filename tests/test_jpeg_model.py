@@ -251,6 +251,58 @@ def test_cost_file_with_an_empty_grid_is_refused(tmp_path, bh, bw):
         read_costs(path)
 
 
+def cost_plane(bh=2, bw=3, qf=90, k_range=2, pi_grid=None, symbols=None):
+    """A CostPlane of zeros; ``pi_grid`` and ``symbols`` override the
+    pi_zero grid and the costs' last axis."""
+    pi_grid = (bh, bw) if pi_grid is None else pi_grid
+    symbols = 2 * k_range + 1 if symbols is None else symbols
+    return CostPlane(costs=np.zeros((bh, bw, 64, symbols)),
+                     pi_zero=np.zeros(pi_grid + (64,)), qf=qf, K=k_range)
+
+
+@pytest.mark.parametrize("plane, message", [
+    (cost_plane(k_range=300), "K = 300 is outside 1..255"),
+    (cost_plane(k_range=0), "K = 0 is outside 1..255"),
+    (cost_plane(k_range=2.0, symbols=5), "K must be an integer"),
+    (cost_plane(qf=0), "quality factor 0 is outside 1..100"),
+    (cost_plane(qf=101), "quality factor 101 is outside 1..100"),
+    (cost_plane(qf=90.5), "quality factor must be an integer"),
+    (cost_plane(pi_grid=(3, 2)), r"costs of shape \(2, 3, 64, 5\) are not "
+                                 r"\(3, 2, 64, 5\)"),
+    (cost_plane(symbols=4), r"costs of shape \(2, 3, 64, 4\) are not "
+                            r"\(2, 3, 64, 5\)"),
+    (cost_plane(bh=0), "grid 0 x 3 is empty"),
+    (CostPlane(costs=np.zeros((2, 64, 5)), pi_zero=np.zeros((2, 64)),
+               qf=90, K=2), r"pi_zero of shape \(2, 64\) is not"),
+], ids=["K-300", "K-0", "K-float", "qf-0", "qf-101", "qf-float",
+        "pi-zero-grid", "costs-symbols", "empty-grid", "pi-zero-2d"])
+def test_write_costs_refuses_planes_read_costs_cannot_read(tmp_path, plane,
+                                                           message):
+    # Each of these used to write a file that read_costs refused, or to
+    # fail inside struct; now nothing is written.
+    path = tmp_path / "costs.jcst"
+    with pytest.raises(FormatError, match=message):
+        write_costs(plane, path)
+    assert not path.exists()
+
+
+def test_write_costs_round_trips_the_widest_alphabet(tmp_path):
+    plane = cost_plane(bh=1, bw=1, qf=100, k_range=255)
+    plane.costs[...] = np.arange(511)
+    path = tmp_path / "costs.jcst"
+    write_costs(plane, path)
+    back = read_costs(path)
+    assert (back.qf, back.K) == (100, 255)
+    assert np.array_equal(back.costs, plane.costs)
+
+
+@pytest.mark.parametrize("shape", [(8,), (8, 8, 1), (1, 8, 8)])
+def test_plane_that_is_not_2d_is_refused(shape):
+    with pytest.raises(DimensionError, match="must be 2-D"):
+        JpegCoefficients.from_plane(np.zeros(shape, dtype=int),
+                                    quant_table(90))
+
+
 def test_plane_block_round_trip():
     c = random_coeffs(7)
     rebuilt = JpegCoefficients.from_plane(c.plane(), c.table, role=c.role)

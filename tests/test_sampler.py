@@ -13,12 +13,14 @@ from jpegns.sampler import (
     costs_from_pmf,
     entropy,
     pmf,
+    pmf_table,
     run_block_chain,
 )
 
 
+from conftest import chain_form
 from conftest import quadrature_change_pmf as quadrature_pmf
-from conftest import reference_block_chain
+from conftest import reference_block_chain, reference_pmf_table
 
 
 def gen(seed=0):
@@ -37,6 +39,17 @@ class FixedUniforms:
         return self.uniforms.copy()
 
 
+def chain(chol, base_mean, q_steps, k_range, g):
+    """``run_block_chain`` on a full Cholesky factor."""
+    return run_block_chain(*chain_form(chol), base_mean, q_steps, k_range, g)
+
+
+def reference_chain(chol, base_mean, q_steps, k_range, g):
+    """``reference_block_chain`` on a full Cholesky factor."""
+    return reference_block_chain(*chain_form(chol), base_mean, q_steps,
+                                 k_range, g)
+
+
 def random_chol(seed, n=64):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, n + 8))
@@ -45,9 +58,8 @@ def random_chol(seed, n=64):
 
 def iid_chain(sigma, mean, q, k_range, g):
     """Chain with equal (m', sigma', q) on every coefficient: 64 iid draws."""
-    return run_block_chain(np.diag(np.full(64, float(sigma))),
-                           np.full(64, float(mean)), np.full(64, float(q)),
-                           k_range, g)
+    return chain(np.diag(np.full(64, float(sigma))), np.full(64, float(mean)),
+                 np.full(64, float(q)), k_range, g)
 
 
 def reference_scan_blocks(n, seed):
@@ -181,7 +193,7 @@ def test_pmf_and_chain_split_mean_on_edge_with_subnormal_sigma():
     p = pmf(1.5, 5e-324, 1.0, 1)
     assert p.tolist() == [0.5, 0.5, 0.0]
     out = iid_chain(5e-324, 1.5, 1.0, 1, gen(3))
-    assert np.all(out["probs"] == [0.5, 0.5, 0.0])
+    assert np.all(pmf_table(out["edges"]) == [0.5, 0.5, 0.0])
     assert set(out["changes"].tolist()) == {-1, 0}
     assert np.all(out["samples"] == 1.5)
 
@@ -264,11 +276,10 @@ def test_chain_point_mass_draws_clamped_atom():
     # whatever the uniforms, and the candidate is the mean itself.
     mean = np.tile([9.0, 100.0, -100.0, 0.0], 16)  # m_hat 2.25, 25, -25, 0
     for seed in (1, 2):
-        out = run_block_chain(np.zeros((64, 64)), mean, np.full(64, 4.0), 3,
-                              gen(seed))
+        out = chain(np.zeros((64, 64)), mean, np.full(64, 4.0), 3, gen(seed))
         assert np.array_equal(out["changes"], np.tile([2, 3, -3, 0], 16))
         assert np.array_equal(out["samples"], mean)
-        assert np.all(out["entropy_bits"] == 0.0)
+        assert np.all(entropy(pmf_table(out["edges"])) == 0.0)
 
 
 def test_sample_discrete_deterministic():
@@ -296,10 +307,11 @@ def test_chain_never_draws_zero_mass_bin():
     drawn = set()
     for _ in range(300):
         out = iid_chain(0.02, 0.45, 1.0, 5, g)
+        probs = pmf_table(out["edges"])
         for i, k in enumerate(out["changes"]):
-            assert out["probs"][i][k + 5] > 0.0
+            assert probs[i][k + 5] > 0.0
             drawn.add(int(k))
-        assert np.count_nonzero(out["probs"][0]) == 2
+        assert np.count_nonzero(probs[0]) == 2
     assert drawn == {0, 1}
 
 
@@ -307,8 +319,8 @@ def test_chain_never_draws_zero_mass_bin():
 
 
 def test_continuous_degenerate_returns_mean():
-    out = run_block_chain(np.zeros((64, 64)), np.full(64, 9.0),
-                          np.full(64, 4.0), 3, gen(0))
+    out = chain(np.zeros((64, 64)), np.full(64, 9.0), np.full(64, 4.0), 3,
+                gen(0))
     assert np.all(out["samples"] == 9.0)
     assert np.all(out["changes"] == 2)
 
@@ -338,7 +350,7 @@ def test_continuous_bin_containment_offset_mean():
     steps = np.linspace(0.5, 3.0, 64)
     mean = np.linspace(-3.0, 3.0, 64)
     for seed in range(20):
-        out = run_block_chain(random_chol(seed) * 2.0, mean, steps, 3, g)
+        out = chain(random_chol(seed) * 2.0, mean, steps, 3, g)
         assert_samples_in_drawn_bins(out, steps, 3)
 
 
@@ -368,10 +380,9 @@ def test_low_mass_bin_holds_its_sample():
     # z = 0, change 0 and the mean.
     u = np.full(64, 0.5)
     u[0] = 0.5 * (norm.cdf(4.5) + norm.cdf(5.5))
-    out = run_block_chain(np.eye(64), np.zeros(64), np.ones(64), 6,
-                          FixedUniforms(u))
+    out = chain(np.eye(64), np.zeros(64), np.ones(64), 6, FixedUniforms(u))
     assert out["changes"][0] == 5
-    assert out["probs"][0][5 + 6] < 1e-5
+    assert pmf_table(out["edges"])[0][5 + 6] < 1e-5
     assert 4.5 < out["samples"][0] <= 5.5
     assert np.all(out["changes"][1:] == 0)
     assert np.all(out["samples"][1:] == 0.0)
@@ -384,36 +395,36 @@ def test_chain_first_step_params():
     chol = random_chol(0)
     mean = np.linspace(-2, 2, 64)
     q = 2.0
-    out = run_block_chain(chol, mean, np.full(64, q), 5, gen(11))
+    out = chain(chol, mean, np.full(64, q), 5, gen(11))
     # First coefficient: m' = mean[0], sigma' = chol[0, 0].
     assert np.array_equal(out["params"][0], [mean[0] / q, chol[0, 0] / q])
     ref = pmf(mean[0], abs(chol[0, 0]), q, 5)
-    assert np.array_equal(out["probs"][0], ref)
+    assert np.array_equal(pmf_table(out["edges"])[0], ref)
 
 
 def test_chain_diagonal_chol_matches_standalone_pmfs():
     sigmas = np.linspace(0.2, 3.0, 64)
     chol = np.diag(sigmas)
     mean = np.linspace(-1.5, 1.5, 64)
-    out = run_block_chain(chol, mean, np.full(64, 2.0), 4, gen(12))
+    out = chain(chol, mean, np.full(64, 2.0), 4, gen(12))
     for i in range(64):
         ref = pmf(mean[i], sigmas[i], 2.0, 4)
-        assert np.array_equal(out["probs"][i], ref)
+        assert np.array_equal(pmf_table(out["edges"])[i], ref)
 
 
 def test_chain_determinism():
     chol = random_chol(15)
     mean = np.zeros(64)
     q = np.full(64, 1.0)
-    a = run_block_chain(chol, mean, q, 5, gen(16))
-    b = run_block_chain(chol, mean, q, 5, gen(16))
+    a = chain(chol, mean, q, 5, gen(16))
+    b = chain(chol, mean, q, 5, gen(16))
     assert np.array_equal(a["changes"], b["changes"])
     assert np.array_equal(a["samples"], b["samples"])
 
 
 def test_chain_changes_bounded_by_alphabet():
     chol = random_chol(17) * 5.0
-    out = run_block_chain(chol, np.zeros(64), np.full(64, 1.0), 3, gen(18))
+    out = chain(chol, np.zeros(64), np.full(64, 1.0), 3, gen(18))
     assert np.abs(out["changes"]).max() <= 3
 
 
@@ -423,7 +434,7 @@ def test_chain_entropy_monotone_in_alphabet_at_matched_params():
     chol = random_chol(19)
     mean = np.linspace(-2, 2, 64)
     q = np.full(64, 2.0)
-    out = run_block_chain(chol, mean, q, 5, gen(20))
+    out = chain(chol, mean, q, 5, gen(20))
     for m_hat, sigma_hat in out["params"]:
         h = [entropy(pmf(m_hat * 2.0, sigma_hat * 2.0, 2.0, k))
              for k in (1, 2, 3, 5)]
@@ -442,8 +453,7 @@ def test_chain_reproduces_joint_covariance():
     acc = np.zeros((64, 64))
     mean = np.zeros(64)
     for i in range(n):
-        out = run_block_chain(chol, mean, q, 5,
-                              streams.make_stream(i, 7, payload=1))
+        out = chain(chol, mean, q, 5, streams.make_stream(i, 7, payload=1))
         acc += np.outer(out["samples"], out["samples"])
     emp = acc / n
     from conftest import cov_standard_error
@@ -457,20 +467,23 @@ def test_chain_zero_sigma_coordinate():
     chol = np.zeros((64, 64))
     chol[0, 0] = 1.0
     mean = np.zeros(64)
-    out = run_block_chain(chol, mean, np.full(64, 1.0), 5, gen(22))
+    out = chain(chol, mean, np.full(64, 1.0), 5, gen(22))
     assert np.all(out["changes"][1:] == 0)
     assert np.all(out["samples"][1:] == 0.0)
-    assert np.all(out["entropy_bits"][1:] == 0.0)
+    assert np.all(entropy(pmf_table(out["edges"]))[1:] == 0.0)
 
 
 def test_chain_matches_reference_scan():
     # The vectorized draw and PMF table reproduce the per-coefficient
-    # linear scan over the bin edges exactly, on all five outputs.
+    # linear scan over the bin edges exactly, on all four outputs and on
+    # the table built from the edges.
     sigma_hats, far_means = [], 0
     for b, (chol, mean, steps, k) in enumerate(reference_scan_blocks(320, 23)):
-        out = run_block_chain(chol, mean, steps, k, gen(b))
-        assert_chains_equal(out, reference_block_chain(chol, mean, steps, k,
-                                                       gen(b)))
+        out = chain(chol, mean, steps, k, gen(b))
+        ref = reference_chain(chol, mean, steps, k, gen(b))
+        assert_chains_equal(out, ref)
+        assert np.array_equal(pmf_table(out["edges"]),
+                              reference_pmf_table(ref["edges"]))
         sigma_hats.append(out["params"][:, 1])
         far_means += np.count_nonzero(np.abs(out["params"][:, 0]) > 10 * k)
     sigma_hats = np.concatenate(sigma_hats)
@@ -485,8 +498,8 @@ def test_live_samples_lie_in_drawn_bins_over_scan_range():
     # not only at moderate parameters: sigma_hat from 1e-6 to 1e6, means
     # far beyond K, zero rows and end symbols included.
     for b, (chol, mean, steps, k) in enumerate(reference_scan_blocks(320, 23)):
-        assert_samples_in_drawn_bins(run_block_chain(chol, mean, steps, k,
-                                                     gen(b)), steps, k)
+        assert_samples_in_drawn_bins(chain(chol, mean, steps, k, gen(b)),
+                                     steps, k)
 
 
 @pytest.mark.parametrize("u_disc", [0.0, math.nextafter(1.0, 0.0)])
@@ -495,14 +508,16 @@ def test_chain_matches_reference_scan_at_extreme_uniforms(u_disc):
     # symbol carries positive mass, and the sample lies in its bin.
     u = np.full(64, u_disc)
     for chol, mean, steps, k in reference_scan_blocks(320, 24):
-        out = run_block_chain(chol, mean, steps, k, FixedUniforms(u))
-        assert_chains_equal(out, reference_block_chain(chol, mean, steps, k,
-                                                       FixedUniforms(u)))
+        out = chain(chol, mean, steps, k, FixedUniforms(u))
+        ref = reference_chain(chol, mean, steps, k, FixedUniforms(u))
+        assert_chains_equal(out, ref)
+        table = pmf_table(out["edges"])
+        assert np.array_equal(table, reference_pmf_table(ref["edges"]))
         drawn = out["changes"] + k
-        assert np.all(out["probs"][np.arange(64), drawn] > 0.0)
+        assert np.all(table[np.arange(64), drawn] > 0.0)
         assert_samples_in_drawn_bins(out, steps, k)
         if u_disc == 0.0:
-            assert_chains_equal(out, run_block_chain(
+            assert_chains_equal(out, chain(
                 chol, mean, steps, k, FixedUniforms(np.full(64, 2.0**-53))))
 
 
@@ -522,7 +537,7 @@ def test_chain_z_on_edge_draws_lower_bin():
         below = m_hat - round_half_away_array(m_hat) - 0.5
         for u0, expected in ((0.5, below), (math.nextafter(0.5, 1.0), below + 1)):
             u = np.full(64, u0)
-            out = run_block_chain(chol, mean, steps, k, FixedUniforms(u))
+            out = chain(chol, mean, steps, k, FixedUniforms(u))
             assert np.array_equal(out["changes"], expected)
-            assert_chains_equal(out, reference_block_chain(
+            assert_chains_equal(out, reference_chain(
                 chol, mean, steps, k, FixedUniforms(u)))
