@@ -4,7 +4,8 @@ The photo-site stego signal is independent heteroscedastic Gaussian noise,
 so its DCT-domain image under the pipeline operator M has covariance
 M diag(v) M^t.  ``cholesky`` factors such a covariance, with escalating
 jitter for the singular blocks that clamped variances produce, and
-``condition`` reads a block's conditional law off that factor.
+``condition`` reads a block's conditional law off that factor, in the
+form the sampling chain takes.
 """
 
 import ctypes
@@ -20,8 +21,8 @@ from . import blas, pipeline
 # clamped zero variances make dark blocks genuinely singular.
 JITTER_LADDER = (1e-12, 1e-10, 1e-8)
 
-# The lower triangle, diagonal included, of a 64x64 block.
-_LOWER = np.tri(64, dtype=bool)
+# The strictly lower triangle of a 64x64 block.
+_LOWER = np.tri(64, k=-1, dtype=bool)
 
 
 class CovarianceError(Exception):
@@ -138,7 +139,6 @@ def _zero_pairs(zeros):
     return tuple((operator.index(r), operator.index(c)) for r, c in zeros)
 
 
-@functools.lru_cache(maxsize=256)
 def _schedule(n, zeros):
     """Elimination order of an order-``n`` factor whose lower 64 x 64
     tiles ``zeros`` are zero: (groups, start), in matrix coordinates.
@@ -262,27 +262,26 @@ def _factor_in_place(a, ops):
 
 
 @functools.lru_cache(maxsize=256)
-def _gain_ops(n, m, zeros):
+def _gain_ops(n, zeros):
     """``_solve_gain``'s calls on an order-``n`` factor with zero tiles
-    ``zeros`` and ``m`` known coordinates: a solve on the part of the
-    dense rest that lies in L_k, then ``_schedule``'s groups backwards."""
+    ``zeros``: a solve on the part of the dense rest that lies in L_k, then
+    ``_schedule``'s groups backwards, clipped to L_k."""
     groups, start = _schedule(n, zeros)
-    if zeros and m % 64:
-        raise CovarianceError(f"{m} known coordinates split a 64 x 64 tile")
-    rows, start = n - m, min(start, m)
-    ops = [_trsm(n, b"N", rows, m - start, start, (m, start))]
+    m = n - 64
+    start = min(start, m)
+    ops = [_trsm(n, b"N", 64, m - start, start, (m, start))]
     for c0, c1, runs in reversed(groups):
         c1 = min(c1, m)
-        ops += [_gemm(n, b"N", rows, c1 - c0, min(r1, m) - r0, (m, r0),
+        ops += [_gemm(n, b"N", 64, c1 - c0, min(r1, m) - r0, (m, r0),
                       (r0, c0), (m, c0)) for r0, r1 in runs]
-        ops += [_trsm(n, b"N", rows, 64, c, (m, c))
+        ops += [_trsm(n, b"N", 64, 64, c, (m, c))
                 for c in range(c0, c1, 64)]
     return tuple(op for op in ops if op)
 
 
-def _solve_gain(factor, m, zeros=()):
+def _solve_gain(factor, zeros):
     """Mean gain G = C L_k^-1 of a Cholesky factor [[L_k, 0], [C, L_c]]
-    whose first ``m`` coordinates are known.
+    whose last 64 coordinates are the unknown ones.
 
     The solve runs on ``factor`` in place: it reads the lower triangle of
     L_k and overwrites C with G, and nothing else of ``factor`` is
@@ -293,58 +292,52 @@ def _solve_gain(factor, m, zeros=()):
     ``dgemm`` per run of nonzero rows below the group subtracts what the
     solved columns contribute, and one ``dtrsm`` per tile solves the
     group's columns.  Without zeros L22 is all of L_k.  Returns G copied
-    out column-major, (n - m, m); with m = 0 it is empty.  ``factor``
-    must be a square, writable, column-major float64 array with
-    0 <= m < n, and with zeros m must be a multiple of 64, or
-    CovarianceError is raised before BLAS sees its pointer; ``zeros`` is
-    checked as ``cholesky`` checks it.
+    out column-major, (64, n - 64); with n = 64 it is empty.  ``factor``
+    is what ``cholesky`` returned (so its layout is checked), and
+    ``zeros`` the normalized pairs it was given.
     """
-    zeros = _zero_pairs(zeros)
-    if (factor.ndim != 2 or factor.shape[0] != factor.shape[1]
-            or factor.dtype != np.float64 or not factor.flags.f_contiguous
-            or not factor.flags.writeable or not 0 <= m < factor.shape[0]):
-        raise CovarianceError(
-            f"gain solve needs a square writable column-major float64 "
-            f"factor with 0 <= m < n, got {factor.dtype} of shape "
-            f"{factor.shape} and m = {m}")
+    n = factor.shape[0]
     base = factor.ctypes.data
-    for op in _gain_ops(factor.shape[0], m, zeros):
+    for op in _gain_ops(n, zeros):
         op(base)
-    return np.array(factor[m:, :m], order="F")
+    return np.array(factor[n - 64 :, : n - 64], order="F")
 
 
-def condition(joint, n_known, refill=None, zeros=()):
-    """Conditional law of the last 64 coordinates given the first ``n_known``.
+def condition(joint, refill=None, zeros=()):
+    """Conditional law of a joint's last 64 coordinates given the others.
 
     ``joint`` is the joint covariance with the known blocks first and the
-    center block last; only its lower triangle is read.  Its Cholesky
-    factor splits as [[L_k, 0], [C, L_c]]: L_c is exactly the Cholesky
-    factor of the Schur-complement conditional covariance, and the
-    conditional mean gain S12 S22^-1 is C L_k^-1, one right-side triangular
-    solve (``_solve_gain``).  No matrix is ever inverted explicitly.
+    center block last; only its lower triangle is read.  Its order n, a
+    positive multiple of 64 (else CovarianceError, before BLAS runs), fixes
+    the n - 64 known coordinates.  Its Cholesky factor splits as
+    [[L_k, 0], [C, L_c]]: L_c is exactly the Cholesky factor of the
+    Schur-complement conditional covariance, and the conditional mean gain
+    S12 S22^-1 is C L_k^-1, one right-side triangular solve
+    (``_solve_gain``).  No matrix is ever inverted explicitly.
 
-    Returns (gain, chol, jitter): the conditional mean is ``gain @ known``
-    with ``gain`` a column-major (64, n_known) array, (64, 0) when nothing
-    is known, so its product with the empty ``known`` is zero.  ``chol``
-    factors the conditional covariance and ``jitter`` is the shift the
+    Returns (gain, lower, sigmas, jitter): the conditional mean is
+    ``gain @ known`` with ``gain`` a column-major (64, n - 64) array,
+    (64, 0) when nothing is known.  ``lower``, a C-order 64 x 64 array, and
+    ``sigmas`` are L_c's strictly lower part and |diagonal|, the form
+    ``sampler.run_block_chain`` takes; ``jitter`` is the shift the
     factorization needed.  ``refill`` and ``zeros`` are passed to
     ``cholesky``: with ``refill`` the joint is factored in place and its C
     block then holds the gain, and its strict upper triangle is never read
     or written; without it the joint is left unchanged.  ``zeros``, the
     joint's zero tiles, lets the factorization and the solve skip them.
-    ``n_known`` is an integer (``operator.index``); ``gain`` and ``chol``
-    never share memory with the joint.
+    No returned array shares memory with the joint.
     """
-    m = operator.index(n_known)
-    if m < 0 or m % 64 or np.shape(joint) != (m + 64, m + 64):
-        raise CovarianceError(
-            f"joint covariance of shape {np.shape(joint)} does not hold "
-            f"{m} known coordinates and one block of 64")
+    shape = np.shape(joint)
+    if len(shape) != 2 or not 0 < shape[0] == shape[1] or shape[0] % 64:
+        raise CovarianceError(f"joint covariance of shape {shape} is not "
+                              "square of a positive multiple of 64")
+    zeros = _zero_pairs(zeros)
     factor, jitter = cholesky(joint, refill=refill, zeros=zeros)
     # L_c's strict upper part is whatever the joint's upper triangle held.
-    chol = np.zeros((64, 64))
-    np.copyto(chol, factor[m:, m:], where=_LOWER)
-    return _solve_gain(factor, m, zeros), chol, jitter
+    center, lower = factor[-64:, -64:], np.zeros((64, 64))
+    np.copyto(lower, center, where=_LOWER)
+    return (_solve_gain(factor, zeros), lower, np.abs(center.diagonal()),
+            jitter)
 
 
 def analysis_covariance(mode="full", cfa="RGGB", green_kernel="cross"):

@@ -5,11 +5,12 @@ assembles the joint DCT covariance of the block and its not-yet-used
 neighbors directly from the per-block pipeline weight tensor and the
 photo-site variance map, conditions on the continuous stego values already
 drawn for neighboring blocks (``covariance.condition``: the Schur
-complement read off one Cholesky factor), and runs the 64-coefficient
-sampling chain, which returns the block's draw and its standardized bin
-edges.  Stego coefficients are the cover coefficients plus the sampled
-changes.  The folded PMFs, and the entropies read from them, are
-tabulated from the edges of up to 16 written-back blocks at a time.
+complement read off one Cholesky factor, in the chain's form), and runs
+the 64-coefficient sampling chain, which returns the block's draw and its
+standardized bin edges.  Stego coefficients are the cover coefficients
+plus the sampled changes.  The folded PMFs, and the entropies read from
+them, are tabulated from the edges of up to 16 written-back blocks at a
+time.
 
 Everything is a pure function of (raw image, config): per-block random
 streams are derived from the secret key, the lattice index and the block
@@ -352,10 +353,9 @@ class SimulatedEmbedder:
         joint = workspace.view(64 * len(blocks))
         self._fill_lower(blocks, joint)
         try:
-            gain, chol, jitter = cov_mod.condition(
-                joint, joint.shape[0] - 64,
-                refill=functools.partial(self._fill_lower, blocks, joint),
-                zeros=self._tile_plan(blocks)[1])
+            gain, lower, sigmas, jitter = cov_mod.condition(
+                joint, zeros=self._tile_plan(blocks)[1],
+                refill=functools.partial(self._fill_lower, blocks, joint))
         except cov_mod.SingularCovarianceError:
             log.warning("lattice %d block (%d,%d) singular after max jitter; "
                         "embedding skipped", self.assign.lattice_of(bi, bj),
@@ -364,11 +364,7 @@ class SimulatedEmbedder:
         else:
             rows = np.array([ni * self.blocks_w + nj
                              for ni, nj in blocks[:-1]], dtype=np.intp)
-            # ``chol`` is zero above its diagonal, so zeroing the diagonal
-            # leaves its strictly lower part in place.
-            sigmas = np.abs(chol.diagonal())
-            np.fill_diagonal(chol, 0.0)
-            factors = _BlockFactors(rows, gain, chol, sigmas, jitter)
+            factors = _BlockFactors(rows, gain, lower, sigmas, jitter)
         if cache is not None:
             cache[(bi, bj)] = factors
         return factors
@@ -485,7 +481,11 @@ class SimulatedEmbedder:
         bit-identical to the same block's slice of a full ``run``.  Useful
         for repeated distributional experiments.
         """
-        if self.assign.lattice_of(*block) != 1:
+        bi, bj = block
+        if not (0 <= bi < self.blocks_h and 0 <= bj < self.blocks_w):
+            raise ValueError(f"block {block} is outside the "
+                             f"{self.blocks_h} x {self.blocks_w} block grid")
+        if self.assign.lattice_of(bi, bj) != 1:
             raise ValueError("block is not in the first macro-lattice")
         _, chain = self._visit(block, 1, _check_key(key), np.empty((0, 64)),
                                _Workspace())

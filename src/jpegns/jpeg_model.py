@@ -81,8 +81,12 @@ def quant_table(qf):
 
     scale = 5000/qf below 50 else 200 - 2 qf; steps are
     floor((table * scale + 50) / 100) clamped to >= 1, so qf = 100 yields
-    the all-ones table and qf = 50 the reference table itself.
+    the all-ones table and qf = 50 the reference table itself.  A bool or
+    a qf that is no Python or numpy integer raises CoefficientsError.
     """
+    if not isinstance(qf, (int, np.integer)) or isinstance(qf, bool):
+        raise CoefficientsError(f"quality factor must be an integer, "
+                                f"got {qf!r}")
     if not (1 <= qf <= 100):
         raise CoefficientsError("quality factor must be in 1..100")
     scale = 5000 // qf if qf < 50 else 200 - 2 * qf

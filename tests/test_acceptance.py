@@ -161,7 +161,8 @@ def test_criterion_05_schur_chain_equivalence():
     chol_outer, _ = cm.cholesky(outer_cov)
     outer = rng.standard_normal((n_draws, 256)) @ chol_outer.T.copy()
     known_first = np.r_[64:320, 0:64]
-    gain, chol, _ = condition(full[np.ix_(known_first, known_first)], 256)
+    gain, lower, sigmas, _ = condition(full[np.ix_(known_first, known_first)])
+    chol = lower + np.diag(sigmas)
     centers = outer @ gain.T + rng.standard_normal((n_draws, 64)) @ chol.T.copy()
     chained = np.concatenate([centers, outer], axis=1)
 

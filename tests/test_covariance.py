@@ -17,6 +17,7 @@ from jpegns.covariance import (
 
 from conftest import (
     LATTICE4_LAYOUT,
+    chain_form,
     cov_standard_error,
     layout_joint,
     lead_joint,
@@ -145,11 +146,12 @@ def block_cov(rng, n):
 def test_condition_zero_known_gives_schur():
     rng = np.random.default_rng(3)
     full = block_cov(rng, 128)
-    gain, chol, jitter = condition(full, 64)
+    gain, lower, sigmas, jitter = condition(full)
     assert jitter == 0.0
     assert np.all(gain @ np.zeros(64) == 0.0)
     s22, s21, s11 = full[:64, :64], full[64:, :64], full[64:, 64:]
     schur = s11 - s21 @ np.linalg.solve(s22, s21.T)
+    chol = lower + np.diag(sigmas)
     recon = chol @ chol.T.copy()
     assert np.abs(recon - schur).max() <= 1e-8 * np.abs(schur).max()
 
@@ -157,13 +159,17 @@ def test_condition_zero_known_gives_schur():
 def test_condition_with_nothing_known_is_the_block_factor():
     # Lattice-1 blocks condition on nothing: the gain is an empty
     # column-major (64, 0) array, whose product with the empty known
-    # vector is the zero mean, and the factor is cholesky's own.
+    # vector is the zero mean, and the factor is cholesky's own, in the
+    # chain's form: a fresh C-order strictly lower part and |diagonal|.
     full = block_cov(np.random.default_rng(5), 64)
-    gain, chol, jitter = condition(full, 0)
+    gain, lower, sigmas, jitter = condition(full)
     assert gain.shape == (64, 0) and gain.flags.f_contiguous
     assert np.all((gain @ np.zeros(0)) == 0.0)
     ref, ref_jitter = cholesky(full)
-    assert chol.tobytes() == ref.tobytes()
+    ref_lower, ref_sigmas = chain_form(ref)
+    assert lower.flags.c_contiguous and lower.flags.owndata
+    assert lower.tobytes() == ref_lower.tobytes()
+    assert sigmas.tobytes() == ref_sigmas.tobytes()
     assert jitter == ref_jitter == 0.0
 
 
@@ -172,8 +178,9 @@ def test_condition_block_diagonal_unchanged():
     full = np.zeros((128, 128))
     full[64:, 64:] = block_cov(rng, 64)
     full[:64, :64] = block_cov(rng, 64)
-    gain, chol, _ = condition(full, 64)
+    gain, lower, sigmas, _ = condition(full)
     assert np.all(gain == 0.0)
+    chol = lower + np.diag(sigmas)
     assert np.abs(chol @ chol.T.copy() - full[64:, 64:]).max() <= 1e-10
 
 
@@ -198,22 +205,39 @@ def test_condition_toy_matches_closed_form():
     big[0, 1], big[1, 0] = 1.0, 1.0
     known = np.zeros(128)
     known[0], known[1] = 1.0, -1.0
-    gain, chol, _ = condition(big, 128)
+    gain, _, sigmas, _ = condition(big)
     mean = gain @ known
     assert mean[0] == pytest.approx(0.4, abs=1e-10)
-    assert (chol @ chol.T)[0, 0] == pytest.approx(2.6, abs=1e-10)
+    assert sigmas[0] ** 2 == pytest.approx(2.6, abs=1e-10)
     assert np.abs(mean[1:]).max() == 0.0
 
 
-def test_condition_rejects_bad_shapes():
-    with pytest.raises(CovarianceError):
-        condition(np.eye(128), 32)
-    with pytest.raises(CovarianceError):
-        condition(np.eye(128), 0)
-    with pytest.raises(CovarianceError):
-        condition(np.eye(128), 128)
-    with pytest.raises(CovarianceError):
-        condition(np.eye(128)[:, :64], 64)
+def test_condition_rejects_bad_shapes(monkeypatch):
+    # The joint's order fixes the known count, n - 64: a joint that is not
+    # square, or of an order that is no positive multiple of 64, is refused
+    # before LAPACK sees it.
+    calls = []
+    monkeypatch.setattr(cm.blas, "dpotrf", lambda *args: calls.append(args))
+    for shape in ((0, 0), (100, 100), (128, 64), (2, 64, 64)):
+        with pytest.raises(CovarianceError, match="joint covariance"):
+            condition(np.ones(shape))
+    assert calls == []
+
+
+def test_condition_when_the_center_joins_a_group():
+    # Three blocks that share no tile are one group, the center's column
+    # included: the gain solve clips the group to L_k, so it neither
+    # writes L_c nor reads past C.
+    rng = np.random.default_rng(6)
+    full = np.zeros((192, 192))
+    for i in range(3):
+        full[64 * i : 64 * (i + 1), 64 * i : 64 * (i + 1)] = block_cov(rng, 64)
+    gain, lower, sigmas, jitter = condition(
+        full, zeros=((1, 0), (2, 0), (2, 1)))
+    ref_lower, ref_sigmas = chain_form(cholesky(full[128:, 128:])[0])
+    assert gain.shape == (64, 128) and not gain.any() and jitter == 0.0
+    assert lower.tobytes() == ref_lower.tobytes()
+    assert sigmas.tobytes() == ref_sigmas.tobytes()
 
 
 def test_counts_accept_numpy_integers():
@@ -223,17 +247,17 @@ def test_counts_accept_numpy_integers():
     np_zeros = [(np.int64(i), np.int32(j)) for i, j in lead_zeros(3)]
     chol, _ = cholesky(full, zeros=lead_zeros(3))
     assert cholesky(full, zeros=np_zeros)[0].tobytes() == chol.tobytes()
-    gain, chol, _ = condition(full, 256, zeros=lead_zeros(3))
-    np_gain, np_chol, _ = condition(full, np.int64(256), zeros=np_zeros)
+    gain, lower, sigmas, _ = condition(full, zeros=lead_zeros(3))
+    np_gain, np_lower, np_sigmas, _ = condition(full, zeros=np_zeros)
     assert np_gain.tobytes() == gain.tobytes()
-    assert np_chol.tobytes() == chol.tobytes()
+    assert np_lower.tobytes() == lower.tobytes()
+    assert np_sigmas.tobytes() == sigmas.tobytes()
 
 
 @pytest.mark.parametrize("call", (
     lambda: cholesky(np.eye(128, order="F"), zeros=((1.5, 0),)),
-    lambda: condition(np.eye(128), 64.0),
-    lambda: condition(np.eye(128), 64, zeros=((1, 0.0),)),
-), ids=["cholesky-zeros", "condition-n_known", "condition-zeros"])
+    lambda: condition(np.eye(128), zeros=((1, 0.0),)),
+), ids=["cholesky-zeros", "condition-zeros"])
 def test_float_counts_raise_before_blas(monkeypatch, call):
     calls = []
     monkeypatch.setattr(cm.blas, "dpotrf", lambda *args: calls.append(args))
@@ -413,7 +437,7 @@ def test_cholesky_rejects_zeros_that_do_not_fit(monkeypatch, pair):
     with pytest.raises(CovarianceError, match="zero tile"):
         cholesky(a, zeros=(pair,))
     with pytest.raises(CovarianceError, match="zero tile"):
-        condition(np.eye(192), 128, zeros=(pair,))
+        condition(np.eye(192), zeros=(pair,))
     assert calls == []
 
 

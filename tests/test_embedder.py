@@ -369,11 +369,24 @@ def test_fast_covariance_matches_operator_path(bright_raw, paper_params):
 
 
 def test_block_factors_match_public_conditioning(bright_raw):
+    # The embedder keeps ``condition``'s outputs as they are: for one
+    # interior block of each lattice, its factors are the bytes the public
+    # call gives on the assembled joint and its zero tiles.
+    cfg = EmbedConfig(qf=95, K=5, key=1)
+    emb = SimulatedEmbedder(bright_raw, cfg)
+    for block in ((2, 2), L2, L3, L4):
+        blocks = emb.joint_blocks(block)
+        gain, lower, sigmas, jitter = emb_mod.cov_mod.condition(
+            emb.joint_covariance(blocks), zeros=emb._tile_plan(blocks)[1])
+        factors = emb._block_factors(*block, emb_mod._Workspace())
+        assert factors.mean_gain.tobytes() == gain.tobytes()
+        assert factors.lower.tobytes() == lower.tobytes()
+        assert factors.sigmas.tobytes() == sigmas.tobytes()
+        assert factors.jitter == jitter
+
     # The embedder factors one joint covariance with the center last; the
     # literal Schur formulas with the center first give the same
     # conditional law.
-    cfg = EmbedConfig(qf=95, K=5, key=1)
-    emb = SimulatedEmbedder(bright_raw, cfg)
     bi, bj = 2, 3  # interior lattice-3 block
     neighbors = list(emb.joint_blocks((bi, bj))[:-1])
     assert sorted(neighbors) == [(1, 3), (2, 2), (2, 4), (3, 3)]
@@ -591,7 +604,7 @@ def test_joint_assembly_contract(bright_raw, monkeypatch, block):
 
     # The right-side solve gives the gain of the transposed left-side one.
     m = joint.shape[0] - 64
-    gain, _, _ = emb_mod.cov_mod.condition(joint, m)
+    gain = emb_mod.cov_mod.condition(joint)[0]
     chol, _ = cholesky(joint)
     ref = sla.solve_triangular(chol[:m, :m].T, chol[m:, :m].T,
                                lower=False).T
@@ -608,15 +621,16 @@ def test_gain_solve_works_in_place_on_the_factor(m):
     full = b @ b.T
     src = np.asfortranarray(np.where(np.tri(n, dtype=bool), full, np.nan))
     joint = src.copy(order="F")
-    gain, chol, _ = emb_mod.cov_mod.condition(
-        joint, m, refill=lambda: np.copyto(joint, src))
-    copied_gain, copied_chol, _ = emb_mod.cov_mod.condition(full, m)
+    gain, lower, sigmas, _ = emb_mod.cov_mod.condition(
+        joint, refill=lambda: np.copyto(joint, src))
+    copied = emb_mod.cov_mod.condition(full)
     factor, _ = emb_mod.cov_mod.cholesky(full)
     ref = sla.blas.dtrsm(1.0, np.array(factor[:m, :m]),
                          np.array(factor[m:, :m]), side=1, lower=1)
-    assert gain.tobytes() == ref.tobytes() == copied_gain.tobytes()
-    assert chol.tobytes() == copied_chol.tobytes()
-    assert chol.tobytes() == factor[m:, m:].tobytes()
+    ref_lower, ref_sigmas = chain_form(factor[m:, m:])
+    assert gain.tobytes() == ref.tobytes() == copied[0].tobytes()
+    assert lower.tobytes() == ref_lower.tobytes() == copied[1].tobytes()
+    assert sigmas.tobytes() == ref_sigmas.tobytes() == copied[2].tobytes()
     assert np.isnan(joint[np.triu_indices(n, 1)]).all()
     # Column-major, as the f2py solve returned it: ``gain @ known`` then
     # sums in the same order.
@@ -636,7 +650,7 @@ def test_gain_solve_with_lead_matches_dense_solve(lead, trailing):
     dense = sla.blas.dtrsm(1.0, np.tril(factor[:m, :m]), factor[m:, :m],
                            side=1, lower=1)
     split = np.where(np.tri(n, dtype=bool), factor, np.nan).copy(order="F")
-    gain = emb_mod.cov_mod._solve_gain(split, m, lead_zeros(lead))
+    gain = emb_mod.cov_mod._solve_gain(split, lead_zeros(lead))
     scale = np.abs(dense).max(initial=0.0)
     assert np.abs(gain - dense).max(initial=0.0) <= 1e-12 * scale
     assert np.array_equal(split[:m, :m], np.where(
@@ -648,27 +662,24 @@ def test_gain_solve_with_lead_matches_dense_solve(lead, trailing):
         assert gain.tobytes() == dense.tobytes()
 
 
-@pytest.mark.parametrize("factor, m, zeros", (
-    (np.eye(128), 64, ()),
-    (np.eye(128, dtype=np.float32, order="F"), 64, ()),
-    (np.eye(128, order="F"), -64, ()),
-    (np.eye(128, order="F"), 128, ()),
-    (np.eye(128, order="F"), 192, ()),
-    (np.eye(192, order="F"), 128, ((3, 0),)),
-    (np.eye(192, order="F"), 128, ((1, -1),)),
-    (np.eye(192, order="F"), 96, ((1, 0),)),
-), ids=["row-major", "float32", "m-negative", "m-equals-n", "m-above-n",
-        "zeros-outside", "zeros-negative", "m-splits-tile"])
-def test_gain_solve_rejects_factor_before_blas(monkeypatch, factor, m, zeros):
+@pytest.mark.parametrize("joint, zeros", (
+    (np.eye(128), ()),
+    (np.eye(128, dtype=np.float32, order="F"), ()),
+    (np.eye(192, order="F"), ((3, 0),)),
+    (np.eye(192, order="F"), ((1, -1),)),
+), ids=["row-major", "float32", "zeros-outside", "zeros-negative"])
+def test_gain_solve_rejects_factor_before_blas(monkeypatch, joint, zeros):
+    # The solve runs in place on the factor ``cholesky`` returns, so
+    # ``cholesky``'s checks of the layout and of the zeros guard it.
     calls = []
-    for name in ("dtrsm", "dgemm"):
+    for name in ("dpotrf", "dtrsm", "dgemm"):
         monkeypatch.setattr(blas, name, lambda *args: calls.append(args))
     with pytest.raises(emb_mod.cov_mod.CovarianceError):
-        emb_mod.cov_mod._solve_gain(factor, m, zeros)
+        emb_mod.cov_mod.condition(joint, refill=lambda: None, zeros=zeros)
     assert calls == []
     # Without zeros the solve is one dtrsm on all of L_k; a call with an
     # empty dimension, such as the parent's empty update, is not made.
-    emb_mod.cov_mod._solve_gain(np.eye(128, order="F"), 64)
+    emb_mod.cov_mod._solve_gain(np.eye(128, order="F"), ())
     assert len(calls) == 1
 
 
@@ -682,7 +693,7 @@ def test_gain_solve_with_lattice4_zeros_matches_dense_solve():
     dense = sla.blas.dtrsm(1.0, np.tril(factor[:m, :m]), factor[m:, :m],
                            side=1, lower=1)
     split = np.where(np.tri(n, dtype=bool), factor, np.nan).copy(order="F")
-    gain = emb_mod.cov_mod._solve_gain(split, m, zeros)
+    gain = emb_mod.cov_mod._solve_gain(split, zeros)
     assert np.abs(gain - dense).max() <= 1e-12 * np.abs(dense).max()
     assert np.array_equal(split[:m, :m], np.where(
         np.tri(m, dtype=bool), factor[:m, :m], np.nan), equal_nan=True)
@@ -711,9 +722,10 @@ def test_structural_zeros_are_neither_read_nor_written(bright_raw):
             joint = np.empty((n, n), order="F")
             refill = functools.partial(assemble, joint, marked)
             refill()
-            gain, chol, jitter = emb_mod.cov_mod.condition(
-                joint, n - 64, refill=refill, zeros=zeros)
-            runs.append((gain.tobytes(), chol.tobytes(), jitter))
+            gain, lower, sigmas, jitter = emb_mod.cov_mod.condition(
+                joint, refill=refill, zeros=zeros)
+            runs.append((gain.tobytes(), lower.tobytes(), sigmas.tobytes(),
+                         jitter))
             for i, j in kept if marked else ():
                 assert np.isnan(joint[64 * i : 64 * (i + 1),
                                       64 * j : 64 * (j + 1)]).all()
@@ -848,6 +860,18 @@ def test_first_lattice_block_rejects_later_and_dead_blocks(bright_raw,
                     params=paper_params)
     with pytest.raises(ValueError, match="no stego signal"):
         SimulatedEmbedder(dark, cfg).run_first_lattice_block(1, (0, 0))
+
+
+def test_first_lattice_block_rejects_blocks_outside_the_grid(paper_params):
+    # Refused before any indexing: past the last row, and at negative
+    # coordinates, which would otherwise count from the grid's far end.
+    raw = RawImage(data=np.full((32, 32), 2000.0), cfa="RGGB", bit_depth=12,
+                   params=paper_params)
+    emb = SimulatedEmbedder(raw, EmbedConfig(qf=95, K=5, key=1))
+    assert (emb.blocks_h, emb.blocks_w) == (4, 4)
+    for block in ((4, 0), (-1, 0), (-2, -2)):
+        with pytest.raises(ValueError, match="outside the 4 x 4 block grid"):
+            emb.run_first_lattice_block(1, block)
 
 
 # -- pseudo embedding ----------------------------------------------------------------

@@ -46,6 +46,21 @@ def test_qf_bounds():
     assert quant_table(1).steps.min() >= 1
 
 
+@pytest.mark.parametrize("qf", [95.5, 95.0, np.float64(95), True, "95"],
+                         ids=repr)
+def test_qf_must_be_an_integer(qf):
+    # 95.5 would build scale 9's table (first row 1 1 1 1, where qf 95's
+    # is 2 1 1 2) labelled qf 95, and True would pass for qf 1.
+    with pytest.raises(CoefficientsError, match="must be an integer"):
+        quant_table(qf)
+
+
+def test_qf_accepts_numpy_integers():
+    t = quant_table(np.int64(95))
+    assert np.array_equal(t.steps, quant_table(95).steps)
+    assert type(t.qf) is int and t.qf == 95
+
+
 # -- development ------------------------------------------------------------------
 
 
