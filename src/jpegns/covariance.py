@@ -5,7 +5,7 @@ so its DCT-domain image under the pipeline operator M has covariance
 M diag(v) M^t.  ``cholesky`` factors such a covariance, with escalating
 jitter for the singular blocks that clamped variances produce, and
 ``condition`` reads a block's conditional law off that factor, in the
-form the sampling chain takes.
+form the sampling chain takes; both call ``jpegns.blas``'s LAPACK directly.
 """
 
 import ctypes
@@ -121,7 +121,7 @@ def cholesky(a, refill=None, zeros=()):
         raise CovarianceError("cholesky needs a square writable column-major "
                               f"float64 array, got {a.dtype} of shape "
                               f"{a.shape}")
-    n = a.shape[0]
+    n, base = a.shape[0], a.ctypes.data
     ops = _factor_ops(n, zeros)
     shift = 0.0
     for eps in (0.0,) + JITTER_LADDER:
@@ -129,7 +129,10 @@ def cholesky(a, refill=None, zeros=()):
             refill()
             shift = eps * float(np.mean(np.diag(a)))
             a[np.diag_indices(n)] += shift
-        if _factor_in_place(a, ops) == 0:
+        for op in ops:
+            if op(base):  # a dpotrf's nonzero info: the attempt failed
+                break
+        else:
             return a, shift
     raise SingularCovarianceError("covariance not PSD after max jitter")
 
@@ -192,43 +195,58 @@ def _schedule(n, zeros):
 # every leading dimension is n.  A call with an empty dimension would do
 # nothing, and its builder returns None in its place.
 
+_ONE = ctypes.c_double(1.0)
+_MINUS_ONE = ctypes.c_double(-1.0)
+
+
 def _potrf(n, size, d):
-    """Factor the size x size block at (d, d)."""
-    if size > 0:
-        size, ld, a = ctypes.c_int(size), ctypes.c_int(n), 8 * (d * n + d)
-        return lambda base: blas.dpotrf(size, base + a, ld)
-    return None
+    """Factor the lower triangle of the size x size block at (d, d):
+    ``dpotrf("L")``, returning the ``info`` made for that call."""
+    if size <= 0:
+        return None
+    size, ld, a = ctypes.c_int(size), ctypes.c_int(n), 8 * (d * n + d)
+
+    def potrf(base):
+        info = ctypes.c_int(0)
+        blas.dpotrf(b"L", size, base + a, ld, info)
+        return info.value
+    return potrf
 
 
 def _trsm(n, trans, rows, size, d, b):
     """B := B op(A)^-1 for the rows x size B at ``b`` and the size x size
-    lower triangle A at (d, d)."""
+    lower triangle A at (d, d), op(A) = A^t when ``trans`` is b"T":
+    ``dtrsm("R", "L", trans, "N")`` with alpha 1."""
     if rows > 0 and size > 0:
         rows, size, ld = map(ctypes.c_int, (rows, size, n))
         a, b = 8 * (d * n + d), 8 * (b[1] * n + b[0])
-        return lambda base: blas.dtrsm(trans, rows, size, base + a, ld,
-                                       base + b, ld)
+        return lambda base: blas.dtrsm(b"R", b"L", trans, b"N", rows, size,
+                                       _ONE, base + a, ld, base + b, ld)
     return None
 
 
 def _syrk(n, size, k, a, d):
     """C := C - A A^t on the lower triangle of the size x size C at
-    (d, d), with A the size x k block at ``a``."""
+    (d, d), with A the size x k block at ``a``: ``dsyrk("L", "N")`` with
+    alpha -1 and beta 1."""
     if size > 0 and k > 0:
         size, k, ld = map(ctypes.c_int, (size, k, n))
         a, c = 8 * (a[1] * n + a[0]), 8 * (d * n + d)
-        return lambda base: blas.dsyrk(size, k, base + a, ld, base + c, ld)
+        return lambda base: blas.dsyrk(b"L", b"N", size, k, _MINUS_ONE,
+                                       base + a, ld, _ONE, base + c, ld)
     return None
 
 
 def _gemm(n, trans, rows, cols, k, a, b, c):
     """C := C - A op(B) for the rows x cols C at ``c`` and the rows x k A
-    at ``a``, with op(B) as in ``blas.dgemm``."""
+    at ``a``; B at ``b`` is k x cols, or cols x k with op(B) = B^t when
+    ``trans`` is b"T": ``dgemm("N", trans)`` with alpha -1 and beta 1."""
     if rows > 0 and cols > 0 and k > 0:
         rows, cols, k, ld = map(ctypes.c_int, (rows, cols, k, n))
         a, b, c = (8 * (col * n + row) for row, col in (a, b, c))
-        return lambda base: blas.dgemm(trans, rows, cols, k, base + a, ld,
-                                       base + b, ld, base + c, ld)
+        return lambda base: blas.dgemm(b"N", trans, rows, cols, k,
+                                       _MINUS_ONE, base + a, ld, base + b,
+                                       ld, _ONE, base + c, ld)
     return None
 
 
@@ -249,16 +267,6 @@ def _factor_ops(n, zeros):
                           (s0, c0), (r0, s0)) for s0, s1 in runs[:i]]
     ops.append(_potrf(n, n - start, start))
     return tuple(op for op in ops if op)
-
-
-def _factor_in_place(a, ops):
-    """LAPACK's info for the in-place lower factor of ``a`` (see cholesky)."""
-    base = a.ctypes.data
-    for op in ops:
-        info = op(base)
-        if info:
-            return info
-    return 0
 
 
 @functools.lru_cache(maxsize=256)
@@ -296,8 +304,7 @@ def _solve_gain(factor, zeros):
     is what ``cholesky`` returned (so its layout is checked), and
     ``zeros`` the normalized pairs it was given.
     """
-    n = factor.shape[0]
-    base = factor.ctypes.data
+    n, base = factor.shape[0], factor.ctypes.data
     for op in _gain_ops(n, zeros):
         op(base)
     return np.array(factor[n - 64 :, : n - 64], order="F")

@@ -571,12 +571,10 @@ def write_costs(plane, path):
     a qf or block grid that ``jpeg_model._check_header`` refuses, or
     shapes other than (bh, bw, 64, 2K+1) costs over (bh, bw, 64) pi_zero.
     """
-    k_range, qf = plane.K, plane.qf
-    for name, value in (("alphabet half-width K", k_range),
-                        ("quality factor", qf)):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-            raise jpeg_model.FormatError(
-                f"cost-file {name} must be an integer, got {value!r}")
+    k_range = plane.K
+    if not isinstance(k_range, (int, np.integer)) or isinstance(k_range, bool):
+        raise jpeg_model.FormatError(f"cost-file alphabet half-width K must "
+                                     f"be an integer, got {k_range!r}")
     if not 1 <= k_range <= 255:
         raise jpeg_model.FormatError(
             f"cost-file alphabet half-width K = {k_range} is outside 1..255")
@@ -589,10 +587,11 @@ def write_costs(plane, path):
             f"cost-file costs of shape {np.shape(plane.costs)} are not "
             f"{grid + (2 * k_range + 1,)} for K = {k_range}")
     bh, bw = grid[:2]
-    jpeg_model._check_header(bh, bw, qf, "cost-file")
+    jpeg_model._check_header(bh, bw, plane.qf, "cost-file")
     jpeg_model._write_container(
-        path, _COSTS_MAGIC, ">IIBB", (bh, bw, qf, k_range),
-        plane.costs.astype(">f8").tobytes() + plane.pi_zero.astype(">f8").tobytes())
+        path, _COSTS_MAGIC, ">IIBB", (bh, bw, plane.qf, k_range),
+        [np.ascontiguousarray(a, dtype=">f8")
+         for a in (plane.costs, plane.pi_zero)])
 
 
 def read_costs(path):

@@ -188,15 +188,18 @@ def nzac_count(c):
 
 
 def _write_container(path, magic, fmt, fields, body):
-    """Write magic, version u8, ``fields`` packed by ``fmt``, body, CRC32.
+    """Write magic, version u8, ``fields`` packed by ``fmt``, the buffers
+    in ``body`` (never joined in memory), CRC32.
 
     The CRC32 footer (big-endian u32) covers everything before it.
     """
     header = magic + struct.pack(">B", _VERSION) + struct.pack(fmt, *fields)
-    crc = zlib.crc32(header + body) & 0xFFFFFFFF
+    crc = zlib.crc32(header)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(body)
+        for chunk in body:
+            crc = zlib.crc32(chunk, crc)
+            fh.write(chunk)
         fh.write(struct.pack(">I", crc))
 
 
@@ -230,7 +233,10 @@ def _read_container(path, magic, fmt, body_size, what):
 
 def _check_header(bh, bw, qf, what):
     """Raise FormatError unless a container header's block grid and
-    quality factor are ones a plane can have."""
+    integer (not bool) quality factor are ones a plane can have."""
+    if not isinstance(qf, (int, np.integer)) or isinstance(qf, bool):
+        raise FormatError(f"{what} quality factor must be an integer, "
+                          f"got {qf!r}")
     if not bh or not bw:
         raise FormatError(f"{what} block grid {bh} x {bw} is empty")
     if not 1 <= qf <= 100:
@@ -242,15 +248,23 @@ def write_coeffs(c, path):
 
     Layout: magic "JCNS", version u8, role u8, blocks_h u32, blocks_w u32,
     qf u8 (all big-endian), int16 big-endian coefficients in image-plane
-    row-major order, CRC32 footer over everything before it.
+    row-major order, CRC32 footer over everything before it.  A plane
+    that ``read_coeffs`` would refuse or read back differently (see
+    ``_check_header``; a table not ``quant_table(qf)``'s; beyond int16)
+    raises FormatError before ``path`` is opened.
     """
+    qf = c.table.qf
+    _check_header(c.blocks_h, c.blocks_w, qf, "coefficient")
+    if not np.array_equal(c.table.steps, quant_table(qf).steps):
+        raise FormatError(f"coefficient table is not the standard table of "
+                          f"quality factor {qf}, the only one a file holds")
     plane = c.plane()
     if np.any(np.abs(plane) > 32767):
         raise FormatError("coefficients exceed int16 range")
     _write_container(
         path, _MAGIC, ">BIIB",
-        (_ROLES.index(c.role), c.blocks_h, c.blocks_w, c.table.qf),
-        plane.astype(">i2").tobytes())
+        (_ROLES.index(c.role), c.blocks_h, c.blocks_w, qf),
+        (np.ascontiguousarray(plane, dtype=">i2"),))
 
 
 def read_coeffs(path):

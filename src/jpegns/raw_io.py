@@ -87,6 +87,7 @@ class RawImage:
 
     def __post_init__(self):
         if (not isinstance(self.bit_depth, (int, np.integer))
+                or isinstance(self.bit_depth, bool)
                 or not 1 <= self.bit_depth <= 16):
             raise ParameterError(
                 f"bit depth must be an integer in 1..16, got {self.bit_depth!r}")
@@ -123,8 +124,8 @@ class SynthSpec:
 
     kind is "constant" (all photo-sites equal mu) or "iid_gaussian"
     (independent N(mu, sigma^2) draws clamped at 0).  Dimensions must be
-    multiples of 8 so the image can be embedded.  ``seed`` is an integer
-    in 0..2**64-1.
+    Python or numpy integers (not bools), positive multiples of 8 so the
+    image can be embedded.  ``seed`` is an integer in 0..2**64-1.
     """
 
     kind: str
@@ -140,6 +141,11 @@ class SynthSpec:
         rng.check_seed(self.seed, "seed", ParameterError)
         if self.sigma < 0:
             raise ParameterError("sigma must be >= 0")
+        size = (self.width, self.height)
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(
+                v, bool) for v in size):
+            raise DimensionError(f"synthetic dimensions must be integers, "
+                                 f"got {size!r}")
         if self.width <= 0 or self.height <= 0:
             raise DimensionError("synthetic dimensions must be positive")
         if self.width % 8 or self.height % 8:

@@ -1,4 +1,3 @@
-import ctypes
 import dataclasses
 import functools
 import json
@@ -737,24 +736,41 @@ def test_structural_zeros_are_neither_read_nor_written(bright_raw):
         (3, 4))[-2] == (2, 4)
 
 
+# LAPACK's names for the arguments of each routine ``covariance`` calls,
+# and the values it passes for every call of that routine.
+BLAS_ARGUMENTS = {
+    "dpotrf": ("uplo n a lda info", {"uplo": b"L"}),
+    "dtrsm": ("side uplo transa diag m n alpha a lda b ldb",
+              {"side": b"R", "uplo": b"L", "diag": b"N", "alpha": 1.0}),
+    "dsyrk": ("uplo trans n k alpha a lda beta c ldc",
+              {"uplo": b"L", "trans": b"N", "alpha": -1.0, "beta": 1.0}),
+    "dgemm": ("transa transb m n k alpha a lda b ldb beta c ldc",
+              {"transa": b"N", "alpha": -1.0, "beta": 1.0}),
+}
+
+
 def record_blas(monkeypatch, base):
     """Run covariance's BLAS calls and record each as (routine, op chars,
-    sizes, matrix arguments), a matrix argument as the (row, col) element
-    of the order-n matrix at ``base`` where it starts."""
+    sizes, matrix arguments), decoded from the routine's own arguments:
+    the op chars are those ``BLAS_ARGUMENTS`` leaves free, and a matrix
+    argument is the (row, col) element of the order-n matrix at ``base``
+    where it starts.  The fixed arguments are checked on every call."""
     calls = []
-    for name in ("dpotrf", "dtrsm", "dsyrk", "dgemm"):
-        def spy(*args, name=name, real=getattr(blas, name)):
-            ints = [arg.value for arg in args
-                    if isinstance(arg, ctypes.c_int)]
-            addresses = [arg for arg in args if type(arg) is int]
-            sizes = ints[: len(ints) - len(addresses)]
-            leading = set(ints[len(sizes) :])
-            assert len(leading) == 1
-            elements = tuple(divmod((addr - base) // 8, *leading)[::-1]
-                             for addr in addresses)
-            calls.append((name,)
-                         + tuple(arg for arg in args if type(arg) is bytes)
-                         + tuple(sizes) + elements)
+    for name, (names, fixed) in BLAS_ARGUMENTS.items():
+        def spy(*args, name=name, names=names.split(), fixed=fixed,
+                real=getattr(blas, name)):
+            arg = dict(zip(names, args, strict=True))
+            value = {key: getattr(v, "value", v) for key, v in arg.items()}
+            assert {key: value[key] for key in fixed} == fixed
+            (ld,) = {value[key] for key in ("lda", "ldb", "ldc")
+                     if key in value}
+            calls.append(
+                (name,)
+                + tuple(value[key] for key in names if key not in fixed
+                        and type(value[key]) is bytes)
+                + tuple(value[key] for key in ("m", "n", "k") if key in value)
+                + tuple(divmod((arg[key] - base) // 8, ld)[::-1]
+                        for key in ("a", "b", "c") if key in arg))
             return real(*args)
 
         monkeypatch.setattr(blas, name, spy)

@@ -236,7 +236,7 @@ def test_cost_file_header_fields_are_checked(tmp_path, qf, k_range, message):
     # A well-formed container whose header no cost plane can have.
     path = tmp_path / "costs.jcst"
     jm._write_container(path, b"JCST", ">IIBB", (1, 1, qf, k_range),
-                        bytes(8 * 64 * (2 * k_range + 2)))
+                        [bytes(8 * 64 * (2 * k_range + 2))])
     with pytest.raises(FormatError, match=message):
         read_costs(path)
 
@@ -253,7 +253,7 @@ def test_coefficient_file_header_fields_are_checked(tmp_path, header,
     path = tmp_path / "plane.jcns"
     _, bh, bw, _ = header
     jm._write_container(path, b"JCNS", ">BIIB", header,
-                        bytes(bh * bw * 64 * 2))
+                        [bytes(bh * bw * 64 * 2)])
     with pytest.raises(FormatError, match=message):
         read_coeffs(path)
 
@@ -261,7 +261,7 @@ def test_coefficient_file_header_fields_are_checked(tmp_path, header,
 @pytest.mark.parametrize("bh, bw", [(0, 3), (3, 0)])
 def test_cost_file_with_an_empty_grid_is_refused(tmp_path, bh, bw):
     path = tmp_path / "costs.jcst"
-    jm._write_container(path, b"JCST", ">IIBB", (bh, bw, 90, 2), b"")
+    jm._write_container(path, b"JCST", ">IIBB", (bh, bw, 90, 2), [])
     with pytest.raises(FormatError, match="is empty"):
         read_costs(path)
 
@@ -298,6 +298,38 @@ def test_write_costs_refuses_planes_read_costs_cannot_read(tmp_path, plane,
     path = tmp_path / "costs.jcst"
     with pytest.raises(FormatError, match=message):
         write_costs(plane, path)
+    assert not path.exists()
+
+
+def coefficient_plane(qf=90, grid=(1, 1), steps=None):
+    """A zero JpegCoefficients plane whose table is labelled ``qf``;
+    ``steps`` default to quant_table(90)'s."""
+    steps = quant_table(90).steps if steps is None else steps
+    return JpegCoefficients(coeffs=np.zeros(grid + (8, 8), dtype=int),
+                            table=jm.QuantTable(steps=steps, qf=qf))
+
+
+@pytest.mark.parametrize("plane, message", [
+    (coefficient_plane(qf=0), "quality factor 0 is outside 1..100"),
+    (coefficient_plane(qf=101), "quality factor 101 is outside 1..100"),
+    (coefficient_plane(qf=300), "quality factor 300 is outside 1..100"),
+    (coefficient_plane(qf=95.5), "quality factor must be an integer, "
+                                 "got 95.5"),
+    (coefficient_plane(qf=True), "quality factor must be an integer, "
+                                 "got True"),
+    (coefficient_plane(grid=(0, 2)), "grid 0 x 2 is empty"),
+    (coefficient_plane(qf=95, steps=np.full((8, 8), 7)),
+     "not the standard table of quality factor 95"),
+], ids=["qf-0", "qf-101", "qf-300", "qf-float", "qf-bool", "empty-grid",
+        "foreign-table"])
+def test_write_coeffs_refuses_planes_read_coeffs_cannot_read(tmp_path, plane,
+                                                             message):
+    # Each of these used to write a file that read_coeffs refused or read
+    # back with another table, or to fail inside struct; now nothing is
+    # written.
+    path = tmp_path / "plane.jcns"
+    with pytest.raises(FormatError, match=message):
+        write_coeffs(plane, path)
     assert not path.exists()
 
 

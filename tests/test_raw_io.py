@@ -73,6 +73,14 @@ def test_bit_depth_out_of_range_rejected(tmp_path, paper_params, bit_depth):
         load_raw(path)
 
 
+def test_bool_bit_depth_rejected(paper_params):
+    # True is 1 to arithmetic, but write_raw would store "bit_depth": true,
+    # which load_raw refuses.
+    with pytest.raises(ParameterError, match="bit depth"):
+        RawImage(data=np.zeros((8, 8)), cfa="RGGB", bit_depth=True,
+                 params=paper_params)
+
+
 def test_fractional_bit_depth_rejected(tmp_path):
     path = tmp_path / "frac.pgm"
     write_pgm(path, np.zeros((8, 8)), 4095,
@@ -217,6 +225,23 @@ def test_synth_spec_rejects_bad_seed(seed):
     with pytest.raises(ParameterError, match="seed must be an integer"):
         SynthSpec(kind="iid_gaussian", mu=0.0, sigma=1.0, width=8, height=8,
                   seed=seed)
+
+
+@pytest.mark.parametrize("size", [
+    {"width": 16.0}, {"height": np.float64(8.0)}, {"width": True},
+    {"height": "8"},
+], ids=repr)
+def test_synth_spec_rejects_dimensions_that_are_not_integers(size):
+    # 16.0 used to pass and fail later inside numpy with a bare TypeError.
+    with pytest.raises(DimensionError, match="must be integers"):
+        SynthSpec(**{"kind": "constant", "mu": 0.0, "sigma": 0.0,
+                     "width": 8, "height": 8, **size})
+
+
+def test_synth_spec_accepts_numpy_integer_dimensions():
+    spec = SynthSpec(kind="constant", mu=1.0, sigma=0.0, width=np.int64(16),
+                     height=np.int32(8))
+    assert synthesize_raw(spec, SensorParams(0, 0, 1, 0)).data.shape == (8, 16)
 
 
 def test_synthesize_largest_seed():
