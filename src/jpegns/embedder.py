@@ -48,14 +48,10 @@ class ConfigError(ValueError):
     """Invalid embedding parameters."""
 
 
-def _check_key(key):
-    """``key`` if it is an int (not a bool) in 0..2**64-1, else ConfigError."""
-    return rng.check_seed(key, "key", ConfigError)
-
-
 @dataclass(frozen=True)
 class EmbedConfig:
-    """Embedding parameters; ``key`` seeds all per-block random streams."""
+    """Embedding parameters, integers stored as ints (``rng.check_int``);
+    ``key`` seeds all per-block random streams."""
 
     qf: int
     K: int = 5
@@ -64,21 +60,17 @@ class EmbedConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("qf", "K", "workers"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        _check_key(self.key)
-        if self.K < 1:
-            raise ConfigError("alphabet half-width K must be >= 1")
-        if self.K > 255:  # the JCST cost file stores K in one byte
-            raise ConfigError("alphabet half-width K must be <= 255")
-        if not (1 <= self.qf <= 100):
-            raise ConfigError("quality factor must be in 1..100")
+        def store(name, value):
+            object.__setattr__(self, name, value)
+
+        store("qf", rng.check_int(self.qf, "qf", ConfigError, 1, 100))
+        # The JCST cost file stores K in one byte.
+        store("K", rng.check_int(self.K, "alphabet half-width K", ConfigError,
+                                 1, 255))
+        store("workers", rng.check_int(self.workers, "workers", ConfigError, 1))
+        store("key", rng.check_seed(self.key, "key", ConfigError))
         if self.green_kernel not in ("cross", "corner"):
             raise ConfigError(f"unknown green kernel {self.green_kernel!r}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
 
 
 @dataclass
@@ -402,7 +394,8 @@ class SimulatedEmbedder:
         ``EmbedResult.probs``, a plane too large to keep by default.
         """
         t0 = time.monotonic()
-        key = self.cfg.key if key is None else _check_key(key)
+        key = (self.cfg.key if key is None
+               else rng.check_seed(key, "key", ConfigError))
         bh, bw = self.blocks_h, self.blocks_w
         # Working planes in block layout: [bi, bj] holds one block's 64
         # coefficients in row-major frequency order.
@@ -487,8 +480,8 @@ class SimulatedEmbedder:
                              f"{self.blocks_h} x {self.blocks_w} block grid")
         if self.assign.lattice_of(bi, bj) != 1:
             raise ValueError("block is not in the first macro-lattice")
-        _, chain = self._visit(block, 1, _check_key(key), np.empty((0, 64)),
-                               _Workspace())
+        key = rng.check_seed(key, "key", ConfigError)
+        _, chain = self._visit(block, 1, key, np.empty((0, 64)), _Workspace())
         if chain is None:
             raise ValueError("block has no stego signal")
         return chain
@@ -529,7 +522,7 @@ def pseudo_embed(raw, seed):
     range and returns a new RawImage.  A distributional reference, not a
     message channel.  ``seed`` is an integer in 0..2**64-1, as a key is.
     """
-    rng.check_seed(seed, "seed", ConfigError)
+    seed = rng.check_seed(seed, "seed", ConfigError)
     var = cov_mod.photon_variance(raw.data, raw.params)
     gen = rng.make_stream(seed, rng.DOMAIN_PSEUDO)
     z = rng.standard_normal_icdf(gen, raw.data.shape)
@@ -571,13 +564,8 @@ def write_costs(plane, path):
     a qf or block grid that ``jpeg_model._check_header`` refuses, or
     shapes other than (bh, bw, 64, 2K+1) costs over (bh, bw, 64) pi_zero.
     """
-    k_range = plane.K
-    if not isinstance(k_range, (int, np.integer)) or isinstance(k_range, bool):
-        raise jpeg_model.FormatError(f"cost-file alphabet half-width K must "
-                                     f"be an integer, got {k_range!r}")
-    if not 1 <= k_range <= 255:
-        raise jpeg_model.FormatError(
-            f"cost-file alphabet half-width K = {k_range} is outside 1..255")
+    k_range = rng.check_int(plane.K, "cost-file alphabet half-width K",
+                            jpeg_model.FormatError, 1, 255)
     grid = np.shape(plane.pi_zero)
     if len(grid) != 3 or grid[2] != 64:
         raise jpeg_model.FormatError(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import pipeline
+from . import pipeline, rng
 from .raw_io import DimensionError
 
 # Standard reference luminance quantization table.
@@ -81,17 +81,13 @@ def quant_table(qf):
 
     scale = 5000/qf below 50 else 200 - 2 qf; steps are
     floor((table * scale + 50) / 100) clamped to >= 1, so qf = 100 yields
-    the all-ones table and qf = 50 the reference table itself.  A bool or
-    a qf that is no Python or numpy integer raises CoefficientsError.
+    the all-ones table and qf = 50 the reference table itself.  A qf that
+    ``rng.check_int`` refuses raises CoefficientsError.
     """
-    if not isinstance(qf, (int, np.integer)) or isinstance(qf, bool):
-        raise CoefficientsError(f"quality factor must be an integer, "
-                                f"got {qf!r}")
-    if not (1 <= qf <= 100):
-        raise CoefficientsError("quality factor must be in 1..100")
+    qf = rng.check_int(qf, "quality factor", CoefficientsError, 1, 100)
     scale = 5000 // qf if qf < 50 else 200 - 2 * qf
     steps = (STANDARD_LUMINANCE_TABLE * scale + 50) // 100
-    return QuantTable(steps=np.maximum(steps, 1), qf=int(qf))
+    return QuantTable(steps=np.maximum(steps, 1), qf=qf)
 
 
 @dataclass
@@ -233,14 +229,10 @@ def _read_container(path, magic, fmt, body_size, what):
 
 def _check_header(bh, bw, qf, what):
     """Raise FormatError unless a container header's block grid and
-    integer (not bool) quality factor are ones a plane can have."""
-    if not isinstance(qf, (int, np.integer)) or isinstance(qf, bool):
-        raise FormatError(f"{what} quality factor must be an integer, "
-                          f"got {qf!r}")
+    quality factor (``rng.check_int``) are ones a plane can have."""
+    rng.check_int(qf, f"{what} quality factor", FormatError, 1, 100)
     if not bh or not bw:
         raise FormatError(f"{what} block grid {bh} x {bw} is empty")
-    if not 1 <= qf <= 100:
-        raise FormatError(f"{what} quality factor {qf} is outside 1..100")
 
 
 def write_coeffs(c, path):

@@ -10,6 +10,7 @@ black-level or white-balance handling is performed.
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +55,9 @@ class SensorParams:
     """Heteroscedastic sensor noise coefficients for two ISO settings.
 
     The stego-signal variance at a photo-site of value x is
-    ``max(0, (a2 - a1) * x + (b2 - b1))`` in squared counts.  ``iso1`` and
-    ``iso2`` are informational.
+    ``max(0, (a2 - a1) * x + (b2 - b1))`` in squared counts; the
+    coefficients are stored as floats.  ``iso1`` and ``iso2`` are
+    informational positive integers, stored as ints (``rng.check_int``).
     """
 
     a1: float
@@ -67,8 +69,15 @@ class SensorParams:
 
     def __post_init__(self):
         for name in ("a1", "b1", "a2", "b2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"sensor parameter {name} must be finite")
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ParameterError(
+                    f"sensor parameter {name} must be finite and real, "
+                    f"got {value!r}")
+            object.__setattr__(self, name, float(value))
+        for name in ("iso1", "iso2"):
+            object.__setattr__(self, name, rng.check_int(
+                getattr(self, name), name, ParameterError, 1))
 
 
 @dataclass
@@ -86,11 +95,8 @@ class RawImage:
     params: SensorParams
 
     def __post_init__(self):
-        if (not isinstance(self.bit_depth, (int, np.integer))
-                or isinstance(self.bit_depth, bool)
-                or not 1 <= self.bit_depth <= 16):
-            raise ParameterError(
-                f"bit depth must be an integer in 1..16, got {self.bit_depth!r}")
+        self.bit_depth = rng.check_int(self.bit_depth, "bit depth",
+                                       ParameterError, 1, 16)
         self.data = np.asarray(self.data, dtype=np.float64)
         if self.data.ndim != 2:
             raise DimensionError("photo-site data must be 2-D")
@@ -123,9 +129,9 @@ class SynthSpec:
     """Specification of a synthetic RAW image.
 
     kind is "constant" (all photo-sites equal mu) or "iid_gaussian"
-    (independent N(mu, sigma^2) draws clamped at 0).  Dimensions must be
-    Python or numpy integers (not bools), positive multiples of 8 so the
-    image can be embedded.  ``seed`` is an integer in 0..2**64-1.
+    (independent N(mu, sigma^2) draws clamped at 0).  Dimensions are
+    positive multiples of 8, so the image can be embedded, and ``seed`` is
+    in 0..2**64-1; all three are stored as ints (``rng.check_int``).
     """
 
     kind: str
@@ -138,16 +144,13 @@ class SynthSpec:
     def __post_init__(self):
         if self.kind not in ("constant", "iid_gaussian"):
             raise ParameterError(f"unknown synthesis kind {self.kind!r}")
-        rng.check_seed(self.seed, "seed", ParameterError)
+        object.__setattr__(self, "seed", rng.check_seed(
+            self.seed, "seed", ParameterError))
         if self.sigma < 0:
             raise ParameterError("sigma must be >= 0")
-        size = (self.width, self.height)
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(
-                v, bool) for v in size):
-            raise DimensionError(f"synthetic dimensions must be integers, "
-                                 f"got {size!r}")
-        if self.width <= 0 or self.height <= 0:
-            raise DimensionError("synthetic dimensions must be positive")
+        for name in ("width", "height"):
+            object.__setattr__(self, name, rng.check_int(
+                getattr(self, name), f"synthetic {name}", DimensionError, 1))
         if self.width % 8 or self.height % 8:
             raise DimensionError("synthetic dimensions must be multiples of 8")
 
@@ -253,14 +256,15 @@ def load_raw(path):
             raise SidecarError(
                 f"sidecar {sidecar_path} {name} must be a finite number, "
                 f"got {meta[name]!r}")
-    isos = {"iso1": meta.get("iso1", 100), "iso2": meta.get("iso2", 200)}
-    for name, value in {"bit_depth": bit_depth, **isos}.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SidecarError(
-                f"sidecar {sidecar_path} {name} must be an integer, "
-                f"got {value!r}")
+    # Only JSON integers pass; their ranges are RawImage's and SensorParams'.
+    bit_depth, iso1, iso2 = (
+        rng.check_int(value, f"sidecar {sidecar_path} {name}", SidecarError,
+                      -math.inf)
+        for name, value in (("bit_depth", bit_depth),
+                            ("iso1", meta.get("iso1", 100)),
+                            ("iso2", meta.get("iso2", 200))))
     img = RawImage(data=data, cfa=cfa, bit_depth=bit_depth,
-                   params=SensorParams(**coeffs, **isos))
+                   params=SensorParams(**coeffs, iso1=iso1, iso2=iso2))
     # write_raw stores maxval = 2**bit_depth - 1; checked after RawImage has
     # validated the bit depth and the photo-site range.
     if maxval != 2**bit_depth - 1:
@@ -287,10 +291,8 @@ def write_raw(img, path):
     if np.any(samples < 0) or np.any(samples > maxval):
         raise ValueOutOfRangeError("photo-site value out of PGM range")
     header = f"P5\n{img.width} {img.height}\n{maxval}\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(samples.astype("u1" if maxval <= 255 else ">u2").tobytes())
-    meta = {
+    # The sidecar is built first, so a field JSON cannot hold leaves no file.
+    sidecar = json.dumps({
         "cfa": img.cfa,
         "bit_depth": img.bit_depth,
         "a1": img.params.a1,
@@ -299,7 +301,9 @@ def write_raw(img, path):
         "b2": img.params.b2,
         "iso1": img.params.iso1,
         "iso2": img.params.iso2,
-    }
+    }, indent=2)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(samples.astype("u1" if maxval <= 255 else ">u2").tobytes())
     with open(path + ".json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+        fh.write(sidecar + "\n")

@@ -24,8 +24,11 @@ The re-keyed generator draws exactly what a freshly built one would.  The
 embedder keeps one such generator per thread and re-keys it for every
 block, instead of building a Philox per block.
 
-Seeds and keys are checked where they enter the library (``check_seed``);
-the stream constructors do not repeat the check.
+Every integer parameter of the library (seeds and keys, bit depth, ISO
+settings, image size, quality factor, alphabet half-width) is checked where
+it enters by ``check_int``: a Python or numpy integer, not a bool, within
+its range, stored as a Python int.  Seeds and keys (``check_seed``) span
+0..2**64-1; the stream constructors do not repeat the check.
 """
 
 import numpy as np
@@ -41,16 +44,20 @@ _ZEROS4 = (0, 0, 0, 0)
 _MIN_UNIFORM = 2.0**-53
 
 
-def check_seed(value, name, error):
-    """``value`` if it is an int (not a bool) in 0..2**64-1, else ``error``.
+def check_int(value, name, error, lo, hi=None):
+    """``int(value)`` if ``value`` is a Python or numpy integer, not a bool,
+    in ``lo..hi`` (no upper bound when ``hi`` is None); else ``error``."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and lo <= int(value) and (hi is None or int(value) <= hi)):
+        return int(value)
+    raise error(f"{name} must be an integer in "
+                f"{lo}..{'' if hi is None else hi}, got {value!r}")
 
-    Streams take the seed as one 64-bit key word, so a seed outside that
-    range would otherwise wrap or fail deep inside numpy.
-    """
-    if (not isinstance(value, int) or isinstance(value, bool)
-            or not 0 <= value < 1 << 64):
-        raise error(f"{name} must be an integer in 0..2**64-1, got {value!r}")
-    return value
+
+def check_seed(value, name, error):
+    """A seed or key as one 64-bit stream key word (``check_int``); out of
+    range it would otherwise wrap or fail deep inside numpy."""
+    return check_int(value, name, error, 0, (1 << 64) - 1)
 
 
 def make_stream(seed, domain, payload=0, gen=None):

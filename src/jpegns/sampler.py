@@ -105,11 +105,7 @@ def pmf(m_prime, sigma_prime, q_step, k_range):
     beyond +-k_range folds into the end symbols.  sigma' = 0 degenerates to
     a point mass at round(m_hat) clamped into the alphabet.
     """
-    if not isinstance(k_range, (int, np.integer)) or isinstance(k_range, bool):
-        raise SamplerError(
-            f"alphabet half-width must be an integer, got {k_range!r}")
-    if k_range < 1:
-        raise SamplerError("alphabet half-width must be >= 1")
+    k_range = rng.check_int(k_range, "alphabet half-width", SamplerError, 1)
     if not (math.isfinite(q_step) and q_step > 0):
         raise SamplerError("q_step must be positive and finite")
     if sigma_prime < 0:

@@ -195,15 +195,29 @@ def test_costs_workers_write_identical_files(raw_file, tmp_path):
 
 @pytest.mark.parametrize("command, option, message", [
     ("embed", ["--key", "xyz"], "key must be a hexadecimal number"),
-    ("embed", ["--K", "0"], "alphabet half-width K must be >= 1"),
-    ("capacity", ["--workers", "0"], "workers must be >= 1"),
-    ("embed", ["--key", "-1"], "key must be an integer in 0..2**64-1"),
+    ("embed", ["--K", "0"],
+     "alphabet half-width K must be an integer in 1..255, got 0"),
+    ("capacity", ["--workers", "0"],
+     "workers must be an integer in 1.., got 0"),
+    ("embed", ["--key", "-1"],
+     "key must be an integer in 0..18446744073709551615, got -1"),
     ("costs", ["--key", "1ffffffffffffffff"],
-     "key must be an integer in 0..2**64-1"),
-    ("costs", ["--K", "256"], "alphabet half-width K must be <= 255"),
-    ("costs", ["--workers", "0"], "workers must be >= 1"),
+     "key must be an integer in 0..18446744073709551615, "
+     "got 36893488147419103231"),
+    ("costs", ["--K", "256"],
+     "alphabet half-width K must be an integer in 1..255, got 256"),
+    ("costs", ["--workers", "0"], "workers must be an integer in 1.., got 0"),
     ("pseudo-embed", ["--seed", "-1"],
-     "seed must be an integer in 0..2**64-1, got -1"),
+     "seed must be an integer in 0..18446744073709551615, got -1"),
+], ids=[  # stable names, independent of the messages' wording
+    "embed-option0-key must be a hexadecimal number",
+    "embed-option1-alphabet half-width K must be >= 1",
+    "capacity-option2-workers must be >= 1",
+    "embed-option3-key must be an integer in 0..2**64-1",
+    "costs-option4-key must be an integer in 0..2**64-1",
+    "costs-option5-alphabet half-width K must be <= 255",
+    "costs-option6-workers must be >= 1",
+    "pseudo-embed-option7-seed must be an integer in 0..2**64-1, got -1",
 ])
 def test_bad_numeric_option_exits_cleanly(raw_file, tmp_path, caplog,
                                           command, option, message):
@@ -220,9 +234,10 @@ def test_bad_numeric_option_exits_cleanly(raw_file, tmp_path, caplog,
     (["--bit-depth", "20"], "bit depth must be an integer in 1..16, got 20"),
     (["--sigma", "-1"], "sigma must be >= 0"),
     (["--a2", "nan"], "sensor parameter a2 must be finite"),
-    (["--w", "-8"], "synthetic dimensions must be positive"),
+    (["--w", "-8"], "synthetic width must be an integer in 1.., got -8"),
     (["--mu", "nan"], "photo-site values must be finite"),
-    (["--seed", "-1"], "seed must be an integer in 0..2**64-1, got -1"),
+    (["--seed", "-1"],
+     "seed must be an integer in 0..18446744073709551615, got -1"),
 ], ids=["bit-depth", "sigma", "a2", "width", "mu", "seed"])
 def test_bad_synth_parameter_exits_cleanly(tmp_path, caplog, option, message):
     out = tmp_path / "raw.pgm"

@@ -20,9 +20,11 @@ from jpegns import (
     develop_cover,
     embed_simulated,
     export_costs,
+    load_raw,
     nzac_count,
     pseudo_embed,
     synthesize_raw,
+    write_raw,
 )
 from jpegns import blas
 from jpegns import embedder as emb_mod
@@ -1041,7 +1043,8 @@ def test_config_validation():
 def test_config_rejects_alphabet_wider_than_cost_file(paper_params, tmp_path):
     # JCST stores K in one byte: K = 256 is refused before any work, and
     # K = 255 writes a cost file that reads back.
-    with pytest.raises(ConfigError, match="K must be <= 255"):
+    with pytest.raises(ConfigError, match=r"K must be an integer in 1\.\.255, "
+                                          r"got 256"):
         EmbedConfig(qf=95, K=256)
     path = tmp_path / "costs.bin"
     export_costs(small_raw(paper_params, size=8), EmbedConfig(qf=95, K=255),
@@ -1075,6 +1078,23 @@ def test_int16_overflow_rejected_before_any_factorization(
 def test_config_rejects_non_integer(name, value):
     with pytest.raises(ConfigError, match=f"{name} must be an integer"):
         EmbedConfig(**{"qf": 95, name: value})
+
+
+def test_numpy_integer_parameters_round_trip(tmp_path):
+    # Numpy integers are stored as ints, so the sidecar and the report's
+    # JSON can hold them.
+    params = SensorParams(0.0, 0.0, 1.15, -1150.0, iso1=np.int64(100))
+    img = RawImage(data=np.floor(small_raw(params, size=16).data), cfa="RGGB",
+                   bit_depth=np.int64(12), params=params)
+    path = tmp_path / "numpy.pgm"
+    write_raw(img, path)
+    back = load_raw(path)
+    assert back.bit_depth == 12 and back.params == params
+    assert np.array_equal(back.data, img.data)
+    cfg = EmbedConfig(qf=np.int64(95), K=np.int64(5), key=np.uint64(7))
+    report = json.loads(json.dumps(capacity_map(back, cfg).to_json_dict()))
+    assert report["config"]["qf"] == 95 and report["config"]["K"] == 5
+    assert report["config"]["key"] == f"{7:016x}"
 
 
 @pytest.mark.parametrize("key", BAD_KEYS, ids=repr)

@@ -85,3 +85,34 @@ def test_only_covariance_imports_blas():
     users = [module for module in MODULES
              if "jpegns.blas" in imported_modules((SRC / module).read_text())]
     assert users == ["covariance.py"]
+
+
+def bool_checks(node, where=None):
+    """The function (None outside any) around each ``isinstance(..., bool)``
+    call under ``node``, bool alone or in a tuple."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = node.name
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2
+            and any(isinstance(n, ast.Name) and n.id == "bool"
+                    for n in ast.walk(node.args[1]))):
+        yield where
+    for child in ast.iter_child_nodes(node):
+        yield from bool_checks(child, where)
+
+
+def test_bool_check_finder_sees_tuples_nesting_and_module_level():
+    source = ("isinstance(a, bool)\n"
+              "def f(x):\n"
+              "    def g(y):\n"
+              "        return isinstance(y, (int, bool))\n"
+              "    return isinstance(x, int) and g(x)\n")
+    assert list(bool_checks(ast.parse(source))) == [None, "g"]
+
+
+def test_only_check_int_and_the_json_float_check_refuse_bools():
+    # An integer parameter is checked by ``rng.check_int``; a new boundary
+    # calls it rather than writing its own "an integer but not a bool".
+    found = [(path.name, where) for path in sorted(SRC.glob("*.py"))
+             for where in bool_checks(ast.parse(path.read_text()))]
+    assert found == [("raw_io.py", "_finite_float"), ("rng.py", "check_int")]

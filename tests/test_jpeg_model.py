@@ -228,8 +228,8 @@ def test_damaged_container_errors(tmp_path, write, read, damage, error):
 
 
 @pytest.mark.parametrize("qf, k_range, message", [
-    (0, 2, "quality factor 0 is outside 1..100"),
-    (200, 2, "quality factor 200 is outside 1..100"),
+    (0, 2, "quality factor must be an integer in 1..100, got 0"),
+    (200, 2, "quality factor must be an integer in 1..100, got 200"),
     (90, 0, "K = 0 is below 1"),
 ], ids=["qf-0", "qf-200", "K-0"])
 def test_cost_file_header_fields_are_checked(tmp_path, qf, k_range, message):
@@ -244,8 +244,8 @@ def test_cost_file_header_fields_are_checked(tmp_path, qf, k_range, message):
 @pytest.mark.parametrize("header, message", [
     ((0, 0, 3, 90), "grid 0 x 3 is empty"),
     ((0, 2, 0, 90), "grid 2 x 0 is empty"),
-    ((1, 1, 1, 0), "quality factor 0 is outside 1..100"),
-    ((0, 1, 1, 101), "quality factor 101 is outside 1..100"),
+    ((1, 1, 1, 0), "quality factor must be an integer in 1..100, got 0"),
+    ((0, 1, 1, 101), "quality factor must be an integer in 1..100, got 101"),
 ], ids=["no-rows", "no-cols", "qf-0", "qf-101"])
 def test_coefficient_file_header_fields_are_checked(tmp_path, header,
                                                     message):
@@ -276,11 +276,12 @@ def cost_plane(bh=2, bw=3, qf=90, k_range=2, pi_grid=None, symbols=None):
 
 
 @pytest.mark.parametrize("plane, message", [
-    (cost_plane(k_range=300), "K = 300 is outside 1..255"),
-    (cost_plane(k_range=0), "K = 0 is outside 1..255"),
+    (cost_plane(k_range=300), "K must be an integer in 1..255, got 300"),
+    (cost_plane(k_range=0), "K must be an integer in 1..255, got 0"),
     (cost_plane(k_range=2.0, symbols=5), "K must be an integer"),
-    (cost_plane(qf=0), "quality factor 0 is outside 1..100"),
-    (cost_plane(qf=101), "quality factor 101 is outside 1..100"),
+    (cost_plane(qf=0), "quality factor must be an integer in 1..100, got 0"),
+    (cost_plane(qf=101),
+     "quality factor must be an integer in 1..100, got 101"),
     (cost_plane(qf=90.5), "quality factor must be an integer"),
     (cost_plane(pi_grid=(3, 2)), r"costs of shape \(2, 3, 64, 5\) are not "
                                  r"\(3, 2, 64, 5\)"),
@@ -310,13 +311,16 @@ def coefficient_plane(qf=90, grid=(1, 1), steps=None):
 
 
 @pytest.mark.parametrize("plane, message", [
-    (coefficient_plane(qf=0), "quality factor 0 is outside 1..100"),
-    (coefficient_plane(qf=101), "quality factor 101 is outside 1..100"),
-    (coefficient_plane(qf=300), "quality factor 300 is outside 1..100"),
-    (coefficient_plane(qf=95.5), "quality factor must be an integer, "
-                                 "got 95.5"),
-    (coefficient_plane(qf=True), "quality factor must be an integer, "
-                                 "got True"),
+    (coefficient_plane(qf=0),
+     "quality factor must be an integer in 1..100, got 0"),
+    (coefficient_plane(qf=101),
+     "quality factor must be an integer in 1..100, got 101"),
+    (coefficient_plane(qf=300),
+     "quality factor must be an integer in 1..100, got 300"),
+    (coefficient_plane(qf=95.5), "quality factor must be an integer in "
+                                 "1..100, got 95.5"),
+    (coefficient_plane(qf=True), "quality factor must be an integer in "
+                                 "1..100, got True"),
     (coefficient_plane(grid=(0, 2)), "grid 0 x 2 is empty"),
     (coefficient_plane(qf=95, steps=np.full((8, 8), 7)),
      "not the standard table of quality factor 95"),

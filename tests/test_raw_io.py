@@ -179,6 +179,31 @@ def test_write_then_load_round_trip(tmp_path):
     assert back.params == img.params
 
 
+def test_float32_sensor_coefficients_round_trip(tmp_path):
+    # Stored as floats, so the sidecar can hold them.
+    params = SensorParams(*np.float32([0.5, 2.0, 1.15, -1150.0]))
+    assert all(type(v) is float for v in (params.a1, params.b1, params.a2,
+                                          params.b2))
+    img = RawImage(data=np.zeros((8, 8)), cfa="RGGB", bit_depth=12,
+                   params=params)
+    path = tmp_path / "f32.pgm"
+    write_raw(img, path)
+    assert load_raw(path).params == params
+
+
+def test_write_raw_leaves_no_file_when_the_sidecar_fails(tmp_path):
+    # A bit depth that JSON cannot hold, set after construction: the
+    # sidecar text is built before either file is opened.
+    img = RawImage(data=np.zeros((8, 8)), cfa="RGGB", bit_depth=12,
+                   params=SensorParams(0.0, 0.0, 1.15, -1150.0))
+    img.bit_depth = np.int64(12)
+    path = tmp_path / "partial.pgm"
+    with pytest.raises(TypeError):
+        write_raw(img, path)
+    assert not path.exists()
+    assert not (tmp_path / "partial.pgm.json").exists()
+
+
 @pytest.mark.parametrize("bit_depth", [1, 8, 12])
 def test_round_trip_at_bit_depth(tmp_path, bit_depth):
     # PGM stores one byte per sample when maxval <= 255, two otherwise.
@@ -233,7 +258,8 @@ def test_synth_spec_rejects_bad_seed(seed):
 ], ids=repr)
 def test_synth_spec_rejects_dimensions_that_are_not_integers(size):
     # 16.0 used to pass and fail later inside numpy with a bare TypeError.
-    with pytest.raises(DimensionError, match="must be integers"):
+    with pytest.raises(DimensionError, match=f"synthetic {next(iter(size))} "
+                                             f"must be an integer in 1.."):
         SynthSpec(**{"kind": "constant", "mu": 0.0, "sigma": 0.0,
                      "width": 8, "height": 8, **size})
 
@@ -280,3 +306,15 @@ def test_negative_data_rejected(paper_params):
 def test_nonfinite_sensor_params_rejected():
     with pytest.raises(ValueError):
         SensorParams(a1=float("nan"), b1=0.0, a2=1.0, b2=0.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("a1", "1.5"), ("b2", None), ("iso1", 100.5), ("iso1", 0), ("iso2", -200),
+    ("iso2", True), ("iso1", "100"),
+], ids=repr)
+def test_sensor_params_refuse_what_the_sidecar_cannot_hold(field, value):
+    # 100.5 used to be written and then refused by load_raw; a str
+    # coefficient used to raise a bare TypeError.
+    with pytest.raises(ParameterError, match=field):
+        SensorParams(**{"a1": 0.0, "b1": 0.0, "a2": 1.15, "b2": -1150.0,
+                        field: value})

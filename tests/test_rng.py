@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -92,6 +94,31 @@ def test_check_seed_rejects(value):
 @pytest.mark.parametrize("value", [0, 2**64 - 1])
 def test_check_seed_accepts_range_ends(value):
     assert rng.check_seed(value, "seed", KeyError) == value
+
+
+@pytest.mark.parametrize("value, lo, hi", [
+    (np.int64(1), 1, 16), (np.uint8(16), 1, 16), (np.uint64(2**64 - 1), 0,
+                                                  2**64 - 1),
+    (10**30, 1, None), (-(10**30), -math.inf, None),
+], ids=repr)
+def test_check_int_accepts_python_and_numpy_integers(value, lo, hi):
+    out = rng.check_int(value, "n", ValueError, lo, hi)
+    assert type(out) is int and out == value
+
+
+@pytest.mark.parametrize("value, hi, message", [
+    (0, 16, "n must be an integer in 1..16, got 0"),
+    (17, 16, "n must be an integer in 1..16, got 17"),
+    (0, None, "n must be an integer in 1.., got 0"),
+    (True, None, "n must be an integer in 1.., got True"),
+    (np.True_, 16, "n must be an integer in 1..16, got np.True_"),
+    (np.float64(2.0), 16,
+     r"n must be an integer in 1..16, got np.float64\(2.0\)"),
+    ("2", 16, "n must be an integer in 1..16, got '2'"),
+], ids=repr)
+def test_check_int_refuses(value, hi, message):
+    with pytest.raises(ValueError, match=message):
+        rng.check_int(value, "n", ValueError, 1, hi)
 
 
 class ZeroUniforms:
