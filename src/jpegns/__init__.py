@@ -40,7 +40,13 @@ from .covariance import (
     sigma_p,
 )
 from .lattice import LatticeAssignment, neighborhood, tile
-from .sampler import costs_from_pmf, entropy, pmf, run_block_chain
+from .sampler import (
+    costs_from_pmf,
+    discretize,
+    entropy,
+    pmf,
+    run_block_chain,
+)
 from .jpeg_model import (
     ChecksumError,
     FormatError,

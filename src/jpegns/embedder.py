@@ -5,12 +5,14 @@ assembles the joint DCT covariance of the block and its not-yet-used
 neighbors directly from the per-block pipeline weight tensor and the
 photo-site variance map, conditions on the continuous stego values already
 drawn for neighboring blocks (``covariance.condition``: the Schur
-complement read off one Cholesky factor, in the chain's form), and runs
-the 64-coefficient sampling chain, which returns the block's draw and its
-standardized bin edges.  Stego coefficients are the cover coefficients
-plus the sampled changes.  The folded PMFs, and the entropies read from
-them, are tabulated from the edges of up to 16 written-back blocks at a
-time.
+complement read off one Cholesky factor, in the chain's form), and draws
+the block's 64-coefficient Gaussian signal (``sampler.run_block_chain``),
+which is written back at once for the later lattices to condition on.
+The rest is elementwise, so it runs on up to 16 written-back blocks at a
+time (``_tabulate``): their draws are discretized into changes and bin
+edges (``sampler.discretize``), and the folded PMFs and the entropies
+read from them are tabulated from those edges.  Stego coefficients are
+the cover coefficients plus the sampled changes.
 
 Everything is a pure function of (raw image, config): per-block random
 streams are derived from the secret key, the lattice index and the block
@@ -37,8 +39,9 @@ from .raw_io import RawImage
 log = logging.getLogger(__name__)
 
 _COSTS_MAGIC = b"JCST"
-# Written-back blocks whose PMF tables ``run`` builds in one pass.  A pass
-# holds about 25 KB per block (edges, table and entropy terms at K = 5).
+# Written-back blocks that ``run`` discretizes and tabulates in one pass.
+# A block waits as its z, means and deviations (1.5 KB); a pass holds
+# about 25 KB per block (edges, table and entropy terms at K = 5).
 # From a 64² to a 128² iid image, ``run``'s traced peak memory grew by
 # 0.31 MB with 16 blocks, 0.65 MB with 32 and 0.21 MB with a pass per block.
 _TABULATE_BLOCKS = 16
@@ -66,7 +69,7 @@ class EmbedConfig:
         store("qf", rng.check_int(self.qf, "qf", ConfigError, 1, 100))
         # The JCST cost file stores K in one byte.
         store("K", rng.check_int(self.K, "alphabet half-width K", ConfigError,
-                                 1, 255))
+                                 1, sampler.MAX_K))
         store("workers", rng.check_int(self.workers, "workers", ConfigError, 1))
         store("key", rng.check_seed(self.key, "key", ConfigError))
         if self.green_kernel not in ("cross", "corner"):
@@ -364,11 +367,13 @@ class SimulatedEmbedder:
     # -- embedding -----------------------------------------------------------
 
     def _visit(self, block, lat, key, continuous, workspace):
-        """Factorization jitter and chain outputs ``(jitter, chain)`` of one
-        block.
+        """Factorization jitter, conditional deviations and draw
+        ``(jitter, sigmas, chain)`` of one block.
 
-        Both are None for a dead block (stego signal identically zero: no
-        changes, no capacity) or one that could not be factored.  Only the
+        ``sigmas`` are the factor's |diag| and ``chain`` is
+        ``sampler.run_block_chain``'s dict.  All three are None for a dead
+        block (stego signal identically zero: no changes, no capacity) or
+        one that could not be factored.  Only the
         neighbors' draws are read from ``continuous``, the continuous plane
         as (blocks_h * blocks_w, 64) rows, and those belong to earlier
         lattices, so the blocks of one lattice can be visited in any order
@@ -377,15 +382,14 @@ class SimulatedEmbedder:
         factors are dropped on return unless ``cache_factors`` keeps them.
         """
         if not self.live[block]:
-            return None, None
+            return None, None, None
         factors = self._block_factors(*block, workspace)
         if factors is None:
-            return None, None
+            return None, None, None
         base_mean = factors.mean_gain @ continuous[factors.rows].ravel()
         gen = rng.block_stream(key, lat, *block, gen=workspace.gen)
-        return factors.jitter, sampler.run_block_chain(
-            factors.lower, factors.sigmas, base_mean, self.q_flat, self.cfg.K,
-            gen)
+        return factors.jitter, factors.sigmas, sampler.run_block_chain(
+            factors.lower, factors.sigmas, base_mean, gen)
 
     def run(self, key=None, collect_probs=False):
         """Embed with the given key (default: the config key).
@@ -409,7 +413,8 @@ class SimulatedEmbedder:
                           dtype=np.int64)
         jitter_events = []
         failed = []
-        # (block, edges) of written-back blocks whose PMFs are not built yet.
+        # (block, z, means, sigmas) of written-back blocks whose changes
+        # and PMFs are not built yet.
         pending = []
         workers = self.cfg.workers
         # Dropped on return, so an embedder holds no buffers between runs.
@@ -424,7 +429,7 @@ class SimulatedEmbedder:
                     workspace=workspace), blocks)
                 # Each block is written back, in block order, as its visit
                 # ends; a lattice's results are never held all at once.
-                for block, (jitter, chain) in zip(blocks, visits):
+                for block, (jitter, sigmas, chain) in zip(blocks, visits):
                     if chain is None:
                         if self.live[block]:
                             failed.append({"lattice": lat,
@@ -434,13 +439,12 @@ class SimulatedEmbedder:
                         jitter_events.append(
                             {"lattice": lat, "block": list(block),
                              "epsilon": jitter})
-                    changes[block] = chain["changes"]
                     continuous[block] = chain["samples"]
-                    pending.append((block, chain["edges"]))
+                    pending.append((block, chain["z"], chain["means"], sigmas))
                     if len(pending) == _TABULATE_BLOCKS:
-                        _tabulate(pending, entropy, probs)
+                        self._tabulate(pending, changes, entropy, probs)
                 if pending:
-                    _tabulate(pending, entropy, probs)
+                    self._tabulate(pending, changes, entropy, probs)
                 if blocks:
                     per_mode[lat - 1] = entropy[tuple(zip(*blocks))].mean(axis=0)
 
@@ -472,7 +476,9 @@ class SimulatedEmbedder:
         Lattice-1 blocks are embedded first and condition on nothing, so
         their chain is independent of the rest of the image; the result is
         bit-identical to the same block's slice of a full ``run``.  Useful
-        for repeated distributional experiments.
+        for repeated distributional experiments.  Returns the block's
+        discrete ``changes`` (64), continuous ``samples`` (64), ``params``
+        (64, 2) and ``edges`` (64, 2K): its draw, discretized alone.
         """
         bi, bj = block
         if not (0 <= bi < self.blocks_h and 0 <= bj < self.blocks_w):
@@ -481,26 +487,35 @@ class SimulatedEmbedder:
         if self.assign.lattice_of(bi, bj) != 1:
             raise ValueError("block is not in the first macro-lattice")
         key = rng.check_seed(key, "key", ConfigError)
-        _, chain = self._visit(block, 1, key, np.empty((0, 64)), _Workspace())
+        _, sigmas, chain = self._visit(block, 1, key, np.empty((0, 64)),
+                                       _Workspace())
         if chain is None:
             raise ValueError("block has no stego signal")
-        return chain
+        drawn = sampler.discretize(chain["z"], chain["means"], sigmas,
+                                   self.q_flat, self.cfg.K)
+        return {"changes": drawn["changes"], "samples": chain["samples"],
+                "params": drawn["params"], "edges": drawn["edges"]}
 
+    def _tabulate(self, pending, changes, entropy, probs):
+        """Fill the block-layout ``changes`` and ``entropy`` planes, and
+        ``probs`` unless it is None, for the (block, z, means, sigmas)
+        draws of ``pending``, then empty it.
 
-def _tabulate(pending, entropy, probs):
-    """Fill the block-layout ``entropy`` plane, and ``probs`` unless it is
-    None, for the (block, edges) pairs of ``pending``, then empty it.
-
-    One ``pmf_table`` and one ``entropy`` serve all the blocks: both work
-    on each coefficient's row of edges alone, so every value is the one a
-    pass per block gives.
-    """
-    table = sampler.pmf_table(np.concatenate([edges for _, edges in pending]))
-    index = tuple(zip(*(block for block, _ in pending)))
-    entropy[index] = sampler.entropy(table).reshape(len(pending), 64)
-    if probs is not None:
-        probs[index] = table.reshape(len(pending), 64, -1)
-    pending.clear()
+        One ``sampler.discretize`` over the stacked (n, 64) draws, one
+        ``pmf_table`` and one ``entropy`` serve all the blocks: each works
+        on one coefficient's row alone, so every value is the one a pass
+        per block gives.
+        """
+        blocks, z, means, sigmas = zip(*pending)
+        index = tuple(zip(*blocks))
+        drawn = sampler.discretize(np.array(z), np.array(means),
+                                   np.array(sigmas), self.q_flat, self.cfg.K)
+        changes[index] = drawn["changes"]
+        table = sampler.pmf_table(drawn["edges"])
+        entropy[index] = sampler.entropy(table).reshape(len(pending), 64)
+        if probs is not None:
+            probs[index] = table.reshape(len(pending), 64, -1)
+        pending.clear()
 
 
 def embed_simulated(raw, cfg):
@@ -565,7 +580,7 @@ def write_costs(plane, path):
     shapes other than (bh, bw, 64, 2K+1) costs over (bh, bw, 64) pi_zero.
     """
     k_range = rng.check_int(plane.K, "cost-file alphabet half-width K",
-                            jpeg_model.FormatError, 1, 255)
+                            jpeg_model.FormatError, 1, sampler.MAX_K)
     grid = np.shape(plane.pi_zero)
     if len(grid) != 3 or grid[2] != 64:
         raise jpeg_model.FormatError(

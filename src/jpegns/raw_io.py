@@ -69,12 +69,12 @@ class SensorParams:
 
     def __post_init__(self):
         for name in ("a1", "b1", "a2", "b2"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            value = _finite_float(getattr(self, name))
+            if value is None:
                 raise ParameterError(
                     f"sensor parameter {name} must be finite and real, "
-                    f"got {value!r}")
-            object.__setattr__(self, name, float(value))
+                    f"got {getattr(self, name)!r}")
+            object.__setattr__(self, name, value)
         for name in ("iso1", "iso2"):
             object.__setattr__(self, name, rng.check_int(
                 getattr(self, name), name, ParameterError, 1))
@@ -195,8 +195,10 @@ def _read_pgm_tokens(buf, count):
 
 
 def _finite_float(value):
-    """A JSON number as a finite float; None for anything else."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A real number that is not a bool (any JSON number) as a finite
+    float; None for anything else, an integer beyond the float range
+    included."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return None
     try:
         value = float(value)

@@ -11,14 +11,20 @@ beyond the alphabet fold into the end symbols.
 Drawing the change from the folded PMF and then the signal from the
 Gaussian truncated to the change's bin gives the same joint law of
 (change, signal) as drawing the signal and reading off its bin.  So the
-chain draws the whole block at once: one product with the strictly lower
-part of L gives every m'_i, and each change is the bin whose standardized
-edges hold z_i.  The draw needs only those edges, so the chain returns
-them and builds no PMF.  ``pmf_table`` turns edges into folded PMFs and
-``entropy`` reduces them; both act on each coefficient's row alone, so
-the embedder tabulates the edges of several blocks in one pass, with the
-values of one pass per block.  ``pmf`` returns one row of such a table as
-a plain (2K+1,) array.
+chain draws the whole block at once, and in two steps.  The draw,
+``run_block_chain``, runs block by block: one product with the strictly
+lower part of L gives every m'_i, and it returns z, the means and the
+signal.  Everything after it is elementwise: ``discretize`` takes the
+draws of any number of blocks as stacked (n, 64) rows, forms each
+coefficient's standardized bin edges, and reads its change off as the bin
+whose edges hold z_i.  ``pmf_table`` turns edges into folded PMFs and
+``entropy`` reduces them.  All three act on each coefficient's row alone,
+so the embedder discretizes and tabulates several blocks in one pass,
+with the values of one pass per block.  ``pmf`` returns one row of such a
+table as a plain (2K+1,) array.
+
+The alphabet half-width K is an integer in 1..255, the range the cost
+file stores in one byte.
 
 Conventions: rounding is half-away-from-zero; bins are half-open on the
 left, (u_k, u_{k+1}], so a z exactly on an edge draws the lower bin; the
@@ -38,6 +44,8 @@ from .jpeg_model import round_half_away_array
 _MAX_FLOAT = sys.float_info.max
 # Below this deviation an edge's standardization can overflow (see _grid).
 _SAFE_SIGMA = 2.0**-960
+# The largest alphabet half-width: the cost file stores K in one byte.
+MAX_K = 255
 
 
 class SamplerError(Exception):
@@ -80,6 +88,11 @@ def _grid(m_hat, sigma_hat, k_range):
         return np.add.outer(base, offsets) * inv[:, None]
 
 
+def _check_k(k_range):
+    return rng.check_int(k_range, "alphabet half-width", SamplerError, 1,
+                         MAX_K)
+
+
 def pmf_table(edges):
     """Folded PMFs (n, 2K+1) from the standardized edges of ``_grid``.
 
@@ -105,7 +118,7 @@ def pmf(m_prime, sigma_prime, q_step, k_range):
     beyond +-k_range folds into the end symbols.  sigma' = 0 degenerates to
     a point mass at round(m_hat) clamped into the alphabet.
     """
-    k_range = rng.check_int(k_range, "alphabet half-width", SamplerError, 1)
+    k_range = _check_k(k_range)
     if not (math.isfinite(q_step) and q_step > 0):
         raise SamplerError("q_step must be positive and finite")
     if sigma_prime < 0:
@@ -145,32 +158,47 @@ def costs_from_pmf(p):
     return np.where(np.isnan(costs), np.inf, costs)
 
 
-def run_block_chain(lower, sigmas, base_mean, q_steps, k_range, gen):
-    """Run the full 64-coefficient chain for one block: its draw only.
+def run_block_chain(lower, sigmas, base_mean, gen):
+    """Draw one block's continuous stego signal: the chain's per-block step.
 
     The conditional factor L comes in the chain's form: ``lower`` (64, 64)
     holds its strictly lower part, zero on and above the diagonal, and
-    ``sigmas`` (64) its deviations |diag(L)|.  Returns a dict with the
-    discrete ``changes`` (64), the continuous candidates ``samples`` (64),
-    the conditional ``params`` (m_hat, sigma_hat) in quantization steps
-    (64, 2) and the standardized bin ``edges`` (64, 2K) of ``_grid``, from
-    which ``pmf_table`` builds the block's folded PMFs.
-
-    Draws the block's 64 normals z up front, one uniform per coefficient
-    through ``rng.standard_normal_icdf``.  The conditional means are
-    base_mean + lower @ z, the candidates are means + sigmas * z, and
-    change i is the number of coefficient i's edges below z_i, minus K.  A
-    zero-deviation coefficient is its own mean and draws its clamped atom:
-    its edges are all infinite.
+    ``sigmas`` (64) its deviations |diag(L)|.  Draws the block's 64 normals
+    ``z`` up front, one uniform per coefficient through
+    ``rng.standard_normal_icdf``, and returns a dict with ``z``, the
+    conditional ``means`` base_mean + lower @ z and the continuous
+    candidates ``samples`` means + sigmas * z, each (64,).  A
+    zero-deviation coefficient is its own mean.  ``discretize`` reads the
+    changes off z and the means.
     """
     z = rng.standard_normal_icdf(gen, 64)
     means = base_mean + lower @ z
-    params = np.empty((64, 2))
-    m_hat, sigma_hat = params[:, 0], params[:, 1]
+    return {"z": z, "means": means, "samples": means + sigmas * z}
+
+
+def discretize(z, means, sigmas, q_steps, k_range):
+    """Changes and bin edges of drawn blocks, stacked as (n, 64) rows.
+
+    ``z``, ``means`` and ``sigmas`` are ``run_block_chain``'s z and means
+    and the factor's deviations, for one block (64,) or stacked (n, 64);
+    ``q_steps`` (64) are the quantization steps.  Returns a dict with the
+    discrete ``changes`` (int64, shaped as ``z``), the conditional
+    ``params`` (m_hat, sigma_hat) in quantization steps (shape of ``z``
+    plus 2) and the standardized bin ``edges`` of ``_grid``, one row of 2K
+    per coefficient in row order ((64, 2K) for one block), from which
+    ``pmf_table`` builds the folded PMFs.  Change i is the number of
+    coefficient i's edges below z_i, minus K; a zero-deviation coefficient
+    draws its clamped atom, since its edges are all infinite.  Each step
+    acts on one coefficient alone, so a row's outputs do not depend on
+    the rows stacked with it.
+    """
+    k_range = _check_k(k_range)
+    params = np.empty(np.shape(z) + (2,))
+    m_hat, sigma_hat = params[..., 0], params[..., 1]
     np.divide(means, q_steps, out=m_hat)
     np.divide(sigmas, q_steps, out=sigma_hat)
-    edges = _grid(m_hat, sigma_hat, k_range)
-    changes = (edges < z[:, None]).sum(axis=1)
+    edges = _grid(m_hat.ravel(), sigma_hat.ravel(), k_range)
+    changes = (edges < np.reshape(z, (-1, 1))).sum(axis=1)
     changes -= k_range
-    return {"changes": changes, "samples": means + sigmas * z,
-            "params": params, "edges": edges}
+    return {"changes": changes.reshape(np.shape(z)), "params": params,
+            "edges": edges}

@@ -32,7 +32,8 @@ from jpegns import lattice
 from jpegns import pipeline as pl
 from jpegns.covariance import photon_variance, sigma_d, sigma_p
 from jpegns.jpeg_model import CoefficientsError
-from jpegns.sampler import costs_from_pmf, entropy, pmf_table
+from jpegns import sampler
+from jpegns.sampler import costs_from_pmf, discretize, entropy, pmf_table
 
 from conftest import (
     LATTICE4_LAYOUT,
@@ -227,20 +228,22 @@ def test_cached_factors_match_uncached(bright_raw, paper_params, ramp,
 @pytest.mark.parametrize("chunk", [16, 5])
 def test_chunked_tabulation_matches_per_block_tables(paper_params, monkeypatch,
                                                      chunk, workers):
-    # ``run`` builds the PMF tables and entropies of up to _TABULATE_BLOCKS
-    # written-back blocks in one pass; each block's rows must be those of a
-    # pass over its own edges, bit for bit.  The ramp's lattices hold 8 or
+    # ``run`` discretizes the draws of up to _TABULATE_BLOCKS written-back
+    # blocks and builds their PMF tables and entropies in one pass; each
+    # block's changes and rows must be those of discretizing and
+    # tabulating its own draw, bit for bit.  The ramp's lattices hold 8 or
     # 12 live blocks among dead ones, so chunks of 16 end only at a
     # lattice's end and chunks of 5 also within it.
     monkeypatch.setattr(emb_mod, "_TABULATE_BLOCKS", chunk)
-    edges = {}
+    drawn = {}
     visit = SimulatedEmbedder._visit
 
     def recording_visit(self, block, *args, **kwargs):
-        jitter, chain = visit(self, block, *args, **kwargs)
+        jitter, sigmas, chain = visit(self, block, *args, **kwargs)
         if chain is not None:
-            edges[block] = chain["edges"]
-        return jitter, chain
+            drawn[block] = discretize(chain["z"], chain["means"], sigmas,
+                                      self.q_flat, self.cfg.K)
+        return jitter, sigmas, chain
 
     monkeypatch.setattr(SimulatedEmbedder, "_visit", recording_visit)
     emb = SimulatedEmbedder(clamp_ramp(paper_params),
@@ -249,16 +252,46 @@ def test_chunked_tabulation_matches_per_block_tables(paper_params, monkeypatch,
     result = emb.run(collect_probs=True)
     assert [sum(emb.live[blk] for blk in blocks)
             for blocks in emb.assign.block_lists] == [8, 12, 12, 8]
-    assert sorted(edges) == sorted(map(tuple, np.argwhere(emb.live)))
+    assert sorted(drawn) == sorted(map(tuple, np.argwhere(emb.live)))
     ent = result.report.entropy_plane.reshape(8, 8, 8, 8).transpose(
         0, 2, 1, 3).reshape(8, 8, 64)
+    changes = (result.stego.coeffs - emb.cover.coeffs).reshape(8, 8, 64)
     for block in np.ndindex(8, 8):
-        if block in edges:
-            table = pmf_table(edges[block])
+        if block in drawn:
+            table = pmf_table(drawn[block]["edges"])
             assert np.array_equal(result.probs[block], table), block
             assert np.array_equal(ent[block], entropy(table)), block
+            assert np.array_equal(changes[block], drawn[block]["changes"])
         else:
             assert not result.probs[block].any() and not ent[block].any()
+            assert not changes[block].any()
+
+
+def test_draw_per_block_discretize_per_chunk(paper_params, monkeypatch):
+    # A guard on the chain's structure: one draw per live block, but one
+    # bin grid per tabulation chunk, never one per block.
+    calls = {"run_block_chain": 0, "_grid": 0}
+
+    def counting(name):
+        inner = getattr(sampler, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(sampler, name, counted)
+
+    counting("run_block_chain")
+    counting("_grid")
+    emb = SimulatedEmbedder(small_raw(paper_params, size=64),
+                            EmbedConfig(qf=95, K=5, key=3))
+    emb.run()
+    live = [sum(emb.live[blk] for blk in blocks)
+            for blocks in emb.assign.block_lists]
+    assert sum(live) == emb.live.size == 64
+    assert calls["run_block_chain"] == sum(live)
+    chunks = sum(-(-n // emb_mod._TABULATE_BLOCKS) for n in live)
+    assert calls["_grid"] == chunks < sum(live)
 
 
 def test_embed_memory_does_not_grow_with_image_area(paper_params):

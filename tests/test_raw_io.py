@@ -310,7 +310,7 @@ def test_nonfinite_sensor_params_rejected():
 
 @pytest.mark.parametrize("field, value", [
     ("a1", "1.5"), ("b2", None), ("iso1", 100.5), ("iso1", 0), ("iso2", -200),
-    ("iso2", True), ("iso1", "100"),
+    ("iso2", True), ("iso1", "100"), ("a2", True),
 ], ids=repr)
 def test_sensor_params_refuse_what_the_sidecar_cannot_hold(field, value):
     # 100.5 used to be written and then refused by load_raw; a str
@@ -318,3 +318,12 @@ def test_sensor_params_refuse_what_the_sidecar_cannot_hold(field, value):
     with pytest.raises(ParameterError, match=field):
         SensorParams(**{"a1": 0.0, "b1": 0.0, "a2": 1.15, "b2": -1150.0,
                         field: value})
+
+
+@pytest.mark.parametrize("value", [10**400, -(10**400)],
+                         ids=["huge", "minus-huge"])
+def test_sensor_coefficient_beyond_the_float_range_is_refused(value):
+    # math.isfinite(10**400) raises a bare OverflowError; load_raw already
+    # refused the same value in a sidecar.
+    with pytest.raises(ParameterError, match="a1 must be finite and real"):
+        SensorParams(value, 0.0, 1.0, 0.0)

@@ -11,6 +11,7 @@ from jpegns.jpeg_model import round_half_away_array
 from jpegns.sampler import (
     SamplerError,
     costs_from_pmf,
+    discretize,
     entropy,
     pmf,
     pmf_table,
@@ -40,8 +41,13 @@ class FixedUniforms:
 
 
 def chain(chol, base_mean, q_steps, k_range, g):
-    """``run_block_chain`` on a full Cholesky factor."""
-    return run_block_chain(*chain_form(chol), base_mean, q_steps, k_range, g)
+    """``run_block_chain``'s draw, then ``discretize`` of it alone, on a
+    full Cholesky factor: the outputs ``reference_block_chain`` gives."""
+    lower, sigmas = chain_form(chol)
+    draw = run_block_chain(lower, sigmas, base_mean, g)
+    drawn = discretize(draw["z"], draw["means"], sigmas, q_steps, k_range)
+    return {"changes": drawn["changes"], "samples": draw["samples"],
+            "params": drawn["params"], "edges": drawn["edges"]}
 
 
 def reference_chain(chol, base_mean, q_steps, k_range, g):
@@ -224,6 +230,17 @@ def test_pmf_rejects_bad_arguments():
 def test_pmf_rejects_non_finite_or_non_integer_arguments(args):
     with pytest.raises(SamplerError):
         pmf(*args)
+
+
+@pytest.mark.parametrize("k_range", [256, 2**40, 10**30])
+def test_alphabet_beyond_the_cost_file_is_refused(k_range):
+    # The cost file stores K in one byte; a wider alphabet is refused
+    # before any table is allocated (2**40 would ask for 16 TiB).
+    with pytest.raises(SamplerError, match=r"in 1\.\.255"):
+        pmf(0.0, 1.0, 1.0, k_range)
+    with pytest.raises(SamplerError, match=r"in 1\.\.255"):
+        discretize(np.zeros(64), np.zeros(64), np.ones(64), np.ones(64),
+                   k_range)
 
 
 def test_pmf_accepts_numpy_arguments():
@@ -519,6 +536,46 @@ def test_chain_matches_reference_scan_at_extreme_uniforms(u_disc):
         if u_disc == 0.0:
             assert_chains_equal(out, chain(
                 chol, mean, steps, k, FixedUniforms(np.full(64, 2.0**-53))))
+
+
+def test_chain_returns_the_draw_alone():
+    # The per-block step draws; discretizing is left to ``discretize``.
+    lower, sigmas = chain_form(random_chol(26))
+    base_mean = np.linspace(-1.0, 1.0, 64)
+    out = run_block_chain(lower, sigmas, base_mean, gen(26))
+    assert out.keys() == {"z", "means", "samples"}
+    assert np.array_equal(out["means"], base_mean + lower @ out["z"])
+    assert np.array_equal(out["samples"], out["means"] + sigmas * out["z"])
+
+
+def test_mixed_chunk_rows_match_blocks_discretized_alone():
+    # ``_grid`` picks its path once per call: a chunk with a zero or a
+    # subnormal deviation anywhere takes the careful path for every row.
+    # Each block's rows must still be those of discretizing it alone, where
+    # the ordinary block takes the fast path.
+    rng = np.random.default_rng(27)
+    steps = rng.uniform(0.5, 20.0, size=64)
+    sigmas = rng.uniform(0.1, 30.0, size=(4, 64))
+    sigmas[1, ::3] = 0.0  # point masses
+    sigmas[2, 1::4] = 5e-324  # capped reciprocals
+    sigmas[3, :32], sigmas[3, 40:48] = 0.0, 5e-324
+    means = rng.normal(size=(4, 64)) * steps * 4.0
+    means[2, 1::4] = 1.5 * steps[1::4]  # bin edge exactly at the mean
+    z = rng.normal(size=(4, 64))
+    z[2, 1::4] = 0.0
+    for k_range in (1, 5):
+        chunk = discretize(z, means, sigmas, steps, k_range)
+        assert chunk["changes"].shape == (4, 64)
+        assert chunk["edges"].shape == (4 * 64, 2 * k_range)
+        for b in range(4):
+            alone = discretize(z[b], means[b], sigmas[b], steps, k_range)
+            rows = slice(64 * b, 64 * (b + 1))
+            assert np.array_equal(chunk["changes"][b], alone["changes"])
+            assert np.array_equal(chunk["params"][b], alone["params"])
+            assert np.array_equal(chunk["edges"][rows], alone["edges"])
+            assert np.array_equal(pmf_table(chunk["edges"][rows]),
+                                  pmf_table(alone["edges"]))
+    assert (sigmas[0] >= 2.0**-960).all()
 
 
 def test_chain_z_on_edge_draws_lower_bin():
