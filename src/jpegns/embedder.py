@@ -292,7 +292,8 @@ class SimulatedEmbedder:
 
     def _fill_lower(self, blocks, out):
         """Write the lower triangle of the joint over ``blocks`` into
-        ``out`` (column-major, 64 rows and columns per block)."""
+        ``out`` (column-major, 64 rows and columns per block); return its
+        tile plan's ``zeros``, for the factor step."""
         tiles, zeros = self._tile_plan(blocks)
         for b, a in zeros:
             out[64 * b : 64 * (b + 1), 64 * a : 64 * (a + 1)] = 0.0
@@ -300,6 +301,7 @@ class SimulatedEmbedder:
             ra, ca = blocks[a]
             var = self.var_win[ra, ca, r, c].reshape(-1)
             np.matmul(wa * var, wb, out=out[rows, cols].T)
+        return zeros
 
     def joint_covariance(self, blocks):
         """Joint covariance over ``blocks`` (64 coefficients each).
@@ -346,10 +348,10 @@ class SimulatedEmbedder:
             return cache[(bi, bj)]
         blocks = self.joint_blocks((bi, bj))
         joint = workspace.view(64 * len(blocks))
-        self._fill_lower(blocks, joint)
+        zeros = self._fill_lower(blocks, joint)
         try:
             gain, lower, sigmas, jitter = cov_mod.condition(
-                joint, zeros=self._tile_plan(blocks)[1],
+                joint, zeros=zeros,
                 refill=functools.partial(self._fill_lower, blocks, joint))
         except cov_mod.SingularCovarianceError:
             log.warning("lattice %d block (%d,%d) singular after max jitter; "
@@ -368,12 +370,11 @@ class SimulatedEmbedder:
 
     def _visit(self, block, lat, key, continuous, workspace):
         """Factorization jitter, conditional deviations and draw
-        ``(jitter, sigmas, chain)`` of one block.
+        ``(jitter, sigmas, chain)`` of one live block.
 
         ``sigmas`` are the factor's |diag| and ``chain`` is
-        ``sampler.run_block_chain``'s dict.  All three are None for a dead
-        block (stego signal identically zero: no changes, no capacity) or
-        one that could not be factored.  Only the
+        ``sampler.run_block_chain``'s dict.  All three are None for a block
+        that could not be factored; ``run`` visits no dead block.  Only the
         neighbors' draws are read from ``continuous``, the continuous plane
         as (blocks_h * blocks_w, 64) rows, and those belong to earlier
         lattices, so the blocks of one lattice can be visited in any order
@@ -381,8 +382,6 @@ class SimulatedEmbedder:
         ``_Workspace``), whose generator its stream re-keys.  The block's
         factors are dropped on return unless ``cache_factors`` keeps them.
         """
-        if not self.live[block]:
-            return None, None, None
         factors = self._block_factors(*block, workspace)
         if factors is None:
             return None, None, None
@@ -392,7 +391,8 @@ class SimulatedEmbedder:
             factors.lower, factors.sigmas, base_mean, gen)
 
     def run(self, key=None, collect_probs=False):
-        """Embed with the given key (default: the config key).
+        """Embed with the given key (default: the config key), visiting
+        only live blocks; dead ones keep zero changes, entropy and PMFs.
 
         ``collect_probs`` also returns every folded PMF in
         ``EmbedResult.probs``, a plane too large to keep by default.
@@ -423,17 +423,16 @@ class SimulatedEmbedder:
               else contextlib.nullcontext()) as pool:
             visit_all = map if pool is None else pool.map
             for lat, blocks in enumerate(self.assign.block_lists, start=1):
+                live = [block for block in blocks if self.live[block]]
                 visits = visit_all(functools.partial(
                     self._visit, lat=lat, key=key,
                     continuous=continuous.reshape(bh * bw, 64),
-                    workspace=workspace), blocks)
+                    workspace=workspace), live)
                 # Each block is written back, in block order, as its visit
                 # ends; a lattice's results are never held all at once.
-                for block, (jitter, sigmas, chain) in zip(blocks, visits):
+                for block, (jitter, sigmas, chain) in zip(live, visits):
                     if chain is None:
-                        if self.live[block]:
-                            failed.append({"lattice": lat,
-                                           "block": list(block)})
+                        failed.append({"lattice": lat, "block": list(block)})
                         continue
                     if jitter:
                         jitter_events.append(
@@ -487,10 +486,12 @@ class SimulatedEmbedder:
         if self.assign.lattice_of(bi, bj) != 1:
             raise ValueError("block is not in the first macro-lattice")
         key = rng.check_seed(key, "key", ConfigError)
+        if not self.live[bi, bj]:
+            raise ValueError("block has no stego signal")
         _, sigmas, chain = self._visit(block, 1, key, np.empty((0, 64)),
                                        _Workspace())
         if chain is None:
-            raise ValueError("block has no stego signal")
+            raise ValueError("block could not be factored")
         drawn = sampler.discretize(chain["z"], chain["means"], sigmas,
                                    self.q_flat, self.cfg.K)
         return {"changes": drawn["changes"], "samples": chain["samples"],

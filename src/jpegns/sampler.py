@@ -20,8 +20,9 @@ coefficient's standardized bin edges, and reads its change off as the bin
 whose edges hold z_i.  ``pmf_table`` turns edges into folded PMFs and
 ``entropy`` reduces them.  All three act on each coefficient's row alone,
 so the embedder discretizes and tabulates several blocks in one pass,
-with the values of one pass per block.  ``pmf`` returns one row of such a
-table as a plain (2K+1,) array.
+with the values of one pass per block.  ``discretize`` is the one route
+to the bin edges and checks its inputs; ``pmf`` returns one coefficient's
+row of its table as a plain (2K+1,) array.
 
 The alphabet half-width K is an integer in 1..255, the range the cost
 file stores in one byte.
@@ -32,7 +33,6 @@ chain consumes exactly one uniform per coefficient, so streams are
 positionally reproducible.
 """
 
-import math
 import sys
 
 import numpy as np
@@ -88,11 +88,6 @@ def _grid(m_hat, sigma_hat, k_range):
         return np.add.outer(base, offsets) * inv[:, None]
 
 
-def _check_k(k_range):
-    return rng.check_int(k_range, "alphabet half-width", SamplerError, 1,
-                         MAX_K)
-
-
 def pmf_table(edges):
     """Folded PMFs (n, 2K+1) from the standardized edges of ``_grid``.
 
@@ -110,25 +105,14 @@ def pmf_table(edges):
 def pmf(m_prime, sigma_prime, q_step, k_range):
     """Folded change PMF of a Gaussian stego signal N(m', sigma'^2).
 
-    One row of the chain's own table: a float64 (2K+1,) array over the
-    changes -K..K.  The signal scaled by the quantization step has mean
-    m_hat = m'/q and deviation sigma_hat = sigma'/q; bin k covers
-    (u_k, u_{k+1}] with u_k = round(m_hat) - 0.5 + k, each with probability
-    Phi((u_{k+1}-m_hat)/sigma_hat) - Phi((u_k-m_hat)/sigma_hat), and mass
-    beyond +-k_range folds into the end symbols.  sigma' = 0 degenerates to
-    a point mass at round(m_hat) clamped into the alphabet.
+    One coefficient through ``discretize``, with its checks: the float64
+    (2K+1,) row of ``pmf_table`` over the changes -K..K.  Scaled by the
+    step q, the signal is binned around round(m'/q) in unit bins, and the
+    tails fold into +-K.  sigma' = 0 is a point mass at round(m'/q)
+    clamped into the alphabet.
     """
-    k_range = _check_k(k_range)
-    if not (math.isfinite(q_step) and q_step > 0):
-        raise SamplerError("q_step must be positive and finite")
-    if sigma_prime < 0:
-        raise SamplerError("sigma_prime must be >= 0")
-    m_hat, sigma_hat = m_prime / q_step, sigma_prime / q_step
-    if not (math.isfinite(m_hat) and math.isfinite(sigma_hat)):
-        raise SamplerError("m_prime / q_step and sigma_prime / q_step must "
-                           "be finite")
-    return pmf_table(_grid(np.array([m_hat]), np.array([sigma_hat]),
-                           k_range))[0]
+    return pmf_table(discretize(0.0, m_prime, sigma_prime, q_step,
+                                k_range)["edges"])[0]
 
 
 def entropy(p):
@@ -177,26 +161,40 @@ def run_block_chain(lower, sigmas, base_mean, gen):
 
 
 def discretize(z, means, sigmas, q_steps, k_range):
-    """Changes and bin edges of drawn blocks, stacked as (n, 64) rows.
+    """Changes and bin edges of drawn coefficients, stacked as rows.
 
     ``z``, ``means`` and ``sigmas`` are ``run_block_chain``'s z and means
-    and the factor's deviations, for one block (64,) or stacked (n, 64);
-    ``q_steps`` (64) are the quantization steps.  Returns a dict with the
-    discrete ``changes`` (int64, shaped as ``z``), the conditional
-    ``params`` (m_hat, sigma_hat) in quantization steps (shape of ``z``
-    plus 2) and the standardized bin ``edges`` of ``_grid``, one row of 2K
-    per coefficient in row order ((64, 2K) for one block), from which
-    ``pmf_table`` builds the folded PMFs.  Change i is the number of
-    coefficient i's edges below z_i, minus K; a zero-deviation coefficient
-    draws its clamped atom, since its edges are all infinite.  Each step
-    acts on one coefficient alone, so a row's outputs do not depend on
-    the rows stacked with it.
+    and the factor's deviations, for one block (64,) or stacked (n, 64),
+    or for one coefficient as scalars (``pmf``); ``q_steps`` (64) are the
+    quantization steps.  Returns a dict with the discrete ``changes``
+    (int64, shaped as ``z``), the conditional ``params`` (m_hat,
+    sigma_hat) in quantization steps (shape of ``z`` plus 2) and the
+    standardized bin ``edges`` of ``_grid``, one row of 2K per coefficient
+    in row order ((64, 2K) for one block), from which ``pmf_table`` builds
+    the folded PMFs.  Change i is the number of coefficient i's edges
+    below z_i, minus K; a zero-deviation coefficient draws its clamped
+    atom, since its edges are all infinite.  Each step acts on one
+    coefficient alone, so a row's outputs do not depend on the rows
+    stacked with it.
+
+    The only route to ``_grid``.  Raises SamplerError for K outside
+    1..MAX_K, a step that is not positive and finite, a negative or NaN
+    deviation, a z that is not finite, and a mean or deviation that is not
+    finite before or after scaling (an overflow is refused, not warned).
     """
-    k_range = _check_k(k_range)
+    k_range = rng.check_int(k_range, "alphabet half-width", SamplerError, 1,
+                            MAX_K)
+    if not np.all((0.0 < q_steps) & (q_steps < np.inf)):
+        raise SamplerError("quantization steps must be positive and finite")
+    if not (np.all(sigmas >= 0.0) and np.isfinite(z).all()):
+        raise SamplerError("deviations must be >= 0 and z finite")
     params = np.empty(np.shape(z) + (2,))
     m_hat, sigma_hat = params[..., 0], params[..., 1]
-    np.divide(means, q_steps, out=m_hat)
-    np.divide(sigmas, q_steps, out=sigma_hat)
+    with np.errstate(over="ignore"):
+        np.divide(means, q_steps, out=m_hat)
+        np.divide(sigmas, q_steps, out=sigma_hat)
+    if not np.isfinite(params).all():
+        raise SamplerError("means / q and deviations / q must be finite")
     edges = _grid(m_hat.ravel(), sigma_hat.ravel(), k_range)
     changes = (edges < np.reshape(z, (-1, 1))).sum(axis=1)
     changes -= k_range

@@ -294,6 +294,45 @@ def test_draw_per_block_discretize_per_chunk(paper_params, monkeypatch):
     assert calls["_grid"] == chunks < sum(live)
 
 
+def test_each_factored_block_reads_its_tile_plan_once(paper_params,
+                                                     monkeypatch):
+    # Assembly and factor step share one plan read per joint: an uncached
+    # run without jitter reads one per block, each for its own joint.
+    reads = []
+    plan = SimulatedEmbedder._tile_plan
+
+    def counted(self, blocks):
+        reads.append(blocks[-1])
+        return plan(self, blocks)
+
+    monkeypatch.setattr(SimulatedEmbedder, "_tile_plan", counted)
+    emb = SimulatedEmbedder(small_raw(paper_params, size=64),
+                            EmbedConfig(qf=95, K=5, key=3))
+    result = emb.run()
+    assert emb.live.all() and not result.report.jitter_events
+    assert sorted(reads) == sorted(np.ndindex(emb.live.shape))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_only_live_blocks_are_visited(paper_params, monkeypatch, workers):
+    # Dead blocks are dropped before the visit, serially and on the pool;
+    # the report still counts them and lists no failed block.
+    visited = []
+    visit = SimulatedEmbedder._visit
+
+    def recording_visit(self, block, *args, **kwargs):
+        visited.append(block)
+        return visit(self, block, *args, **kwargs)
+
+    monkeypatch.setattr(SimulatedEmbedder, "_visit", recording_visit)
+    emb = SimulatedEmbedder(clamp_ramp(paper_params),
+                            EmbedConfig(qf=95, K=5, key=1, workers=workers))
+    report = emb.run().report
+    assert report.zero_variance_blocks == np.count_nonzero(~emb.live) > 0
+    assert not report.failed_blocks
+    assert sorted(visited) == sorted(map(tuple, np.argwhere(emb.live)))
+
+
 def test_embed_memory_does_not_grow_with_image_area(paper_params):
     # Four times the blocks: only the result planes may grow (about 0.5 MB);
     # per-block factors must be freed as each block is written back.

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from jpegns import rng as streams
+from jpegns import sampler
 from jpegns.jpeg_model import round_half_away_array
 from jpegns.sampler import (
     SamplerError,
@@ -213,7 +214,8 @@ def test_pmf_rejects_bad_arguments():
         pmf(0.0, 1.0, 1.0, 0)
 
 
-@pytest.mark.parametrize("args", [
+# (m', sigma', q, K) sets that pmf, and discretize with them, must refuse.
+BAD_ARGS = [
     (0.0, math.nan, 1.0, 2),
     (0.0, math.inf, 1.0, 2),
     (math.nan, 1.0, 1.0, 2),
@@ -224,12 +226,60 @@ def test_pmf_rejects_bad_arguments():
     (0.0, 1.0, 1.0, 2.5),
     (0.0, 1.0, 1.0, 2.0),
     (0.0, 1.0, 1.0, True),
-], ids=["sigma-nan", "sigma-inf", "mean-nan", "mean-inf", "step-nan",
-        "step-inf", "scaled-mean-overflows", "K-fractional", "K-float",
-        "K-bool"])
+]
+BAD_ARG_IDS = ["sigma-nan", "sigma-inf", "mean-nan", "mean-inf", "step-nan",
+               "step-inf", "scaled-mean-overflows", "K-fractional", "K-float",
+               "K-bool"]
+
+
+@pytest.mark.parametrize("args", BAD_ARGS, ids=BAD_ARG_IDS)
 def test_pmf_rejects_non_finite_or_non_integer_arguments(args):
     with pytest.raises(SamplerError):
         pmf(*args)
+
+
+@pytest.mark.parametrize(
+    "args", [(0.0,) + args for args in BAD_ARGS]
+    + [(0.0, 0.0, -1.0, 1.0, 2), (math.nan, 0.0, 1.0, 1.0, 2),
+       (0.0, 0.0, 1.0, 0.0, 2)],
+    ids=BAD_ARG_IDS + ["sigma-negative", "z-nan", "step-zero"])
+def test_discretize_rejects_what_pmf_rejects(args):
+    # One bad coefficient among three blocks' rows refuses them all, and
+    # an overflow on scaling is refused, not warned about.
+    z, m, s, q, k = args
+    arrays = [np.zeros((3, 64)), np.zeros((3, 64)), np.ones((3, 64)),
+              np.ones(64)]
+    for a, value in zip(arrays, (z, m, s, q)):
+        a[..., 7] = value
+    with pytest.raises(SamplerError):
+        discretize(*arrays, k)
+
+
+@pytest.mark.parametrize("args", [
+    (0.7, 1.8, 2.0, 2),
+    (9.0, 0.0, 4.0, 3),
+    (-100.0, 0.0, 4.0, 3),
+    (1.5, 5e-324, 1.0, 1),
+    (3.0, 1e-300, 1.0, 5),
+    (2.0**53, 1.0, 1.0, 2),
+])
+def test_pmf_is_one_row_of_discretize(monkeypatch, args):
+    # pmf reaches the bin grid only through discretize, and its values are
+    # those of the chain's own table, bit for bit.
+    m, s, q, k = args
+    rows = discretize(np.zeros(64), np.full(64, m), np.full(64, s),
+                      np.full(64, q), k)
+    routed = []
+    inner = sampler.discretize
+
+    def counted(*a):
+        routed.append(a)
+        return inner(*a)
+
+    monkeypatch.setattr(sampler, "discretize", counted)
+    p = pmf(*args)
+    assert len(routed) == 1
+    assert p.tobytes() == pmf_table(rows["edges"])[0].tobytes()
 
 
 @pytest.mark.parametrize("k_range", [256, 2**40, 10**30])
