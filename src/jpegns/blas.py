@@ -10,11 +10,25 @@ before they pass a pointer, since nothing here can.  Every scalar is
 declared a pointer, so ctypes passes a ``c_int`` or ``c_double`` object by
 reference: a caller binds sizes once for many calls, and threads may
 share all of them but ``dpotrf``'s ``info``, which it writes.
+
+``one_thread`` runs a block of code with OpenBLAS on one thread, in
+scipy's build (these routines) and in numpy's (``matmul``), since the
+order in which OpenBLAS sums depends on its thread count.
 """
 
+import contextlib
 import ctypes
+import logging
+import threading
 
 from scipy.linalg import cython_blas, cython_lapack
+
+try:
+    from numpy._core import _multiarray_umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath
+
+log = logging.getLogger(__name__)
 
 _CHAR = ctypes.c_char_p
 _INT = ctypes.POINTER(ctypes.c_int)
@@ -46,3 +60,67 @@ dsyrk = _load(cython_blas, "dsyrk", _CHAR, _CHAR, _INT, _INT, _DOUBLE,
 # (transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 dgemm = _load(cython_blas, "dgemm", _CHAR, _CHAR, _INT, _INT, _INT,
               _DOUBLE, _ADDR, _INT, _ADDR, _INT, _DOUBLE, _ADDR, _INT)
+
+
+def _thread_controls():
+    """(get, set) thread-count functions of the OpenBLAS builds bundled
+    with scipy (its BLAS and LAPACK) and with numpy (its ``matmul``), and
+    the names of the modules whose build has none.  Each is looked up
+    through the extension module that links its build."""
+    found, missing = [], []
+    for module, suffix in ((cython_blas, ""), (_multiarray_umath, "64_")):
+        try:
+            lib = ctypes.CDLL(module.__file__)
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        except (OSError, AttributeError):
+            missing.append(module.__name__)
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        found.append((get, set_))
+    return tuple(found), tuple(missing)
+
+
+class _OneThread(contextlib.ContextDecorator):
+    """Context manager, and decorator, that runs its body with every
+    OpenBLAS build of ``_thread_controls`` on one thread and then restores
+    their counts.
+
+    The count is process-wide: while any body runs, every thread of the
+    process runs those builds on one thread.  Nested and concurrent bodies
+    share the setting; the first to enter saves the counts and the last to
+    leave restores them.  A build without the functions keeps its own
+    count, which is logged once.
+    """
+
+    def __init__(self):
+        self.controls, self.missing = _thread_controls()
+        self.lock = threading.Lock()
+        self.depth = 0
+        self.saved = ()
+        self.logged = False
+
+    def __enter__(self):
+        with self.lock:
+            if not self.depth:
+                if self.missing and not self.logged:
+                    log.warning("no OpenBLAS thread control in %s; its BLAS "
+                                "keeps its thread count, and results may "
+                                "differ between thread counts",
+                                ", ".join(self.missing))
+                    self.logged = True
+                self.saved = tuple(get() for get, _ in self.controls)
+                for _, set_ in self.controls:
+                    set_(1)
+            self.depth += 1
+
+    def __exit__(self, *exc):
+        with self.lock:
+            self.depth -= 1
+            if not self.depth:
+                for (_, set_), count in zip(self.controls, self.saved):
+                    set_(count)
+
+
+one_thread = _OneThread()

@@ -10,6 +10,7 @@ form the sampling chain takes; both call ``jpegns.blas``'s LAPACK directly.
 
 import ctypes
 import functools
+import itertools
 import operator
 import os
 
@@ -23,6 +24,10 @@ JITTER_LADDER = (1e-12, 1e-10, 1e-8)
 
 # The strictly lower triangle of a 64x64 block.
 _LOWER = np.tri(64, k=-1, dtype=bool)
+
+# ``with one_blas_thread:`` runs its body with OpenBLAS on one thread, in
+# the build these factors call and in numpy's (``blas.one_thread``).
+one_blas_thread = blas.one_thread
 
 
 class CovarianceError(Exception):
@@ -187,6 +192,24 @@ def _schedule(n, zeros):
         groups.append((64 * j, 64 * end, tuple(map(tuple, runs))))
         j = end
     return tuple(groups), 64 * j
+
+
+@functools.lru_cache(maxsize=256)
+def fill_in(n, zeros):
+    """The pairs of ``zeros`` whose tiles ``cholesky`` and the gain solve
+    read on an order-``n`` matrix: the ones ``_schedule``'s elimination
+    fills, each group's nonzero rows against each other, and the ones in
+    the dense rest.  The other zero tiles are neither read nor written, so
+    they need not hold zeros.  Memoized, so ``zeros`` is a tuple.
+    """
+    zeros = _zero_pairs(zeros)
+    groups, start = _schedule(n, zeros)
+    filled = set()
+    for _, _, runs in groups:
+        rows = [r for r0, r1 in runs for r in range(r0 // 64, r1 // 64)]
+        filled.update(itertools.combinations(reversed(rows), 2))
+    return tuple((r, c) for r, c in zeros
+                 if (r, c) in filled or 64 * c >= start)
 
 
 # BLAS calls bound to an order-n column-major matrix: each takes the

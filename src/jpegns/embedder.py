@@ -16,10 +16,12 @@ the cover coefficients plus the sampled changes.
 
 Everything is a pure function of (raw image, config): per-block random
 streams are derived from the secret key, the lattice index and the block
-coordinates, so results are bit-identical for any worker count at a fixed
-BLAS thread count.
+coordinates, and ``run`` holds OpenBLAS on one thread
+(``covariance.one_blas_thread``), so results are bit-identical for any
+worker count and any BLAS thread count.
 """
 
+import collections
 import contextlib
 import functools
 import logging
@@ -147,11 +149,12 @@ class _Workspace(threading.local):
     then for the largest (576², a block and its eight neighbors).  It is
     cut into a column-major view per block, so no block allocates its
     own joint.  Without it, every freed joint goes back to the kernel and
-    is faulted in again for the next block.  Each block
-    writes only the lower triangle of its joint, the part the
-    factorization reads, and its Cholesky factor and mean gain overwrite
-    that triangle in place; the upper triangle is never written and holds
-    whatever earlier blocks, or the allocation, left there.
+    is faulted in again for the next block.  Each block writes only the
+    lower tiles of its joint that the factorization reads (its nonzero
+    tiles and the zero tiles its elimination fills), and its Cholesky
+    factor and mean gain overwrite them in place; the other zero tiles and
+    the upper triangle are never written and hold whatever earlier blocks,
+    or the allocation, left there.
 
     ``gen`` is re-keyed in place for every block's stream
     (``rng.block_stream(..., gen=...)``), which draws exactly what a fresh
@@ -176,6 +179,46 @@ class _Workspace(threading.local):
         if self.flat is None or self.flat.size < n * n:
             self.flat = np.empty(n * n if n == 64 else self.SIDE**2)
         return self.flat[: n * n].reshape((n, n), order="F")
+
+
+class _Band:
+    """The joints of one lattice pass and the self tiles they share.
+
+    A block's own 64 x 64 covariance is the same tile in every joint that
+    holds it: its own, and those of the later-lattice neighbors it
+    conditions, up to four per pass.  ``joints`` maps each block the pass factors to its
+    ``joint_blocks``, and ``uses`` counts, per block, the joints still to
+    be assembled that hold it.  A tile is computed at its first use and
+    kept in ``tiles`` until its last, so the band is empty when the pass
+    ends and holds about two block rows of tiles meanwhile.  The worker
+    threads share it: ``uses`` and ``tiles`` change under a lock, and the
+    product runs outside it, so two threads may compute one tile at once;
+    their results are bit-equal, and either may stay.
+    """
+
+    def __init__(self, joints):
+        self.joints = joints
+        self.uses = collections.Counter(
+            blk for joint in joints.values() for blk in joint)
+        self.tiles = {}
+        self.lock = threading.Lock()
+
+    def fill(self, block, dest, compute):
+        """Write ``block``'s self tile into ``dest``: a copy of the kept
+        tile, or else ``compute(dest)``'s, kept while later joints use it."""
+        with self.lock:
+            tile = self.tiles.get(block)
+        if tile is None:
+            compute(dest)
+        else:
+            np.copyto(dest, tile)
+        with self.lock:
+            self.uses[block] -= 1
+            if not self.uses[block]:
+                del self.uses[block]
+                self.tiles.pop(block, None)
+            elif block not in self.tiles:
+                self.tiles[block] = dest.copy()
 
 
 @dataclass(frozen=True)
@@ -207,7 +250,10 @@ class SimulatedEmbedder:
     once; ``run`` then produces a stego plane for any key.  Joints are
     assembled from tile plans, memoized per block layout (the blocks'
     offsets from the last one), so each tile is one scaled matmul written
-    into place.  ``cache_factors`` additionally keeps each block's
+    into place, and only the zero tiles the factor fills are written.
+    Within one lattice pass of ``run``, each block's self tile is computed
+    once and copied into every joint that holds it (``_Band``).
+    ``cache_factors`` additionally keeps each block's
     Schur/Cholesky factors across runs, which pays off when embedding the
     same image many times (the factors do not depend on the drawn samples).
 
@@ -262,7 +308,7 @@ class SimulatedEmbedder:
     # -- covariance assembly ------------------------------------------------
 
     def _tile_plan(self, blocks):
-        """Lower tiles of the joint over ``blocks``: (tiles, zeros).
+        """Lower tiles of the joint over ``blocks``: (tiles, zeros, filled).
 
         ``tiles`` holds (rows, cols, a, r, c, wa, wb) for each pair of
         8-connected blocks a <= b: the joint's (rows, cols) tile, block b
@@ -270,8 +316,10 @@ class SimulatedEmbedder:
         overlap of block a's variance window.  ``zeros`` holds the (b, a)
         block pairs, b > a, of the other tiles, which share no photo-site
         support and are exactly zero: the pattern ``covariance.cholesky``
-        factors around.  Memoized by the blocks' offsets from the last
-        one; an image has a few dozen such layouts whatever its size.
+        factors around.  ``filled`` holds the pairs of ``zeros`` that the
+        factor reads, those its elimination fills (``covariance.fill_in``).
+        Memoized by the blocks' offsets from the last one; an image has a
+        few dozen such layouts whatever its size.
         """
         ri, ci = blocks[-1]
         layout = tuple((r - ri, c - ci) for r, c in blocks)
@@ -287,31 +335,40 @@ class SimulatedEmbedder:
                     else:
                         tiles.append((slice(64 * b, 64 * (b + 1)), cols, a)
                                      + self._overlap[(rb - ra, cb - ca)])
-            plan = self._plans[layout] = (tuple(tiles), tuple(zeros))
+            zeros = tuple(zeros)
+            plan = self._plans[layout] = (
+                tuple(tiles), zeros, cov_mod.fill_in(64 * len(layout), zeros))
         return plan
 
-    def _fill_lower(self, blocks, out):
-        """Write the lower triangle of the joint over ``blocks`` into
-        ``out`` (column-major, 64 rows and columns per block); return its
-        tile plan's ``zeros``, for the factor step."""
-        tiles, zeros = self._tile_plan(blocks)
-        for b, a in zeros:
+    def _fill_lower(self, blocks, out, band=None):
+        """Write the lower tiles of the joint over ``blocks`` that the
+        factor reads into ``out`` (column-major, 64 rows and columns per
+        block): the nonzero tiles and the plan's ``filled`` zero tiles.
+        Return the plan's ``zeros``, for the factor step.  With a ``band``
+        (a ``_Band``), self tiles are taken from it."""
+        tiles, zeros, filled = self._tile_plan(blocks)
+        for b, a in filled:
             out[64 * b : 64 * (b + 1), 64 * a : 64 * (a + 1)] = 0.0
         for rows, cols, a, r, c, wa, wb in tiles:
             ra, ca = blocks[a]
             var = self.var_win[ra, ca, r, c].reshape(-1)
-            np.matmul(wa * var, wb, out=out[rows, cols].T)
+            if band is not None and rows == cols:
+                band.fill(blocks[a], out[rows, cols].T,
+                          lambda dest: np.matmul(wa * var, wb, out=dest))
+            else:
+                np.matmul(wa * var, wb, out=out[rows, cols].T)
         return zeros
 
     def joint_covariance(self, blocks):
         """Joint covariance over ``blocks`` (64 coefficients each).
 
         The lower triangle is the one the embedder factors; the upper one
-        mirrors it, so the result is exactly symmetric.  Assembled
-        column-major, the layout LAPACK factors in place.
+        mirrors it, so the result is exactly symmetric, and every tile of
+        the plan's ``zeros`` is exactly zero.  Assembled column-major, the
+        layout LAPACK factors in place.
         """
         n = 64 * len(blocks)
-        joint = np.empty((n, n), order="F")
+        joint = np.zeros((n, n), order="F")
         self._fill_lower(blocks, joint)
         upper = np.triu_indices(n, 1)
         joint[upper] = joint.T[upper]
@@ -337,18 +394,21 @@ class SimulatedEmbedder:
         return tuple(blk for blk in lattice.neighborhood(self.assign, block)
                      if self.live[blk]) + (block,)
 
-    def _block_factors(self, bi, bj, workspace):
+    def _block_factors(self, bi, bj, workspace, band=None):
         """Factors of a live block; None if it stays singular after jitter.
 
         The joint is assembled in ``workspace``'s buffer (a ``_Workspace``)
-        and factored there in place; a jitter retry assembles it again.
+        and factored there in place; a jitter retry assembles it again,
+        every tile computed anew.  With a ``band`` (a ``_Band``), the joint's
+        blocks and its self tiles are taken from it.
         """
         cache = self._factor_cache
         if cache is not None and (bi, bj) in cache:
             return cache[(bi, bj)]
-        blocks = self.joint_blocks((bi, bj))
+        blocks = (self.joint_blocks((bi, bj)) if band is None
+                  else band.joints[bi, bj])
         joint = workspace.view(64 * len(blocks))
-        zeros = self._fill_lower(blocks, joint)
+        zeros = self._fill_lower(blocks, joint, band)
         try:
             gain, lower, sigmas, jitter = cov_mod.condition(
                 joint, zeros=zeros,
@@ -368,7 +428,7 @@ class SimulatedEmbedder:
 
     # -- embedding -----------------------------------------------------------
 
-    def _visit(self, block, lat, key, continuous, workspace):
+    def _visit(self, block, lat, key, continuous, workspace, band=None):
         """Factorization jitter, conditional deviations and draw
         ``(jitter, sigmas, chain)`` of one live block.
 
@@ -379,10 +439,11 @@ class SimulatedEmbedder:
         as (blocks_h * blocks_w, 64) rows, and those belong to earlier
         lattices, so the blocks of one lattice can be visited in any order
         and on any thread.  The block is factored in ``workspace`` (a
-        ``_Workspace``), whose generator its stream re-keys.  The block's
-        factors are dropped on return unless ``cache_factors`` keeps them.
+        ``_Workspace``), whose generator its stream re-keys, with the
+        pass's ``band``.  The block's factors are dropped on return unless
+        ``cache_factors`` keeps them.
         """
-        factors = self._block_factors(*block, workspace)
+        factors = self._block_factors(*block, workspace, band)
         if factors is None:
             return None, None, None
         base_mean = factors.mean_gain @ continuous[factors.rows].ravel()
@@ -390,12 +451,17 @@ class SimulatedEmbedder:
         return factors.jitter, factors.sigmas, sampler.run_block_chain(
             factors.lower, factors.sigmas, base_mean, gen)
 
+    @cov_mod.one_blas_thread
     def run(self, key=None, collect_probs=False):
         """Embed with the given key (default: the config key), visiting
         only live blocks; dead ones keep zero changes, entropy and PMFs.
 
         ``collect_probs`` also returns every folded PMF in
         ``EmbedResult.probs``, a plane too large to keep by default.
+
+        OpenBLAS runs on one thread meanwhile, process-wide
+        (``covariance.one_blas_thread``): other threads of the process
+        that call BLAS during a run get one thread too.
         """
         t0 = time.monotonic()
         key = (self.cfg.key if key is None
@@ -419,15 +485,19 @@ class SimulatedEmbedder:
         workers = self.cfg.workers
         # Dropped on return, so an embedder holds no buffers between runs.
         workspace = _Workspace()
+        cache = self._factor_cache
         with (ThreadPoolExecutor(workers) if workers > 1
               else contextlib.nullcontext()) as pool:
             visit_all = map if pool is None else pool.map
             for lat, blocks in enumerate(self.assign.block_lists, start=1):
                 live = [block for block in blocks if self.live[block]]
+                # Cached blocks assemble nothing.
+                band = _Band({block: self.joint_blocks(block) for block in live
+                              if cache is None or block not in cache})
                 visits = visit_all(functools.partial(
                     self._visit, lat=lat, key=key,
                     continuous=continuous.reshape(bh * bw, 64),
-                    workspace=workspace), live)
+                    workspace=workspace, band=band), live)
                 # Each block is written back, in block order, as its visit
                 # ends; a lattice's results are never held all at once.
                 for block, (jitter, sigmas, chain) in zip(live, visits):
@@ -469,6 +539,7 @@ class SimulatedEmbedder:
                            continuous=jpeg_model.to_plane(continuous),
                            probs=probs)
 
+    @cov_mod.one_blas_thread
     def run_first_lattice_block(self, key, block):
         """Chain outputs of one unconditioned (lattice 1) block for ``key``.
 

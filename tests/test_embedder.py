@@ -1,7 +1,11 @@
 import dataclasses
 import functools
 import json
+import logging
 import math
+import os
+import pathlib
+import subprocess
 import sys
 import tracemalloc
 
@@ -159,13 +163,105 @@ def test_embed_workers_bit_identical(bright_raw):
         assert np.array_equal(plane, results[0][1])
 
 
-def test_workers_write_back_identical_with_dead_and_jitter_blocks(paper_params):
+# Prints the sha256 of a 64x64 embed's continuous plane and of its report
+# without the run time.
+BLAS_THREADS_PROBE = """
+import hashlib, json
+from jpegns import (EmbedConfig, SensorParams, SimulatedEmbedder, SynthSpec,
+                    synthesize_raw)
+raw = synthesize_raw(
+    SynthSpec(kind="iid_gaussian", mu=2000.0, sigma=80.0, width=64,
+              height=64, seed=11),
+    SensorParams(a1=0.0, b1=0.0, a2=1.15, b2=-1150.0))
+result = SimulatedEmbedder(raw, EmbedConfig(qf=95, K=5, key=3)).run()
+report = result.report.to_json_dict()
+del report["runtime_s"]
+print(hashlib.sha256(result.continuous.tobytes()).hexdigest(),
+      hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest())
+"""
+
+
+def test_embed_bit_identical_at_any_blas_thread_count():
+    # OpenBLAS sums in an order that depends on its thread count; a run
+    # holds it on one thread, so the environment's count changes no bit.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    hashes = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_PROBE],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        hashes.append(proc.stdout.split())
+    assert len(hashes[0]) == 2 and hashes[0] == hashes[1]
+
+
+def test_run_holds_blas_on_one_thread(bright_raw, monkeypatch):
+    # Every build the embedder calls runs on one thread inside ``run``,
+    # and gets its own count back afterwards.
+    controls = blas.one_thread.controls
+    assert controls
+    during = []
+    condition = emb_mod.cov_mod.condition
+
+    def spy(*args, **kwargs):
+        during.append([get() for get, _ in controls])
+        return condition(*args, **kwargs)
+
+    monkeypatch.setattr(emb_mod.cov_mod, "condition", spy)
+    saved = [get() for get, _ in controls]
+    try:
+        for _, set_ in controls:
+            set_(2)
+        SimulatedEmbedder(bright_raw,
+                          EmbedConfig(qf=95, K=5, key=1, workers=2)).run()
+        assert [get() for get, _ in controls] == [2] * len(controls)
+    finally:
+        for (_, set_), count in zip(controls, saved):
+            set_(count)
+    assert during and all(counts == [1] * len(controls) for counts in during)
+
+
+def test_blas_without_thread_control_is_logged_once(bright_raw, monkeypatch,
+                                                    caplog):
+    monkeypatch.setattr(blas.one_thread, "controls", ())
+    monkeypatch.setattr(blas.one_thread, "missing", ("libother",))
+    monkeypatch.setattr(blas.one_thread, "logged", False)
+    emb = SimulatedEmbedder(bright_raw, EmbedConfig(qf=95, K=5, key=1))
+    with caplog.at_level(logging.WARNING, logger="jpegns.blas"):
+        first = emb.run()
+        second = emb.run()
+    assert [r.getMessage() for r in caplog.records] == [
+        "no OpenBLAS thread control in libother; its BLAS keeps its thread "
+        "count, and results may differ between thread counts"]
+    assert first.continuous.tobytes() == second.continuous.tobytes()
+
+
+def record_bands(monkeypatch):
+    """The list to which every ``_Band`` made from now on is appended."""
+    bands = []
+    band_init = emb_mod._Band.__init__
+
+    def init(self, joints):
+        band_init(self, joints)
+        bands.append(self)
+
+    monkeypatch.setattr(emb_mod._Band, "__init__", init)
+    return bands
+
+
+def test_workers_write_back_identical_with_dead_and_jitter_blocks(
+        paper_params, monkeypatch):
     # A ramp across the variance clamp has dead and jitter blocks, which the
     # iid inputs of the other worker tests lack.
     raw = clamp_ramp(paper_params)
     serial = SimulatedEmbedder(raw, EmbedConfig(qf=95, K=5, key=0x5EED)).run(
         collect_probs=True)
-    # More threads than cores, switching often, to expose a lost write.
+    bands = record_bands(monkeypatch)
+    # More threads than cores, switching often, to expose a lost write or
+    # a lost update to the bands the threads share.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-4)
     try:
@@ -174,6 +270,8 @@ def test_workers_write_back_identical_with_dead_and_jitter_blocks(paper_params):
                 collect_probs=True)
     finally:
         sys.setswitchinterval(interval)
+    assert len(bands) == 4
+    assert not any(band.tiles or band.uses for band in bands)
     assert serial.report.zero_variance_blocks > 0
     assert serial.report.jitter_events
     assert np.array_equal(serial.stego.coeffs, threaded.stego.coeffs)
@@ -535,6 +633,15 @@ def one_dead_block(raw):
     return emb
 
 
+def mask_tiles(a, pairs):
+    """A copy of ``a`` with its 64 x 64 tiles at the (row, col) ``pairs``
+    set to zero."""
+    a = a.copy()
+    for i, j in pairs:
+        a[64 * i : 64 * (i + 1), 64 * j : 64 * (j + 1)] = 0.0
+    return a
+
+
 def test_joint_blocks_are_live_neighborhood_then_block(bright_raw):
     # The joint keeps lattice.neighborhood's order and drops dead blocks.
     emb = one_dead_block(bright_raw)
@@ -603,9 +710,9 @@ def test_first_lattice_blocks_factor_as_plain_lapack(bright_raw):
 
 
 def test_stale_workspace_cannot_leak_into_factors(bright_raw, paper_params):
-    # Blocks write only the lower triangle of their joint, and a jitter
-    # retry writes it again over the failed factor; whatever the buffer
-    # held before must not reach the factors.
+    # Blocks write only the lower tiles of their joint that the factor
+    # reads, and a jitter retry writes them again over the failed factor;
+    # whatever the buffer held before must not reach the factors.
     emb = SimulatedEmbedder(bright_raw, EmbedConfig(qf=95, K=5, key=1))
     ramp = SimulatedEmbedder(clamp_ramp(paper_params),
                              EmbedConfig(qf=95, K=5, key=1))
@@ -661,7 +768,8 @@ def test_joint_assembly_contract(bright_raw, monkeypatch, block):
     joint = emb.joint_covariance(blocks)
     assert np.array_equal(joint, joint.T)
 
-    # The lower triangle is exactly what the embedder factors.
+    # The lower triangle is exactly what the embedder factors, outside the
+    # zero tiles that the factor never fills and so are never written.
     factored = []
     cholesky = emb_mod.cov_mod.cholesky
 
@@ -672,7 +780,9 @@ def test_joint_assembly_contract(bright_raw, monkeypatch, block):
     monkeypatch.setattr(emb_mod.cov_mod, "cholesky", spy)
     emb._block_factors(*block, emb_mod._Workspace())
     assert len(factored) == 1
-    assert np.array_equal(factored[0], np.tril(joint))
+    kept = never_filled(emb._tile_plan(blocks)[1], len(blocks))
+    assert np.array_equal(mask_tiles(factored[0], kept),
+                          mask_tiles(np.tril(joint), kept))
     monkeypatch.undo()
 
     # The right-side solve gives the gain of the transposed left-side one.
@@ -808,6 +918,113 @@ def test_structural_zeros_are_neither_read_nor_written(bright_raw):
     assert len(kept_by_block[L4]) == 15
     assert len(kept_by_block[3, 4]) == 13 and emb.joint_blocks(
         (3, 4))[-2] == (2, 4)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("image", ["iid", "ramp"])
+def test_run_assembles_every_joint_as_joint_covariance(paper_params,
+                                                       monkeypatch, image,
+                                                       workers):
+    # Self tiles shared through the pass's band, on one thread or two, and
+    # jitter refills, which compute every tile anew: each joint the factor
+    # sees is ``joint_covariance``'s lower triangle bit for bit, outside
+    # the zero tiles that the factor never fills.
+    raw = (small_raw(paper_params, size=64) if image == "iid"
+           else clamp_ramp(paper_params))
+    emb = SimulatedEmbedder(raw, EmbedConfig(qf=95, K=5, key=3,
+                                             workers=workers))
+    seen = []
+    condition = emb_mod.cov_mod.condition
+
+    def spy(joint, refill=None, zeros=()):
+        blocks = refill.args[0]
+        seen.append((blocks, np.tril(joint)))
+
+        def refilled():
+            refill()
+            seen.append((blocks, np.tril(joint)))
+        return condition(joint, refill=refilled, zeros=zeros)
+
+    monkeypatch.setattr(emb_mod.cov_mod, "condition", spy)
+    report = emb.run().report
+    assert len({blocks[-1] for blocks, _ in seen}) == emb.live.sum()
+    if image == "ramp":
+        assert report.jitter_events and len(seen) > emb.live.sum()
+        assert any(len(blocks) < len(lattice.neighborhood(
+            emb.assign, blocks[-1])) + 1 for blocks, _ in seen)
+    for blocks, joint in seen:
+        kept = never_filled(emb._tile_plan(blocks)[1], len(blocks))
+        truth = np.tril(emb.joint_covariance(blocks))
+        assert (mask_tiles(joint, kept).tobytes()
+                == mask_tiles(truth, kept).tobytes()), blocks
+
+
+def test_self_tiles_are_computed_once_per_pass(paper_params, monkeypatch):
+    # On the 64x64 iid image, the 274 self tiles of the run's joints take
+    # 160 products: one per block and lattice pass that uses it, 64 blocks
+    # in their own pass, then the blocks of lattices 1, 2 and 3 (16 each)
+    # in every later pass.  Each pass's band is empty when it ends.
+    bands, products = record_bands(monkeypatch), []
+    band_fill = emb_mod._Band.fill
+
+    def fill(self, block, dest, compute):
+        def counted(dest):
+            products.append(block)
+            compute(dest)
+        band_fill(self, block, dest, counted)
+
+    monkeypatch.setattr(emb_mod._Band, "fill", fill)
+    emb = SimulatedEmbedder(small_raw(paper_params, size=64),
+                            EmbedConfig(qf=95, K=5, key=3))
+    emb.run()
+    assert emb.live.all() and len(bands) == 4
+    assert sum(len(joint) for band in bands
+               for joint in band.joints.values()) == 274
+    assert len(products) == 160 == sum(
+        len(set().union(*band.joints.values())) for band in bands)
+    for band in bands:
+        assert not band.tiles and not band.uses
+
+
+def test_cached_blocks_count_no_uses(bright_raw, monkeypatch):
+    # A run on cached factors assembles nothing, so its bands hold no
+    # joint and count no use.
+    emb = SimulatedEmbedder(bright_raw, EmbedConfig(qf=95, K=5, key=1),
+                            cache_factors=True)
+    emb.run()
+    bands = record_bands(monkeypatch)
+    cached = emb.run(key=2)
+    assert len(bands) == 4
+    assert not any(band.joints or band.uses for band in bands)
+    fresh = SimulatedEmbedder(bright_raw, EmbedConfig(qf=95, K=5, key=2))
+    assert cached.continuous.tobytes() == fresh.run().continuous.tobytes()
+
+
+def test_fill_lower_writes_only_the_filled_zero_tiles(bright_raw):
+    # Of the plan's zero tiles, ``_fill_lower`` writes zeros in exactly
+    # those the factor fills, and leaves the others as they were (NaN);
+    # ``joint_covariance`` holds exact zeros in all of them.
+    emb = one_dead_block(bright_raw)
+    counts = [0, 0]
+    for block in map(tuple, np.argwhere(emb.live).tolist()):
+        blocks = emb.joint_blocks(block)
+        _, zeros, filled = emb._tile_plan(blocks)
+        kept = never_filled(zeros, len(blocks))
+        assert sorted(filled) == sorted(set(zeros) - set(kept))
+        n = 64 * len(blocks)
+        out = np.full((n, n), np.nan, order="F")
+        emb._fill_lower(blocks, out)
+        joint = emb.joint_covariance(blocks)
+        for i, j in zeros:
+            tile = (slice(64 * i, 64 * (i + 1)), slice(64 * j, 64 * (j + 1)))
+            if (i, j) in filled:
+                assert not out[tile].any()
+            else:
+                assert np.isnan(out[tile]).all()
+            assert not joint[tile].any() and not joint[tile[::-1]].any()
+        counts[0] += len(filled)
+        counts[1] += len(zeros)
+    assert counts == [10, 111]
 
 
 # LAPACK's names for the arguments of each routine ``covariance`` calls,
