@@ -10,6 +10,7 @@ import os
 
 import numpy as np
 
+from . import rng
 from .covariance import analysis_covariance
 
 
@@ -52,15 +53,15 @@ def intra_block_decomposition(cfa="RGGB", green_kernel="cross", out_dir=None):
 def mode_correlation_ranking(mode, cfa="RGGB", green_kernel="cross"):
     """Cross-block covariance partners of one DCT mode, ranked by magnitude.
 
-    ``mode`` is the (u, v) frequency pair of the central block.  Returns a
+    ``mode`` is the (u, v) frequency pair of the central block, two
+    integers in 0..7 (``rng.check_int``, ValueError).  Returns a
     list of (direction, (u, v), covariance) sorted by decreasing absolute
     covariance over all 8 neighbor directions and 64 modes, computed from
     the stationary unit-variance covariance.  Exactly-zero entries (from
     non-8-connected photo-site support) are omitted.
     """
-    u, v = mode
-    if not (0 <= u < 8 and 0 <= v < 8):
-        raise ValueError("mode indices must be in 0..7")
+    u, v = (rng.check_int(index, "mode index", ValueError, 0, 7)
+            for index in mode)
     _, subs = analysis_covariance("full", cfa, green_kernel)
     row = 8 * u + v
     ranked = []

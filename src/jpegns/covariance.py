@@ -348,8 +348,9 @@ def condition(joint, refill=None, zeros=()):
     Returns (gain, lower, sigmas, jitter): the conditional mean is
     ``gain @ known`` with ``gain`` a column-major (64, n - 64) array,
     (64, 0) when nothing is known.  ``lower``, a C-order 64 x 64 array, and
-    ``sigmas`` are L_c's strictly lower part and |diagonal|, the form
-    ``sampler.run_block_chain`` takes; ``jitter`` is the shift the
+    ``sigmas`` are L_c's strictly lower part and |diagonal|, the chain's
+    form (``sampler.run_block_chain`` takes the one, ``sampler.discretize``
+    the other); ``jitter`` is the shift the
     factorization needed.  ``refill`` and ``zeros`` are passed to
     ``cholesky``: with ``refill`` the joint is factored in place and its C
     block then holds the gain, and its strict upper triangle is never read

@@ -1,18 +1,21 @@
 """End-to-end simulated embedding, capacity reporting and cost export.
 
-Embedding walks the four macro-lattices in order.  For every block it
-assembles the joint DCT covariance of the block and its not-yet-used
-neighbors directly from the per-block pipeline weight tensor and the
-photo-site variance map, conditions on the continuous stego values already
-drawn for neighboring blocks (``covariance.condition``: the Schur
-complement read off one Cholesky factor, in the chain's form), and draws
-the block's 64-coefficient Gaussian signal (``sampler.run_block_chain``),
-which is written back at once for the later lattices to condition on.
-The rest is elementwise, so it runs on up to 16 written-back blocks at a
-time (``_tabulate``): their draws are discretized into changes and bin
-edges (``sampler.discretize``), and the folded PMFs and the entropies
-read from them are tabulated from those edges.  Stego coefficients are
-the cover coefficients plus the sampled changes.
+Embedding walks the four macro-lattices in order.  The normals of a
+lattice's live blocks are drawn first, into one array (``_normals``).
+Then, for every block, it assembles the joint DCT covariance of the block
+and its not-yet-used neighbors directly from the per-block pipeline
+weight tensor and the photo-site variance map, conditions on the
+continuous stego values already drawn for neighboring blocks
+(``covariance.condition``: the Schur complement read off one Cholesky
+factor, in the chain's form), and forms the block's conditional means
+(``sampler.run_block_chain``), the one step that needs its own factor.
+The rest is elementwise, so it runs on up to ``_TABULATE_BLOCKS``
+consecutive visited blocks at a time (``_tabulate``): their continuous
+signals are formed and written back for the later lattices to condition
+on, their draws are discretized into changes and bin edges
+(``sampler.discretize``), and the folded PMFs and the entropies read
+from them are tabulated from those edges.  Stego coefficients are the
+cover coefficients plus the sampled changes.
 
 Everything is a pure function of (raw image, config): per-block random
 streams are derived from the secret key, the lattice index and the block
@@ -32,7 +35,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla  # noqa: F401  (wrapped by the benchmark)
+# Not used here: kept only because perfbench's layer map and its test
+# still name ``embedder.sla`` (ROADMAP item 5).
+import scipy.linalg as sla  # noqa: F401
 
 from . import covariance as cov_mod
 from . import jpeg_model, lattice, pipeline, rng, sampler
@@ -41,12 +46,19 @@ from .raw_io import RawImage
 log = logging.getLogger(__name__)
 
 _COSTS_MAGIC = b"JCST"
-# Written-back blocks that ``run`` discretizes and tabulates in one pass.
-# A block waits as its z, means and deviations (1.5 KB); a pass holds
-# about 25 KB per block (edges, table and entropy terms at K = 5).
-# From a 64² to a 128² iid image, ``run``'s traced peak memory grew by
-# 0.31 MB with 16 blocks, 0.65 MB with 32 and 0.21 MB with a pass per block.
-_TABULATE_BLOCKS = 16
+# Consecutive visited blocks that ``run`` writes back, discretizes and
+# tabulates in one pass.  A lattice's live blocks hold their normals,
+# conditional means and deviations (1.5 KB a block) until its last pass;
+# a pass gathers its blocks' rows (1.5 KB a block again), and its traced
+# memory peaks in ``discretize`` at K = 5: 0.26 MB for 16 blocks, 0.40 MB
+# for 32.  On a 128² iid image with cached factors (2-vCPU x86_64, one
+# BLAS thread), a ``run`` took 14.4-14.8 ms with 16 blocks, 13.5-13.7 ms
+# with 32 and 13.1-13.3 ms with 64 (medians of 60 alternated calls, two
+# processes).  ``run``'s traced peak memory grew from a 64² to a 128² iid
+# image by 0.84 MB with 16 blocks and 0.83 MB with 64, which tabulate
+# once the lattice's self tiles are freed, and by 0.91 MB with 32, whose
+# first pass of a lattice runs beside them.
+_TABULATE_BLOCKS = 32
 
 
 class ConfigError(ValueError):
@@ -141,8 +153,7 @@ class EmbedResult:
 
 
 class _Workspace(threading.local):
-    """One thread's reused joint-covariance buffer and block-stream
-    generator.
+    """One thread's reused joint-covariance buffer.
 
     The buffer is sized for one block's joint (64², all a thread that
     factors only lattice-1 blocks needs) until a larger joint comes, and
@@ -155,17 +166,10 @@ class _Workspace(threading.local):
     factor and mean gain overwrite them in place; the other zero tiles and
     the upper triangle are never written and hold whatever earlier blocks,
     or the allocation, left there.
-
-    ``gen`` is re-keyed in place for every block's stream
-    (``rng.block_stream(..., gen=...)``), which draws exactly what a fresh
-    generator per block would, without building a Philox per block.
     """
 
     SIDE = 9 * 64  # the largest joint: a block and its eight neighbors
     flat = None  # per thread, allocated by its first ``view`` call
-
-    def __init__(self):
-        self.gen = np.random.Generator(np.random.Philox(seed=0))
 
     def view(self, n):
         """An (n, n) column-major array over the buffer.
@@ -230,9 +234,10 @@ class _BlockFactors:
     ``mean_gain``, column-major (64, 64 * len(rows)), maps their
     concatenated samples to the conditional mean.  A lattice-1 block has
     no rows and a (64, 0) gain.  The Cholesky factor of the conditional
-    covariance is kept in the form ``sampler.run_block_chain`` takes:
-    ``lower``, its strictly lower part (zero on and above the diagonal),
-    and ``sigmas``, its deviations |diag|.
+    covariance is kept in the chain's form: ``lower``, its strictly lower
+    part (zero on and above the diagonal), which
+    ``sampler.run_block_chain`` takes, and ``sigmas``, its deviations
+    |diag|, which ``sampler.discretize`` takes.
     """
 
     rows: np.ndarray
@@ -428,28 +433,45 @@ class SimulatedEmbedder:
 
     # -- embedding -----------------------------------------------------------
 
-    def _visit(self, block, lat, key, continuous, workspace, band=None):
-        """Factorization jitter, conditional deviations and draw
-        ``(jitter, sigmas, chain)`` of one live block.
+    def _normals(self, key, lat, blocks, gen=None):
+        """The normals of ``blocks`` of lattice ``lat`` for ``key``, one
+        (64,) row per block.
 
-        ``sigmas`` are the factor's |diag| and ``chain`` is
-        ``sampler.run_block_chain``'s dict.  All three are None for a block
-        that could not be factored; ``run`` visits no dead block.  Only the
+        Row i holds block i's 64 uniforms, drawn from its own stream
+        (``rng.block_stream``, which re-keys ``gen`` in place, or builds a
+        generator without it); one ``rng.normals_from_uniforms`` then
+        converts every row at once, each to the values a draw of the block
+        alone gives.
+        """
+        u = np.empty((len(blocks), 64))
+        for row, block in zip(u, blocks):
+            rng.block_stream(key, lat, *block, gen=gen).random(out=row)
+        return rng.normals_from_uniforms(u)
+
+    def _visit(self, block, z, means, sigmas, continuous, workspace,
+               band=None):
+        """Factor one live block and form its conditional means.
+
+        ``z``, ``means`` and ``sigmas`` are the block's (64,) rows of its
+        lattice's arrays: from its normals ``z``, the visit writes its
+        conditional means (``sampler.run_block_chain``) into ``means`` and
+        its factor's deviations |diag| into ``sigmas``.  Returns the
+        factorization jitter, or None, writing nothing, for a block that
+        could not be factored; ``run`` visits no dead block.  Only the
         neighbors' draws are read from ``continuous``, the continuous plane
         as (blocks_h * blocks_w, 64) rows, and those belong to earlier
         lattices, so the blocks of one lattice can be visited in any order
         and on any thread.  The block is factored in ``workspace`` (a
-        ``_Workspace``), whose generator its stream re-keys, with the
-        pass's ``band``.  The block's factors are dropped on return unless
-        ``cache_factors`` keeps them.
+        ``_Workspace``) with the pass's ``band``.  Its factors are dropped
+        on return unless ``cache_factors`` keeps them.
         """
         factors = self._block_factors(*block, workspace, band)
         if factors is None:
-            return None, None, None
+            return None
         base_mean = factors.mean_gain @ continuous[factors.rows].ravel()
-        gen = rng.block_stream(key, lat, *block, gen=workspace.gen)
-        return factors.jitter, factors.sigmas, sampler.run_block_chain(
-            factors.lower, factors.sigmas, base_mean, gen)
+        means[:] = sampler.run_block_chain(factors.lower, base_mean, z)
+        sigmas[:] = factors.sigmas
+        return factors.jitter
 
     @cov_mod.one_blas_thread
     def run(self, key=None, collect_probs=False):
@@ -468,8 +490,9 @@ class SimulatedEmbedder:
                else rng.check_seed(key, "key", ConfigError))
         bh, bw = self.blocks_h, self.blocks_w
         # Working planes in block layout: [bi, bj] holds one block's 64
-        # coefficients in row-major frequency order.
-        changes = np.zeros((bh, bw, 64), dtype=np.int64)
+        # coefficients in row-major frequency order.  Changes lie in -K..K,
+        # K <= 255, and the stego adds them to the int32 cover.
+        changes = np.zeros((bh, bw, 64), dtype=np.int16)
         continuous = np.zeros((bh, bw, 64))
         entropy = np.zeros((bh, bw, 64))
         probs = (np.zeros((bh, bw, 64, 2 * self.cfg.K + 1))
@@ -479,12 +502,12 @@ class SimulatedEmbedder:
                           dtype=np.int64)
         jitter_events = []
         failed = []
-        # (block, z, means, sigmas) of written-back blocks whose changes
-        # and PMFs are not built yet.
-        pending = []
         workers = self.cfg.workers
         # Dropped on return, so an embedder holds no buffers between runs.
         workspace = _Workspace()
+        # Re-keyed for every block's stream: it draws what a fresh
+        # generator per block would, without building a Philox per block.
+        gen = np.random.Generator(np.random.Philox(seed=0))
         cache = self._factor_cache
         with (ThreadPoolExecutor(workers) if workers > 1
               else contextlib.nullcontext()) as pool:
@@ -494,26 +517,35 @@ class SimulatedEmbedder:
                 # Cached blocks assemble nothing.
                 band = _Band({block: self.joint_blocks(block) for block in live
                               if cache is None or block not in cache})
+                # One row per live block: its normals, drawn before the
+                # visits, and the conditional means and deviations its
+                # visit writes.
+                z = self._normals(key, lat, live, gen)
+                means, sigmas = np.empty_like(z), np.empty_like(z)
                 visits = visit_all(functools.partial(
-                    self._visit, lat=lat, key=key,
-                    continuous=continuous.reshape(bh * bw, 64),
-                    workspace=workspace, band=band), live)
-                # Each block is written back, in block order, as its visit
-                # ends; a lattice's results are never held all at once.
-                for block, (jitter, sigmas, chain) in zip(live, visits):
-                    if chain is None:
+                    self._visit, continuous=continuous.reshape(bh * bw, 64),
+                    workspace=workspace, band=band), live, z, means, sigmas)
+                # Visits end in block order.  Each chunk of _TABULATE_BLOCKS
+                # of them is written back and tabulated as its last one
+                # ends: its ``rows`` are those of the blocks that could be
+                # factored.
+                start, rows = 0, []
+                for i, (block, jitter) in enumerate(zip(live, visits)):
+                    if jitter is None:
                         failed.append({"lattice": lat, "block": list(block)})
-                        continue
-                    if jitter:
-                        jitter_events.append(
-                            {"lattice": lat, "block": list(block),
-                             "epsilon": jitter})
-                    continuous[block] = chain["samples"]
-                    pending.append((block, chain["z"], chain["means"], sigmas))
-                    if len(pending) == _TABULATE_BLOCKS:
-                        self._tabulate(pending, changes, entropy, probs)
-                if pending:
-                    self._tabulate(pending, changes, entropy, probs)
+                    else:
+                        rows.append(i)
+                        if jitter:
+                            jitter_events.append(
+                                {"lattice": lat, "block": list(block),
+                                 "epsilon": jitter})
+                    if i + 1 - start == _TABULATE_BLOCKS or i + 1 == len(live):
+                        if rows:
+                            self._tabulate(
+                                [live[r] for r in rows], z[rows], means[rows],
+                                sigmas[rows], continuous, changes, entropy,
+                                probs)
+                        start, rows = i + 1, []
                 if blocks:
                     per_mode[lat - 1] = entropy[tuple(zip(*blocks))].mean(axis=0)
 
@@ -559,35 +591,41 @@ class SimulatedEmbedder:
         key = rng.check_seed(key, "key", ConfigError)
         if not self.live[bi, bj]:
             raise ValueError("block has no stego signal")
-        _, sigmas, chain = self._visit(block, 1, key, np.empty((0, 64)),
-                                       _Workspace())
-        if chain is None:
+        z = self._normals(key, 1, [block])[0]
+        means, sigmas = np.empty(64), np.empty(64)
+        if self._visit(block, z, means, sigmas, np.empty((0, 64)),
+                       _Workspace()) is None:
             raise ValueError("block could not be factored")
-        drawn = sampler.discretize(chain["z"], chain["means"], sigmas,
-                                   self.q_flat, self.cfg.K)
-        return {"changes": drawn["changes"], "samples": chain["samples"],
+        drawn = sampler.discretize(z, means, sigmas, self.q_flat, self.cfg.K)
+        return {"changes": drawn["changes"], "samples": means + sigmas * z,
                 "params": drawn["params"], "edges": drawn["edges"]}
 
-    def _tabulate(self, pending, changes, entropy, probs):
-        """Fill the block-layout ``changes`` and ``entropy`` planes, and
-        ``probs`` unless it is None, for the (block, z, means, sigmas)
-        draws of ``pending``, then empty it.
+    def _tabulate(self, blocks, z, means, sigmas, continuous, changes,
+                  entropy, probs):
+        """Write back and tabulate the draws of ``blocks``: (n, 64) normals
+        ``z``, conditional ``means`` and deviations ``sigmas``, one row per
+        block.
 
-        One ``sampler.discretize`` over the stacked (n, 64) draws, one
-        ``pmf_table`` and one ``entropy`` serve all the blocks: each works
-        on one coefficient's row alone, so every value is the one a pass
-        per block gives.
+        Their continuous candidates means + sigmas * z go into
+        ``continuous``, and their changes, entropies and, unless ``probs``
+        is None, folded PMFs into the other block-layout planes.  One
+        ``sampler.discretize``, one ``pmf_table`` and one ``entropy`` serve
+        all the blocks: each works on one coefficient's row alone, so every
+        value is the one a pass per block gives.
         """
-        blocks, z, means, sigmas = zip(*pending)
         index = tuple(zip(*blocks))
-        drawn = sampler.discretize(np.array(z), np.array(means),
-                                   np.array(sigmas), self.q_flat, self.cfg.K)
+        continuous[index] = means + sigmas * z
+        drawn = sampler.discretize(z, means, sigmas, self.q_flat, self.cfg.K)
         changes[index] = drawn["changes"]
-        table = sampler.pmf_table(drawn["edges"])
-        entropy[index] = sampler.entropy(table).reshape(len(pending), 64)
+        # The edges die once the table is built and the rest of the draw
+        # with them, so the entropies hold the table and one array its size:
+        # kept alive, the edges would add 0.17 MB and the rest 0.05 MB to a
+        # 128² embed's traced peak.
+        table = sampler.pmf_table(drawn.pop("edges"))
+        del drawn
+        entropy[index] = sampler.entropy(table).reshape(len(blocks), 64)
         if probs is not None:
-            probs[index] = table.reshape(len(pending), 64, -1)
-        pending.clear()
+            probs[index] = table.reshape(len(blocks), 64, -1)
 
 
 def embed_simulated(raw, cfg):

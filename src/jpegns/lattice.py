@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng
 from .pipeline import GRID_POS, NEIGHBOR_LABELS
 
 # (row, col) offset of each named neighbor from the central block of the
@@ -59,9 +60,13 @@ class LatticeAssignment:
 
 
 def tile(blocks_w, blocks_h):
-    """2-periodic parity tiling of the block grid into four macro-lattices."""
-    if blocks_w <= 0 or blocks_h <= 0:
-        raise ValueError("block grid dimensions must be positive")
+    """2-periodic parity tiling of the block grid into four macro-lattices.
+
+    The grid dimensions are positive integers (``rng.check_int``,
+    ValueError), stored as ints.
+    """
+    blocks_w = rng.check_int(blocks_w, "blocks_w", ValueError, 1)
+    blocks_h = rng.check_int(blocks_h, "blocks_h", ValueError, 1)
     bi = np.arange(blocks_h)[:, None] % 2
     bj = np.arange(blocks_w)[None, :] % 2
     assignment = np.empty((blocks_h, blocks_w), dtype=np.int8)

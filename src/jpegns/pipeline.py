@@ -7,7 +7,9 @@ truncate) to unquantized DCT coefficients of selected blocks:
     dct_coeffs = dct_op . block_select_op . interior_select_op . luminance_op
 
 All vectorization is row-major.  Operators are ``scipy.sparse`` CSR
-matrices, densified only for covariance products.
+matrices, densified only for covariance products.  Their integer sizes
+(``side``, ``border``, ``n_blocks``, ``grid_n`` and the block labels)
+are checked by ``rng.check_int`` and refused with PipelineError.
 """
 
 import functools
@@ -16,6 +18,7 @@ import numpy as np
 import scipy.sparse as sps
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import rng
 from .raw_io import BAYER_PATTERNS, UnknownCfaError
 
 PATCH_SIDE = 26  # 3 * 8 + 2
@@ -170,8 +173,7 @@ def build_demosaic(channel, cfa, side=PATCH_SIDE, green_kernel="cross"):
     channel = channel.lower()
     if channel not in ("r", "g", "b"):
         raise PipelineError(f"unknown channel {channel!r}")
-    if side < 3:
-        raise PipelineError("side must be >= 3")
+    side = rng.check_int(side, "side", PipelineError, 3)
     if green_kernel not in ("cross", "corner"):
         raise PipelineError(f"unknown green kernel {green_kernel!r}")
     grid = cfa_grid(cfa, side)
@@ -198,6 +200,7 @@ def build_lowpass(side=PATCH_SIDE):
     Used only for covariance structure analysis; edge kernels are truncated
     and renormalized like the demosaicking kernels.
     """
+    side = rng.check_int(side, "side", PipelineError, 3)
     taps = [((dr, dc), 4.0 / 12.0 if (dr, dc) == (0, 0) else 1.0 / 12.0)
             for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
     triplets = []
@@ -211,6 +214,8 @@ def build_lowpass(side=PATCH_SIDE):
 
 def build_selection(side=PATCH_SIDE, border=1):
     """Discard the outer ``border`` photo-sites: (side-2b)^2 x side^2 selector."""
+    side = rng.check_int(side, "side", PipelineError, 1)
+    border = rng.check_int(border, "border", PipelineError, 0)
     if side <= 2 * border:
         raise PipelineError("side must exceed twice the border")
     inner = side - 2 * border
@@ -227,12 +232,13 @@ def build_permutation(order, grid_n=3):
     ``order`` lists (i, j) grid positions; the result stacks the row-major
     vectorization of each selected block in that order.
     """
-    order = list(order)
+    grid_n = rng.check_int(grid_n, "grid_n", PipelineError, 1)
+    order = [tuple(rng.check_int(x, "block label index", PipelineError, 0,
+                                 grid_n - 1) for x in label)
+             for label in order]
     area_side = grid_n * BLOCK
     seen = set()
     for (i, j) in order:
-        if not (0 <= i < grid_n and 0 <= j < grid_n):
-            raise PipelineError(f"block label {(i, j)} outside the grid")
         if (i, j) in seen:
             raise PipelineError(f"duplicate block label {(i, j)}")
         seen.add((i, j))
@@ -264,6 +270,7 @@ def _dct_op(n_blocks):
 
 def build_dct(n_blocks):
     """Blockwise 2-D DCT on n row-major-vectorized 8x8 blocks (n in 1/5/9)."""
+    n_blocks = rng.check_int(n_blocks, "n_blocks", PipelineError, 1, 9)
     if n_blocks not in (1, 5, 9):
         raise PipelineError("n_blocks must be one of 1, 5, 9")
     return _dct_op(n_blocks)

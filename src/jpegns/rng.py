@@ -20,9 +20,10 @@ macro-lattice index and block coordinates into the payload:
 A stream is a key and a counter, nothing more, so one generator can serve
 many streams: given ``gen``, ``make_stream`` and ``block_stream`` re-key it
 in place (new key words, counter zero, no buffered output) and return it.
-The re-keyed generator draws exactly what a freshly built one would.  The
-embedder keeps one such generator per thread and re-keys it for every
-block, instead of building a Philox per block.
+The re-keyed generator draws exactly what a freshly built one would.  A
+``run`` of the embedder keeps one such generator and re-keys it for every
+block, instead of building a Philox per block; it draws each lattice's
+uniforms into one array, which ``normals_from_uniforms`` converts at once.
 
 Every integer parameter of the library (seeds and keys, bit depth, ISO
 settings, image size, quality factor, alphabet half-width) is checked where
@@ -97,9 +98,16 @@ def block_stream(key, lattice, block_row, block_col, gen=None):
     return make_stream(key, DOMAIN_BLOCK, payload, gen)
 
 
-def standard_normal_icdf(gen, size):
-    """Array of ``size`` standard normal draws via the inverse CDF of
-    uniforms from ``gen``; all finite (see ``_MIN_UNIFORM``)."""
-    u = gen.random(size)
+def normals_from_uniforms(u):
+    """Standard normals z = ndtri(u) of the uniform array ``u``, written
+    over it and returned; all finite (see ``_MIN_UNIFORM``).  Elementwise,
+    so uniforms drawn from many streams into one array convert at once,
+    each to the value it gets alone."""
     np.maximum(u, _MIN_UNIFORM, out=u)
     return ndtri(u, out=u)
+
+
+def standard_normal_icdf(gen, size):
+    """Array of ``size`` standard normal draws via the inverse CDF of
+    uniforms from ``gen`` (``normals_from_uniforms``)."""
+    return normals_from_uniforms(gen.random(size))

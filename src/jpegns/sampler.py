@@ -11,18 +11,21 @@ beyond the alphabet fold into the end symbols.
 Drawing the change from the folded PMF and then the signal from the
 Gaussian truncated to the change's bin gives the same joint law of
 (change, signal) as drawing the signal and reading off its bin.  So the
-chain draws the whole block at once, and in two steps.  The draw,
-``run_block_chain``, runs block by block: one product with the strictly
-lower part of L gives every m'_i, and it returns z, the means and the
-signal.  Everything after it is elementwise: ``discretize`` takes the
-draws of any number of blocks as stacked (n, 64) rows, forms each
-coefficient's standardized bin edges, and reads its change off as the bin
-whose edges hold z_i.  ``pmf_table`` turns edges into folded PMFs and
-``entropy`` reduces them.  All three act on each coefficient's row alone,
-so the embedder discretizes and tabulates several blocks in one pass,
-with the values of one pass per block.  ``discretize`` is the one route
-to the bin edges and checks its inputs; ``pmf`` returns one coefficient's
-row of its table as a plain (2K+1,) array.
+chain draws the whole block at once, and in steps.  The block's normals
+z come first, from its stream's uniforms through the inverse CDF, and are
+elementwise, so the embedder draws a whole lattice's at once.  The one
+step that needs the block's own factor, ``run_block_chain``, runs block
+by block: one product with the strictly lower part of L gives every
+m'_i.  Everything after it is elementwise: the signal m'_i + sigma'_i z_i,
+and ``discretize``, which takes the draws of any number of blocks as
+stacked (n, 64) rows, forms each coefficient's standardized bin edges, and
+reads its change off as the bin whose edges hold z_i.  ``pmf_table`` turns
+edges into folded PMFs and ``entropy`` reduces them.  All of these act on
+each coefficient's row alone, so the embedder discretizes and tabulates
+several blocks in one pass, with the values of one pass per block.
+``discretize`` is the one route to the bin edges and checks its inputs;
+``pmf`` returns one coefficient's row of its table as a plain (2K+1,)
+array.
 
 The alphabet half-width K is an integer in 1..255, the range the cost
 file stores in one byte.
@@ -91,14 +94,21 @@ def _grid(m_hat, sigma_hat, k_range):
 def pmf_table(edges):
     """Folded PMFs (n, 2K+1) from the standardized edges of ``_grid``.
 
-    cdf[:, j] = P(change <= -K + j) and its final column is exactly 1, so
-    both tails fold into the end symbols.
+    cdf[:, j] = P(change <= -K + j), and the CDF's final column is exactly
+    1, so both tails fold into the end symbols.  The CDF is written into
+    the table's own buffer and differenced there, right to left, so a call
+    holds the edges and the table and nothing of their size besides.
     """
-    cdf = ndtr(edges)
-    probs = np.empty((edges.shape[0], edges.shape[1] + 1))
-    probs[:, :-1] = cdf
-    probs[:, -1] = 1.0
-    probs[:, 1:] -= cdf
+    n, width = edges.shape
+    probs = np.empty((n, width + 1))
+    # Column by column: numpy 2.4 runs a 2-D ufunc over these strided
+    # views through 64 KB buffers, which a 32-block embed's memory peak
+    # would carry (tracemalloc measures 64 KB more for one 2-D ndtr).
+    for j in range(width):
+        ndtr(edges[:, j], out=probs[:, j])
+    np.subtract(1.0, probs[:, -2], out=probs[:, -1])
+    for j in range(width - 1, 0, -1):
+        np.subtract(probs[:, j], probs[:, j - 1], out=probs[:, j])
     return np.maximum(probs, 0.0, out=probs)
 
 
@@ -142,29 +152,27 @@ def costs_from_pmf(p):
     return np.where(np.isnan(costs), np.inf, costs)
 
 
-def run_block_chain(lower, sigmas, base_mean, gen):
-    """Draw one block's continuous stego signal: the chain's per-block step.
+def run_block_chain(lower, base_mean, z):
+    """One block's conditional means: the chain's per-block step.
 
     The conditional factor L comes in the chain's form: ``lower`` (64, 64)
-    holds its strictly lower part, zero on and above the diagonal, and
-    ``sigmas`` (64) its deviations |diag(L)|.  Draws the block's 64 normals
-    ``z`` up front, one uniform per coefficient through
-    ``rng.standard_normal_icdf``, and returns a dict with ``z``, the
-    conditional ``means`` base_mean + lower @ z and the continuous
-    candidates ``samples`` means + sigmas * z, each (64,).  A
-    zero-deviation coefficient is its own mean.  ``discretize`` reads the
-    changes off z and the means.
+    holds its strictly lower part, zero on and above the diagonal (its
+    deviations |diag(L)| go to ``discretize``).  ``z`` (64) are the block's
+    normals, one uniform per coefficient through the inverse CDF
+    (``rng.normals_from_uniforms``).  Returns the conditional means
+    m' = base_mean + lower @ z (64,): the only step that needs the block's
+    own factor.  The continuous candidates are m' + sigmas * z, so a
+    zero-deviation coefficient is its own mean, and ``discretize`` reads
+    the changes off z and m'.
     """
-    z = rng.standard_normal_icdf(gen, 64)
-    means = base_mean + lower @ z
-    return {"z": z, "means": means, "samples": means + sigmas * z}
+    return base_mean + lower @ z
 
 
 def discretize(z, means, sigmas, q_steps, k_range):
     """Changes and bin edges of drawn coefficients, stacked as rows.
 
-    ``z``, ``means`` and ``sigmas`` are ``run_block_chain``'s z and means
-    and the factor's deviations, for one block (64,) or stacked (n, 64),
+    ``z``, ``means`` and ``sigmas`` are the normals, ``run_block_chain``'s
+    means and the factor's deviations, for one block (64,) or stacked (n, 64),
     or for one coefficient as scalars (``pmf``); ``q_steps`` (64) are the
     quantization steps.  Returns a dict with the discrete ``changes``
     (int64, shaped as ``z``), the conditional ``params`` (m_hat,

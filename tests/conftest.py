@@ -38,13 +38,15 @@ def quadrature_change_pmf(m_prime, sigma_prime, q_step, k_range):
 
 
 def chain_form(chol):
-    """A Cholesky factor in the form ``sampler.run_block_chain`` takes:
-    (strictly lower part, |diagonal|)."""
+    """A Cholesky factor in the chain's form: (strictly lower part, which
+    ``sampler.run_block_chain`` takes, |diagonal|)."""
     return np.tril(chol, -1), np.abs(np.diagonal(chol))
 
 
 def reference_block_chain(lower, sigmas, base_mean, q_steps, k_range, gen):
-    """Scan oracle for ``sampler.run_block_chain``: same outputs, plain loops.
+    """Scan oracle for one block's chain: the normals of
+    ``rng.normals_from_uniforms``, the means of ``sampler.run_block_chain``,
+    the samples and ``sampler.discretize``: same outputs, plain loops.
 
     Takes the block's 64 uniforms (u = 0 read as 2**-53) and z = ndtri(u).
     The conditional means use the kernel's arithmetic, base_mean + lower @ z:

@@ -35,7 +35,8 @@ from jpegns import embedder as emb_mod
 from jpegns import lattice
 from jpegns import pipeline as pl
 from jpegns.covariance import photon_variance, sigma_d, sigma_p
-from jpegns.jpeg_model import CoefficientsError
+from jpegns.jpeg_model import CoefficientsError, round_half_away_array
+from jpegns import rng as streams
 from jpegns import sampler
 from jpegns.sampler import costs_from_pmf, discretize, entropy, pmf_table
 
@@ -326,22 +327,23 @@ def test_cached_factors_match_uncached(bright_raw, paper_params, ramp,
 @pytest.mark.parametrize("chunk", [16, 5])
 def test_chunked_tabulation_matches_per_block_tables(paper_params, monkeypatch,
                                                      chunk, workers):
-    # ``run`` discretizes the draws of up to _TABULATE_BLOCKS written-back
-    # blocks and builds their PMF tables and entropies in one pass; each
-    # block's changes and rows must be those of discretizing and
-    # tabulating its own draw, bit for bit.  The ramp's lattices hold 8 or
-    # 12 live blocks among dead ones, so chunks of 16 end only at a
-    # lattice's end and chunks of 5 also within it.
+    # ``run`` writes back and discretizes the draws of up to
+    # _TABULATE_BLOCKS visited blocks and builds their PMF tables and
+    # entropies in one pass; each block's changes, samples and rows must be
+    # those of discretizing and tabulating its own draw, bit for bit.  The
+    # ramp's lattices hold 8 or 12 live blocks among dead ones, so chunks of
+    # 16 end only at a lattice's end and chunks of 5 also within it.
     monkeypatch.setattr(emb_mod, "_TABULATE_BLOCKS", chunk)
     drawn = {}
     visit = SimulatedEmbedder._visit
 
-    def recording_visit(self, block, *args, **kwargs):
-        jitter, sigmas, chain = visit(self, block, *args, **kwargs)
-        if chain is not None:
-            drawn[block] = discretize(chain["z"], chain["means"], sigmas,
-                                      self.q_flat, self.cfg.K)
-        return jitter, sigmas, chain
+    def recording_visit(self, block, z, means, sigmas, *args, **kwargs):
+        jitter = visit(self, block, z, means, sigmas, *args, **kwargs)
+        if jitter is not None:
+            drawn[block] = discretize(z, means, sigmas, self.q_flat,
+                                      self.cfg.K)
+            drawn[block]["samples"] = means + sigmas * z
+        return jitter
 
     monkeypatch.setattr(SimulatedEmbedder, "_visit", recording_visit)
     emb = SimulatedEmbedder(clamp_ramp(paper_params),
@@ -354,20 +356,75 @@ def test_chunked_tabulation_matches_per_block_tables(paper_params, monkeypatch,
     ent = result.report.entropy_plane.reshape(8, 8, 8, 8).transpose(
         0, 2, 1, 3).reshape(8, 8, 64)
     changes = (result.stego.coeffs - emb.cover.coeffs).reshape(8, 8, 64)
+    continuous = result.continuous.reshape(8, 8, 8, 8).transpose(
+        0, 2, 1, 3).reshape(8, 8, 64)
     for block in np.ndindex(8, 8):
         if block in drawn:
             table = pmf_table(drawn[block]["edges"])
             assert np.array_equal(result.probs[block], table), block
             assert np.array_equal(ent[block], entropy(table)), block
             assert np.array_equal(changes[block], drawn[block]["changes"])
+            assert np.array_equal(continuous[block], drawn[block]["samples"])
         else:
             assert not result.probs[block].any() and not ent[block].any()
-            assert not changes[block].any()
+            assert not changes[block].any() and not continuous[block].any()
+
+
+def test_lattice_normals_are_each_blocks_own_stream(bright_raw):
+    # A lattice's normals are drawn into one array, each row from its
+    # block's stream re-keyed on one generator: the normals a fresh stream
+    # per block gives.
+    emb = SimulatedEmbedder(bright_raw, EmbedConfig(qf=95, K=5, key=1))
+    gen = np.random.Generator(np.random.Philox(seed=0))
+    for lat, blocks in enumerate(emb.assign.block_lists, start=1):
+        z = emb._normals(0xC0FFEE, lat, blocks, gen)
+        assert z.shape == (len(blocks), 64)
+        for row, block in zip(z, blocks):
+            alone = streams.standard_normal_icdf(
+                streams.block_stream(0xC0FFEE, lat, *block), 64)
+            assert np.array_equal(row, alone)
+        assert np.array_equal(emb._normals(0xC0FFEE, lat, blocks), z)
+    assert emb._normals(1, 1, [], gen).shape == (0, 64)
+
+
+def test_failed_blocks_inside_a_chunk(bright_raw, monkeypatch):
+    # A block that cannot be factored is left out of its chunk's write-back
+    # and tables: the others of the chunk get the values of chunks of one
+    # block, and the failed ones keep zero samples, changes and PMFs.
+    block_factors = SimulatedEmbedder._block_factors
+
+    def failing(self, bi, bj, *args, **kwargs):
+        if (bi + 2 * bj) % 5 == 0:
+            return None
+        return block_factors(self, bi, bj, *args, **kwargs)
+
+    monkeypatch.setattr(SimulatedEmbedder, "_block_factors", failing)
+    emb = SimulatedEmbedder(bright_raw, EmbedConfig(qf=95, K=5, key=8))
+    results = []
+    for chunk in (32, 3, 1):
+        monkeypatch.setattr(emb_mod, "_TABULATE_BLOCKS", chunk)
+        results.append(emb.run(collect_probs=True))
+    failed = [tuple(f["block"]) for f in results[0].report.failed_blocks]
+    assert 0 < len(failed) < np.count_nonzero(emb.live)
+    for result in results[1:]:
+        assert result.report.failed_blocks == results[0].report.failed_blocks
+        assert np.array_equal(result.stego.coeffs, results[0].stego.coeffs)
+        assert np.array_equal(result.continuous, results[0].continuous)
+        assert np.array_equal(result.probs, results[0].probs)
+        assert np.array_equal(result.report.entropy_plane,
+                              results[0].report.entropy_plane)
+    for bi, bj in failed:
+        assert not results[0].probs[bi, bj].any()
+        assert not results[0].continuous[8 * bi : 8 * bi + 8,
+                                         8 * bj : 8 * bj + 8].any()
+        assert np.array_equal(results[0].stego.coeffs[bi, bj],
+                              emb.cover.coeffs[bi, bj])
 
 
 def test_draw_per_block_discretize_per_chunk(paper_params, monkeypatch):
-    # A guard on the chain's structure: one draw per live block, but one
-    # bin grid per tabulation chunk, never one per block.
+    # A guard on the chain's structure: one chain step (the product with
+    # the block's own factor) per live block, but one bin grid per
+    # tabulation chunk, never one per block.
     calls = {"run_block_chain": 0, "_grid": 0}
 
     def counting(name):
@@ -537,6 +594,83 @@ def test_fast_covariance_matches_operator_path(bright_raw, paper_params):
     patch = bright_raw.data[8 * bi - 9 : 8 * bi + 17, 8 * bj - 9 : 8 * bj + 17]
     ref = sigma_d(m, sigma_p(patch, paper_params))
     assert np.abs(joint - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def level_raw(data):
+    """RAW of the paper's sensor pair holding ``data``."""
+    return RawImage(data=data, cfa="RGGB", bit_depth=12,
+                    params=SensorParams(a1=0.0, b1=0.0, a2=1.15, b2=-1150.0))
+
+
+@functools.lru_cache(maxsize=None)
+def finite_difference_jacobian():
+    """J (1024, 1024) of a 32x32 constant RAW at QF 95, by unit
+    differences of ``develop_cover``: photo sites to DCT coefficients, 64
+    per block in block row-major order.  The level is the development
+    shift, so the developed plane is zero and every difference is exact."""
+    level = np.full((32, 32), 2048.0)
+
+    def developed(data):
+        plane = develop_cover(level_raw(data), 95)[0]
+        return plane.reshape(4, 8, 4, 8).transpose(0, 2, 1, 3).ravel()
+
+    assert not developed(level).any()
+    jac = np.empty((1024, 1024))
+    for site in range(1024):
+        data = level.copy()
+        data.flat[site] += 1.0
+        jac[:, site] = developed(data)
+    return jac
+
+
+@pytest.mark.parametrize("blocks", [
+    [(1, 1)],
+    pytest.param([(0, 0)], marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="edge padding weights a replicated site twice (7.3 %)")),
+    pytest.param([(0, 1)], marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="edge padding weights a replicated site twice (4.0 %)")),
+    pytest.param([(0, 0), (0, 1)], marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="edge padding weights a replicated site twice (7.3 %)")),
+], ids=["interior", "corner", "edge", "edge-pair"])
+def test_joint_covariance_is_the_exact_propagated_law(blocks):
+    # The joint covariance of some blocks is J diag(v) J^T over their rows
+    # of the development's Jacobian, to rounding: also where an edge block
+    # reads a border site twice through the padded window.
+    jac = finite_difference_jacobian()
+    raw = level_raw(np.full((32, 32), 2048.0))
+    var = photon_variance(raw.data, raw.params).ravel()
+    emb = SimulatedEmbedder(raw, EmbedConfig(qf=95))
+    rows = np.concatenate([np.arange(64) + 64 * (4 * bi + bj)
+                           for bi, bj in blocks])
+    exact = (jac[rows] * var) @ jac[rows].T
+    joint = emb.joint_covariance(blocks)
+    assert np.abs(joint - exact).max() <= 1e-10 * np.abs(exact).max()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="changes are binned around the rounded mean of the "
+                          "stego signal, not on the absolute grid")
+@pytest.mark.parametrize("qf", [95, 100])
+def test_changes_lie_on_the_absolute_quantization_grid(small_params, qf):
+    # Stego = round((x + s) / q) wherever that stays within K of the cover:
+    # x is the unquantized cover plane, s the continuous stego draw.
+    raw = small_raw(small_params, size=64, seed=9, mu=2000.0, sigma=100.0)
+    cfg = EmbedConfig(qf=qf, K=5, key=3)
+    x, cover = develop_cover(raw, qf)
+    result = SimulatedEmbedder(raw, cfg).run()
+    steps = np.tile(cover.table.steps, (cover.blocks_h, cover.blocks_w))
+    target = round_half_away_array((x + result.continuous) / steps)
+    target -= cover.plane()
+    within = np.abs(target) <= cfg.K
+    # The xfail expects an AssertionError, so a failed precondition must
+    # fail the test rather than pass for it.
+    if not within.mean() > 0.99:
+        pytest.fail(f"only {within.mean():.3f} of the targets lie within K")
+    changes = result.stego.plane() - cover.plane()
+    assert np.array_equal(changes[within], target[within])
 
 
 def test_block_factors_match_public_conditioning(bright_raw):

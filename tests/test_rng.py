@@ -1,11 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
 from jpegns import RawImage, SynthSpec, pseudo_embed, rng, synthesize_raw
+from jpegns import analysis, lattice, pipeline
 from jpegns.covariance import photon_variance
+from jpegns.pipeline import PipelineError
 
 SEEDS = [0, 1, 0xDEADBEEF, 2**63 + 5, 2**64 - 1]
 
@@ -119,6 +122,93 @@ def test_check_int_accepts_python_and_numpy_integers(value, lo, hi):
 def test_check_int_refuses(value, hi, message):
     with pytest.raises(ValueError, match=message):
         rng.check_int(value, "n", ValueError, 1, hi)
+
+
+SIZE_CASES = [
+    (analysis.mode_correlation_ranking, ((True, 0),), ValueError,
+     "mode index must be an integer in 0..7, got True"),
+    (analysis.mode_correlation_ranking, ((1.5, 2),), ValueError,
+     "mode index must be an integer in 0..7, got 1.5"),
+    (analysis.mode_correlation_ranking, ((0, 8),), ValueError,
+     "mode index must be an integer in 0..7, got 8"),
+    (pipeline.build_dct, (True,), PipelineError,
+     "n_blocks must be an integer in 1..9, got True"),
+    (pipeline.build_dct, (5.0,), PipelineError,
+     "n_blocks must be an integer in 1..9, got 5.0"),
+    (pipeline.build_dct, (np.int64(3),), PipelineError,
+     "n_blocks must be one of 1, 5, 9"),
+    (pipeline.build_demosaic, ("r", "RGGB", 5.0), PipelineError,
+     "side must be an integer in 3.., got 5.0"),
+    (pipeline.build_luminance, ("RGGB", 2), PipelineError,
+     "side must be an integer in 3.., got 2"),
+    (pipeline.build_lowpass, (True,), PipelineError,
+     "side must be an integer in 3.., got True"),
+    (pipeline.build_lowpass, (6.0,), PipelineError,
+     "side must be an integer in 3.., got 6.0"),
+    (pipeline.build_selection, (6.0,), PipelineError,
+     "side must be an integer in 1.., got 6.0"),
+    (pipeline.build_selection, (6, 1.0), PipelineError,
+     "border must be an integer in 0.., got 1.0"),
+    (pipeline.build_selection, (6, 3), PipelineError,
+     "side must exceed twice the border"),
+    (pipeline.build_permutation, ([(True, 0)],), PipelineError,
+     "block label index must be an integer in 0..2, got True"),
+    (pipeline.build_permutation, ([(1.0, 0)],), PipelineError,
+     "block label index must be an integer in 0..2, got 1.0"),
+    (pipeline.build_permutation, ([(0, 3)],), PipelineError,
+     "block label index must be an integer in 0..2, got 3"),
+    (pipeline.build_permutation, ([(0, 0)], 3.0), PipelineError,
+     "grid_n must be an integer in 1.., got 3.0"),
+    (pipeline.build_permutation, ([(0, 0)], 0), PipelineError,
+     "grid_n must be an integer in 1.., got 0"),
+    (lattice.tile, (2.5, 4), ValueError,
+     "blocks_w must be an integer in 1.., got 2.5"),
+    (lattice.tile, (4, 0), ValueError,
+     "blocks_h must be an integer in 1.., got 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "func, args, error, message", SIZE_CASES,
+    ids=[f"{func.__name__}{args!r}" for func, args, *_ in SIZE_CASES])
+def test_integer_sizes_are_checked_where_they_enter(func, args, error,
+                                                    message):
+    # Each public boundary refuses a bool, a float or an out-of-range
+    # integer through ``check_int``, with its own module's error.
+    with pytest.raises(error, match=re.escape(message)):
+        func(*args)
+
+
+def test_checked_sizes_are_stored_as_ints():
+    grid = lattice.tile(np.int64(3), np.uint8(2))
+    assert type(grid.blocks_w) is int and type(grid.blocks_h) is int
+    assert pipeline.build_dct(np.int64(5)).shape == (320, 320)
+    assert pipeline.build_lowpass(np.int32(3)).shape == (9, 9)
+    assert pipeline.build_selection(np.int64(4), np.int64(1)).shape == (4, 16)
+    assert np.array_equal(
+        pipeline.build_permutation([(np.int64(1), np.uint8(2))],
+                                   np.int64(3)).toarray(),
+        pipeline.build_permutation([(1, 2)]).toarray())
+    assert (analysis.mode_correlation_ranking((np.int64(0), 1))
+            == analysis.mode_correlation_ranking((0, 1)))
+
+
+def test_normals_from_uniforms_converts_each_row_as_drawn_alone():
+    # Uniforms of several streams drawn into one array and converted at
+    # once give each stream the normals it draws alone, in place.
+    streams = [(5, 1, 0, 2), (5, 2, 1, 1), (6, 4, 3, 0)]
+    u = np.empty((len(streams), 64))
+    gen = rng.make_stream(0, 7)
+    for row, args in zip(u, streams):
+        rng.block_stream(*args, gen=gen).random(out=row)
+    u[1, 5] = 0.0
+    z = rng.normals_from_uniforms(u)
+    assert z is u
+    for row, args in zip(z, streams):
+        alone = rng.standard_normal_icdf(rng.block_stream(*args), 64)
+        if args == streams[1]:
+            alone[5] = Z_FLOOR
+        assert np.array_equal(row, alone)
 
 
 class ZeroUniforms:

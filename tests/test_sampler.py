@@ -42,12 +42,14 @@ class FixedUniforms:
 
 
 def chain(chol, base_mean, q_steps, k_range, g):
-    """``run_block_chain``'s draw, then ``discretize`` of it alone, on a
-    full Cholesky factor: the outputs ``reference_block_chain`` gives."""
+    """The block's normals from ``g``, ``run_block_chain``'s means, the
+    samples and ``discretize`` of the draw alone, on a full Cholesky
+    factor: the outputs ``reference_block_chain`` gives."""
     lower, sigmas = chain_form(chol)
-    draw = run_block_chain(lower, sigmas, base_mean, g)
-    drawn = discretize(draw["z"], draw["means"], sigmas, q_steps, k_range)
-    return {"changes": drawn["changes"], "samples": draw["samples"],
+    z = streams.standard_normal_icdf(g, 64)
+    means = run_block_chain(lower, base_mean, z)
+    drawn = discretize(z, means, sigmas, q_steps, k_range)
+    return {"changes": drawn["changes"], "samples": means + sigmas * z,
             "params": drawn["params"], "edges": drawn["edges"]}
 
 
@@ -560,6 +562,17 @@ def test_chain_matches_reference_scan():
     assert far_means > 1000
 
 
+def test_pmf_table_leaves_its_edges_and_matches_the_reference():
+    # The table is differenced in its own buffer: the edges stay as they
+    # were, and the table is the reference's over the whole scan range.
+    for b, (chol, mean, steps, k) in enumerate(reference_scan_blocks(80, 29)):
+        edges = chain(chol, mean, steps, k, gen(b))["edges"]
+        kept = edges.copy()
+        table = pmf_table(edges)
+        assert np.array_equal(edges, kept)
+        assert np.array_equal(table, reference_pmf_table(kept))
+
+
 def test_live_samples_lie_in_drawn_bins_over_scan_range():
     # Containment holds for every live coefficient of every scan block,
     # not only at moderate parameters: sigma_hat from 1e-6 to 1e6, means
@@ -589,13 +602,16 @@ def test_chain_matches_reference_scan_at_extreme_uniforms(u_disc):
 
 
 def test_chain_returns_the_draw_alone():
-    # The per-block step draws; discretizing is left to ``discretize``.
-    lower, sigmas = chain_form(random_chol(26))
+    # The per-block step is the product with the block's own factor;
+    # drawing and discretizing are left to ``rng`` and ``discretize``.
+    lower, _ = chain_form(random_chol(26))
     base_mean = np.linspace(-1.0, 1.0, 64)
-    out = run_block_chain(lower, sigmas, base_mean, gen(26))
-    assert out.keys() == {"z", "means", "samples"}
-    assert np.array_equal(out["means"], base_mean + lower @ out["z"])
-    assert np.array_equal(out["samples"], out["means"] + sigmas * out["z"])
+    z = streams.standard_normal_icdf(gen(26), 64)
+    before = z.copy()
+    out = run_block_chain(lower, base_mean, z)
+    assert out.shape == (64,)
+    assert np.array_equal(out, base_mean + lower @ z)
+    assert np.array_equal(z, before)
 
 
 def test_mixed_chunk_rows_match_blocks_discretized_alone():
