@@ -17,6 +17,13 @@ on, their draws are discretized into changes and bin edges
 from them are tabulated from those edges.  Stego coefficients are the
 cover coefficients plus the sampled changes.
 
+With ``cache_factors`` the factors are kept across runs, per lattice, as
+stacks by known-row count (``_LatticeFactors``).  A run then serves each
+lattice whose live blocks are all cached without visits (``_serve``): per
+chunk and known-row count, one gather of the neighbors' draws, one stacked
+gain product and one stacked ``sampler.run_block_chain``, with the bits
+of the visits.
+
 Everything is a pure function of (raw image, config): per-block random
 streams are derived from the secret key, the lattice index and the block
 coordinates, and ``run`` holds OpenBLAS on one thread
@@ -57,7 +64,9 @@ _COSTS_MAGIC = b"JCST"
 # processes).  ``run``'s traced peak memory grew from a 64² to a 128² iid
 # image by 0.84 MB with 16 blocks and 0.83 MB with 64, which tabulate
 # once the lattice's self tiles are freed, and by 0.91 MB with 32, whose
-# first pass of a lattice runs beside them.
+# first pass of a lattice runs beside them (timings and growth measured
+# before runs on cached factors were served by ``_serve``).  A served
+# chunk also gathers its blocks' neighbor draws, 0.5 KB per neighbor.
 _TABULATE_BLOCKS = 32
 
 
@@ -237,7 +246,8 @@ class _BlockFactors:
     covariance is kept in the chain's form: ``lower``, its strictly lower
     part (zero on and above the diagonal), which
     ``sampler.run_block_chain`` takes, and ``sigmas``, its deviations
-    |diag|, which ``sampler.discretize`` takes.
+    |diag|, which ``sampler.discretize`` takes.  A cached block's factors
+    are views of its slots in its lattice's ``_LatticeFactors``.
     """
 
     rows: np.ndarray
@@ -245,6 +255,109 @@ class _BlockFactors:
     lower: np.ndarray
     sigmas: np.ndarray
     jitter: float
+
+
+class _LatticeFactors:
+    """One lattice's cached factors, stacked by known-row count.
+
+    ``blocks`` are the lattice's live blocks in visiting order; block i
+    conditions on r = ``counts[i]`` live neighbors, and its factors fill
+    slot ``slots[i]`` of the stacks for that r: ``gains[r]``
+    (g, 64, 64 r), each item column-major as ``_BlockFactors.mean_gain``,
+    ``lowers[r]`` (g, 64, 64), ``sigmas[r]`` (g, 64) and ``rows[r]``
+    (g, r).  Slots follow the blocks' order, so the blocks of any run of
+    consecutive blocks that share r hold consecutive slots, and a slice
+    of each stack serves them all at once (``chunks``).  ``jitter`` maps
+    the index of each stored block to its jitter, or to None for a block
+    that could not be factored, whose slot stays zero (its neighbor rows
+    read row 0, and ``_serve`` drops what it forms from them); the lattice
+    is ``complete`` once every block is stored.
+    """
+
+    def __init__(self, blocks, counts):
+        self.blocks = blocks
+        self.index = {block: i for i, block in enumerate(blocks)}
+        self.counts = counts
+        taken = collections.Counter()
+        self.slots = []
+        for r in counts:
+            self.slots.append(taken[r])
+            taken[r] += 1
+        self.gains = {r: np.zeros((g, 64 * r, 64)).transpose(0, 2, 1)
+                      for r, g in taken.items()}
+        self.lowers = {r: np.zeros((g, 64, 64)) for r, g in taken.items()}
+        self.sigmas = {r: np.zeros((g, 64)) for r, g in taken.items()}
+        self.rows = {r: np.zeros((g, r), dtype=np.intp)
+                     for r, g in taken.items()}
+        self.jitter = {}
+        self._chunks = {}
+
+    def __contains__(self, block):
+        return self.index[block] in self.jitter
+
+    @property
+    def complete(self):
+        return len(self.jitter) == len(self.blocks)
+
+    def put(self, block, factors):
+        """Store ``block``'s factors (None: it could not be factored)."""
+        i = self.index[block]
+        if factors is not None:
+            r, slot = self.counts[i], self.slots[i]
+            self.rows[r][slot] = factors.rows
+            self.gains[r][slot] = factors.mean_gain
+            self.lowers[r][slot] = factors.lower
+            self.sigmas[r][slot] = factors.sigmas
+        self.jitter[i] = None if factors is None else factors.jitter
+
+    def get(self, block):
+        """``block``'s stored factors as views of its slots, or None."""
+        i = self.index[block]
+        jitter = self.jitter[i]
+        if jitter is None:
+            return None
+        r, slot = self.counts[i], self.slots[i]
+        return _BlockFactors(self.rows[r][slot], self.gains[r][slot],
+                             self.lowers[r][slot], self.sigmas[r][slot],
+                             jitter)
+
+    def events(self):
+        """(block, jitter) of each stored block to report, in order: None
+        for a block that could not be factored, else a nonzero jitter."""
+        return [(block, self.jitter[i]) for i, block in enumerate(self.blocks)
+                if self.jitter[i] != 0.0]
+
+    def chunks(self, size):
+        """A complete lattice cut into runs of ``size`` consecutive blocks.
+
+        Each run is (order, groups, blocks, kept), its blocks grouped by
+        known-row count: ``order`` holds their indices in that order, and
+        ``groups`` one (r, slots, at) per r present, ``slots`` the slice
+        of the r stacks that holds the factors of the blocks in slice
+        ``at`` of that order.  ``blocks`` are the blocks that were factored, in
+        that order, and ``kept`` their positions in it, or None when all
+        were.  Memoized by ``size``.
+        """
+        plan = self._chunks.get(size)
+        if plan is None:
+            plan = []
+            for start in range(0, len(self.blocks), size):
+                run = range(start, min(start + size, len(self.blocks)))
+                order, groups = [], []
+                for r in dict.fromkeys(self.counts[i] for i in run):
+                    members = [i for i in run if self.counts[i] == r]
+                    first, at = self.slots[members[0]], len(order)
+                    groups.append((r, slice(first, first + len(members)),
+                                   slice(at, at + len(members))))
+                    order += members
+                kept = [k for k, i in enumerate(order)
+                        if self.jitter[i] is not None]
+                plan.append((np.array(order, dtype=np.intp), groups,
+                             [self.blocks[order[k]] for k in kept],
+                             None if len(kept) == len(order)
+                             else np.array(kept, dtype=np.intp)))
+            self._chunks[size] = plan
+        return plan
 
 
 class SimulatedEmbedder:
@@ -260,7 +373,10 @@ class SimulatedEmbedder:
     once and copied into every joint that holds it (``_Band``).
     ``cache_factors`` additionally keeps each block's
     Schur/Cholesky factors across runs, which pays off when embedding the
-    same image many times (the factors do not depend on the drawn samples).
+    same image many times (the factors do not depend on the drawn samples):
+    the first run writes them into per-lattice stacks
+    (``_LatticeFactors``), and later runs form the means of a whole chunk
+    of blocks from them at once (``_serve``), assembling nothing.
 
     Raises ``CoefficientsError`` when a live block's cover coefficient is
     within K of the int16 limit, since its stego might not fit.
@@ -308,7 +424,15 @@ class SimulatedEmbedder:
         # the same plan at once; the plans are equal, so either may stay.
         self._plans = {}
         self.assign = lattice.tile(self.blocks_w, self.blocks_h)
-        self._factor_cache = {} if cache_factors else None
+        # One ``_LatticeFactors`` per lattice, filled by the first run.
+        self._factor_cache = None
+        if cache_factors:
+            self._factor_cache = []
+            for blocks in self.assign.block_lists:
+                live = [block for block in blocks if self.live[block]]
+                self._factor_cache.append(_LatticeFactors(
+                    live, [len(self.joint_blocks(block)) - 1
+                           for block in live]))
 
     # -- covariance assembly ------------------------------------------------
 
@@ -405,11 +529,9 @@ class SimulatedEmbedder:
         The joint is assembled in ``workspace``'s buffer (a ``_Workspace``)
         and factored there in place; a jitter retry assembles it again,
         every tile computed anew.  With a ``band`` (a ``_Band``), the joint's
-        blocks and its self tiles are taken from it.
+        blocks and its self tiles are taken from it.  Nothing is cached
+        here (``_factors``).
         """
-        cache = self._factor_cache
-        if cache is not None and (bi, bj) in cache:
-            return cache[(bi, bj)]
         blocks = (self.joint_blocks((bi, bj)) if band is None
                   else band.joints[bi, bj])
         joint = workspace.view(64 * len(blocks))
@@ -427,9 +549,17 @@ class SimulatedEmbedder:
             rows = np.array([ni * self.blocks_w + nj
                              for ni, nj in blocks[:-1]], dtype=np.intp)
             factors = _BlockFactors(rows, gain, lower, sigmas, jitter)
-        if cache is not None:
-            cache[(bi, bj)] = factors
         return factors
+
+    def _factors(self, block, workspace, band=None, stacks=None):
+        """``_block_factors`` of ``block``; with its lattice's ``stacks``
+        (a ``_LatticeFactors``), factored once into its slots and read
+        from them as views."""
+        if stacks is None:
+            return self._block_factors(*block, workspace, band)
+        if block not in stacks:
+            stacks.put(block, self._block_factors(*block, workspace, band))
+        return stacks.get(block)
 
     # -- embedding -----------------------------------------------------------
 
@@ -449,7 +579,7 @@ class SimulatedEmbedder:
         return rng.normals_from_uniforms(u)
 
     def _visit(self, block, z, means, sigmas, continuous, workspace,
-               band=None):
+               band=None, stacks=None):
         """Factor one live block and form its conditional means.
 
         ``z``, ``means`` and ``sigmas`` are the block's (64,) rows of its
@@ -463,15 +593,79 @@ class SimulatedEmbedder:
         lattices, so the blocks of one lattice can be visited in any order
         and on any thread.  The block is factored in ``workspace`` (a
         ``_Workspace``) with the pass's ``band``.  Its factors are dropped
-        on return unless ``cache_factors`` keeps them.
+        on return unless its lattice's ``stacks`` keep them (``_factors``).
         """
-        factors = self._block_factors(*block, workspace, band)
+        factors = self._factors(block, workspace, band, stacks)
         if factors is None:
             return None
         base_mean = factors.mean_gain @ continuous[factors.rows].ravel()
         means[:] = sampler.run_block_chain(factors.lower, base_mean, z)
         sigmas[:] = factors.sigmas
         return factors.jitter
+
+    def _visit_lattice(self, live, z, stacks, visit_all, workspace, note,
+                       continuous, changes, entropy, probs):
+        """Visit the ``live`` blocks of one lattice, whose (n, 64) normals
+        are ``z``, and tabulate them a chunk at a time.
+
+        ``visit_all`` maps the visits (``map`` or a pool's), and ``stacks``
+        keeps their factors when ``cache_factors`` is set.  ``note(block,
+        jitter)`` reports each block in order.  One pass's ``_Band`` serves
+        the joints of the blocks that are not cached.
+        """
+        band = _Band({block: self.joint_blocks(block) for block in live
+                      if stacks is None or block not in stacks})
+        # The conditional means and deviations the visits write.
+        means, sigmas = np.empty_like(z), np.empty_like(z)
+        visits = visit_all(functools.partial(
+            self._visit, continuous=continuous.reshape(-1, 64),
+            workspace=workspace, band=band, stacks=stacks),
+            live, z, means, sigmas)
+        # Visits end in block order.  Each chunk of _TABULATE_BLOCKS of them
+        # is written back and tabulated as its last one ends: its ``rows``
+        # are those of the blocks that could be factored.
+        start, rows = 0, []
+        for i, (block, jitter) in enumerate(zip(live, visits)):
+            note(block, jitter)
+            if jitter is not None:
+                rows.append(i)
+            if i + 1 - start == _TABULATE_BLOCKS or i + 1 == len(live):
+                if rows:
+                    self._tabulate([live[r] for r in rows], z[rows],
+                                   means[rows], sigmas[rows], continuous,
+                                   changes, entropy, probs)
+                start, rows = i + 1, []
+
+    def _serve(self, stacks, z, continuous, changes, entropy, probs):
+        """Tabulate a lattice whose live blocks are all cached in
+        ``stacks`` (a ``_LatticeFactors``), from its (n, 64) normals ``z``.
+
+        The blocks go a chunk of ``_TABULATE_BLOCKS`` at a time, as visits
+        would, grouped by known-row count (``_LatticeFactors.chunks``).
+        For each r in a chunk, one gather of the neighbors' rows from
+        ``continuous``, one stacked gain product and one
+        ``sampler.run_block_chain`` form the means of all its blocks from
+        a slice of the r stacks; every block's products are those of its
+        visit, bit for bit, and tabulation acts on each block's row alone,
+        so the order changes no value.  Blocks that could not be factored
+        are left out of the tabulation.
+        """
+        plane = continuous.reshape(-1, 64)
+        for order, groups, blocks, kept in stacks.chunks(_TABULATE_BLOCKS):
+            draw = z[order]
+            means, sigmas = np.empty_like(draw), np.empty_like(draw)
+            for r, slots, at in groups:
+                known = plane[stacks.rows[r][slots]].reshape(
+                    at.stop - at.start, 64 * r, 1)
+                base = np.matmul(stacks.gains[r][slots], known)[..., 0]
+                means[at] = sampler.run_block_chain(
+                    stacks.lowers[r][slots], base, draw[at])
+                sigmas[at] = stacks.sigmas[r][slots]
+            if kept is not None:
+                draw, means, sigmas = draw[kept], means[kept], sigmas[kept]
+            if blocks:
+                self._tabulate(blocks, draw, means, sigmas, continuous,
+                               changes, entropy, probs)
 
     @cov_mod.one_blas_thread
     def run(self, key=None, collect_probs=False):
@@ -502,50 +696,45 @@ class SimulatedEmbedder:
                           dtype=np.int64)
         jitter_events = []
         failed = []
+
+        def note(lat, block, jitter):
+            if jitter is None:
+                failed.append({"lattice": lat, "block": list(block)})
+            elif jitter:
+                jitter_events.append({"lattice": lat, "block": list(block),
+                                      "epsilon": jitter})
+
         workers = self.cfg.workers
         # Dropped on return, so an embedder holds no buffers between runs.
         workspace = _Workspace()
         # Re-keyed for every block's stream: it draws what a fresh
         # generator per block would, without building a Philox per block.
         gen = np.random.Generator(np.random.Philox(seed=0))
-        cache = self._factor_cache
-        with (ThreadPoolExecutor(workers) if workers > 1
+        stacks = (self._factor_cache if self._factor_cache is not None
+                  else [None] * len(counts))
+        # A lattice whose live blocks are all cached is served without
+        # visits (``_serve``), so a run on a full cache needs no pool.
+        visiting = not all(cached is not None and cached.complete
+                           for cached in stacks)
+        with (ThreadPoolExecutor(workers) if workers > 1 and visiting
               else contextlib.nullcontext()) as pool:
             visit_all = map if pool is None else pool.map
             for lat, blocks in enumerate(self.assign.block_lists, start=1):
-                live = [block for block in blocks if self.live[block]]
-                # Cached blocks assemble nothing.
-                band = _Band({block: self.joint_blocks(block) for block in live
-                              if cache is None or block not in cache})
-                # One row per live block: its normals, drawn before the
-                # visits, and the conditional means and deviations its
-                # visit writes.
+                cached = stacks[lat - 1]
+                live = ([block for block in blocks if self.live[block]]
+                        if cached is None else cached.blocks)
+                # One row per live block: its normals, drawn first.
                 z = self._normals(key, lat, live, gen)
-                means, sigmas = np.empty_like(z), np.empty_like(z)
-                visits = visit_all(functools.partial(
-                    self._visit, continuous=continuous.reshape(bh * bw, 64),
-                    workspace=workspace, band=band), live, z, means, sigmas)
-                # Visits end in block order.  Each chunk of _TABULATE_BLOCKS
-                # of them is written back and tabulated as its last one
-                # ends: its ``rows`` are those of the blocks that could be
-                # factored.
-                start, rows = 0, []
-                for i, (block, jitter) in enumerate(zip(live, visits)):
-                    if jitter is None:
-                        failed.append({"lattice": lat, "block": list(block)})
-                    else:
-                        rows.append(i)
-                        if jitter:
-                            jitter_events.append(
-                                {"lattice": lat, "block": list(block),
-                                 "epsilon": jitter})
-                    if i + 1 - start == _TABULATE_BLOCKS or i + 1 == len(live):
-                        if rows:
-                            self._tabulate(
-                                [live[r] for r in rows], z[rows], means[rows],
-                                sigmas[rows], continuous, changes, entropy,
+                if cached is not None and cached.complete:
+                    for block, jitter in cached.events():
+                        note(lat, block, jitter)
+                    self._serve(cached, z, continuous, changes, entropy,
                                 probs)
-                        start, rows = i + 1, []
+                else:
+                    self._visit_lattice(
+                        live, z, cached, visit_all, workspace,
+                        functools.partial(note, lat), continuous, changes,
+                        entropy, probs)
                 if blocks:
                     per_mode[lat - 1] = entropy[tuple(zip(*blocks))].mean(axis=0)
 
@@ -593,8 +782,10 @@ class SimulatedEmbedder:
             raise ValueError("block has no stego signal")
         z = self._normals(key, 1, [block])[0]
         means, sigmas = np.empty(64), np.empty(64)
+        stacks = (None if self._factor_cache is None
+                  else self._factor_cache[0])
         if self._visit(block, z, means, sigmas, np.empty((0, 64)),
-                       _Workspace()) is None:
+                       _Workspace(), stacks=stacks) is None:
             raise ValueError("block could not be factored")
         drawn = sampler.discretize(z, means, sigmas, self.q_flat, self.cfg.K)
         return {"changes": drawn["changes"], "samples": means + sigmas * z,

@@ -14,9 +14,10 @@ Gaussian truncated to the change's bin gives the same joint law of
 chain draws the whole block at once, and in steps.  The block's normals
 z come first, from its stream's uniforms through the inverse CDF, and are
 elementwise, so the embedder draws a whole lattice's at once.  The one
-step that needs the block's own factor, ``run_block_chain``, runs block
-by block: one product with the strictly lower part of L gives every
-m'_i.  Everything after it is elementwise: the signal m'_i + sigma'_i z_i,
+step that needs the block's own factor, ``run_block_chain``, is one
+product with the strictly lower part of L, which gives every m'_i; it
+takes one block or a stack of them, with the same bits per block.
+Everything after it is elementwise: the signal m'_i + sigma'_i z_i,
 and ``discretize``, which takes the draws of any number of blocks as
 stacked (n, 64) rows, forms each coefficient's standardized bin edges, and
 reads its change off as the bin whose edges hold z_i.  ``pmf_table`` turns
@@ -153,19 +154,23 @@ def costs_from_pmf(p):
 
 
 def run_block_chain(lower, base_mean, z):
-    """One block's conditional means: the chain's per-block step.
+    """Conditional means: the chain's step that needs the block's own factor.
 
     The conditional factor L comes in the chain's form: ``lower`` (64, 64)
     holds its strictly lower part, zero on and above the diagonal (its
     deviations |diag(L)| go to ``discretize``).  ``z`` (64) are the block's
     normals, one uniform per coefficient through the inverse CDF
     (``rng.normals_from_uniforms``).  Returns the conditional means
-    m' = base_mean + lower @ z (64,): the only step that needs the block's
-    own factor.  The continuous candidates are m' + sigmas * z, so a
-    zero-deviation coefficient is its own mean, and ``discretize`` reads
-    the changes off z and m'.
+    m' = base_mean + lower @ z (64,).  The continuous candidates are
+    m' + sigmas * z, so a zero-deviation coefficient is its own mean, and
+    ``discretize`` reads the changes off z and m'.
+
+    n blocks may come stacked: ``lower`` (n, 64, 64), ``base_mean`` and
+    ``z`` (n, 64), giving (n, 64).  Each block's product is the one BLAS
+    matrix-vector product a call for that block alone makes, so row i
+    equals that call's result bit for bit, whatever is stacked beside it.
     """
-    return base_mean + lower @ z
+    return base_mean + np.matmul(lower, z[..., None])[..., 0]
 
 
 def discretize(z, means, sigmas, q_steps, k_range):

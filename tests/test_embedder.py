@@ -313,14 +313,24 @@ def test_cached_factors_match_uncached(bright_raw, paper_params, ramp,
                                        workers):
     # Every thread reuses one workspace for the joints it factors, so a
     # cached factor that aliased it would be overwritten by later blocks.
+    # The first cached run visits every block and fills the stacks; the
+    # second serves every lattice from them, with the same report.
     raw = clamp_ramp(paper_params) if ramp else bright_raw
     cfg = EmbedConfig(qf=90, K=4, key=99)
     plain = SimulatedEmbedder(raw, cfg).run()
     cached = SimulatedEmbedder(raw, dataclasses.replace(cfg, workers=workers),
                                cache_factors=True)
+    expected = plain.report.to_json_dict()
+    expected.pop("runtime_s")
+    assert bool(expected["jitter_events"]) == ramp
     for result in (cached.run(), cached.run()):
         assert np.array_equal(plain.stego.coeffs, result.stego.coeffs)
         assert np.array_equal(plain.continuous, result.continuous)
+        assert np.array_equal(plain.report.entropy_plane,
+                              result.report.entropy_plane)
+        report = result.report.to_json_dict()
+        report.pop("runtime_s")
+        assert report == expected
 
 
 @pytest.mark.parametrize("workers", [1, 4])
@@ -390,7 +400,9 @@ def test_lattice_normals_are_each_blocks_own_stream(bright_raw):
 def test_failed_blocks_inside_a_chunk(bright_raw, monkeypatch):
     # A block that cannot be factored is left out of its chunk's write-back
     # and tables: the others of the chunk get the values of chunks of one
-    # block, and the failed ones keep zero samples, changes and PMFs.
+    # block, and the failed ones keep zero samples, changes and PMFs.  With
+    # cached factors, the first run stores the failures and every later run
+    # serves them from the stacks, with the same results and report.
     block_factors = SimulatedEmbedder._block_factors
 
     def failing(self, bi, bj, *args, **kwargs):
@@ -399,11 +411,15 @@ def test_failed_blocks_inside_a_chunk(bright_raw, monkeypatch):
         return block_factors(self, bi, bj, *args, **kwargs)
 
     monkeypatch.setattr(SimulatedEmbedder, "_block_factors", failing)
-    emb = SimulatedEmbedder(bright_raw, EmbedConfig(qf=95, K=5, key=8))
     results = []
-    for chunk in (32, 3, 1):
-        monkeypatch.setattr(emb_mod, "_TABULATE_BLOCKS", chunk)
-        results.append(emb.run(collect_probs=True))
+    for cache_factors in (False, True):
+        emb = SimulatedEmbedder(bright_raw, EmbedConfig(qf=95, K=5, key=8),
+                                cache_factors=cache_factors)
+        for chunk in (32, 3, 1):
+            monkeypatch.setattr(emb_mod, "_TABULATE_BLOCKS", chunk)
+            results.append(emb.run(collect_probs=True))
+            results.append(emb.run(collect_probs=True))
+    assert all(stacks.complete for stacks in emb._factor_cache)
     failed = [tuple(f["block"]) for f in results[0].report.failed_blocks]
     assert 0 < len(failed) < np.count_nonzero(emb.live)
     for result in results[1:]:
@@ -447,6 +463,21 @@ def test_draw_per_block_discretize_per_chunk(paper_params, monkeypatch):
     assert calls["run_block_chain"] == sum(live)
     chunks = sum(-(-n // emb_mod._TABULATE_BLOCKS) for n in live)
     assert calls["_grid"] == chunks < sum(live)
+    # A run served from cached factors takes one stacked chain step per
+    # chunk and known-row count r (the block's live neighbors), still one
+    # bin grid per chunk.
+    monkeypatch.setattr(emb_mod, "_TABULATE_BLOCKS", 5)
+    cached = SimulatedEmbedder(emb.raw, emb.cfg, cache_factors=True)
+    cached.run()
+    steps = sum(
+        len({len(cached.joint_blocks(block)) for block in blocks[i : i + 5]})
+        for blocks in cached.assign.block_lists
+        for i in range(0, len(blocks), 5))
+    calls.update(run_block_chain=0, _grid=0)
+    cached.run(key=4)
+    assert calls == {"run_block_chain": steps,
+                     "_grid": sum(-(-n // 5) for n in live)}
+    assert sum(live) // 5 < steps < sum(live)
 
 
 def test_each_factored_block_reads_its_tile_plan_once(paper_params,
@@ -488,18 +519,46 @@ def test_only_live_blocks_are_visited(paper_params, monkeypatch, workers):
     assert sorted(visited) == sorted(map(tuple, np.argwhere(emb.live)))
 
 
+def traced_peak(call):
+    """The peak of the memory traced while ``call()`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_embed_memory_does_not_grow_with_image_area(paper_params):
     # Four times the blocks: only the result planes may grow (about 0.5 MB);
-    # per-block factors must be freed as each block is written back.
-    peaks = []
+    # per-block factors must be freed as each block is written back.  An
+    # untraced embed at each size first fills the one-time caches (tile
+    # plans, pipeline operators), which would otherwise count in whichever
+    # size ran first in the process.
+    embeds = []
     for size in (64, 128):
         raw = small_raw(paper_params, size=size, mu=2000.0, sigma=100.0)
-        tracemalloc.start()
-        try:
-            SimulatedEmbedder(raw, EmbedConfig(qf=95, K=5, key=9)).run()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        embeds.append(functools.partial(
+            embed_simulated, raw, EmbedConfig(qf=95, K=5, key=9)))
+        embeds[-1]()
+    peaks = [traced_peak(embed) for embed in embeds]
+    assert peaks[1] - peaks[0] < 1_000_000, peaks
+
+
+def test_cached_run_memory_does_not_grow_with_image_area(paper_params):
+    # A run on full stacks gathers, multiplies and tabulates a chunk of
+    # blocks at a time, so with both caches filled and warm, only the
+    # result planes grow with the image.
+    runs = []
+    for size in (64, 128):
+        raw = small_raw(paper_params, size=size, mu=2000.0, sigma=100.0)
+        emb = SimulatedEmbedder(raw, EmbedConfig(qf=95, K=5, key=9),
+                                cache_factors=True)
+        emb.run()
+        emb.run(key=10)
+        assert all(stacks.complete for stacks in emb._factor_cache)
+        runs.append(functools.partial(emb.run, key=11))
+    peaks = [traced_peak(run) for run in runs]
     assert peaks[1] - peaks[0] < 1_000_000, peaks
 
 
@@ -1121,15 +1180,22 @@ def test_self_tiles_are_computed_once_per_pass(paper_params, monkeypatch):
 
 
 def test_cached_blocks_count_no_uses(bright_raw, monkeypatch):
-    # A run on cached factors assembles nothing, so its bands hold no
-    # joint and count no use.
+    # A run on cached factors assembles nothing: it makes no band, calls
+    # ``_fill_lower`` zero times and holds no joint, not even a workspace
+    # buffer to put one in.
     emb = SimulatedEmbedder(bright_raw, EmbedConfig(qf=95, K=5, key=1),
                             cache_factors=True)
     emb.run()
-    bands = record_bands(monkeypatch)
+    bands, calls = record_bands(monkeypatch), []
+    for cls, name in ((SimulatedEmbedder, "_fill_lower"),
+                      (SimulatedEmbedder, "_block_factors"),
+                      (emb_mod._Workspace, "view")):
+        def counted(*args, _name=name, _inner=getattr(cls, name), **kwargs):
+            calls.append(_name)
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
     cached = emb.run(key=2)
-    assert len(bands) == 4
-    assert not any(band.joints or band.uses for band in bands)
+    assert bands == [] and calls == []
     fresh = SimulatedEmbedder(bright_raw, EmbedConfig(qf=95, K=5, key=2))
     assert cached.continuous.tobytes() == fresh.run().continuous.tobytes()
 

@@ -614,6 +614,25 @@ def test_chain_returns_the_draw_alone():
     assert np.array_equal(z, before)
 
 
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_stacked_chain_rows_match_single_block_calls(n):
+    # Stacked (n, 64, 64) factors with (n, 64) means and normals give, row
+    # by row, the means of n single-block calls, bit for bit; the stack
+    # may be empty.  The inputs are left unchanged.
+    rng = np.random.default_rng(28)
+    lower = np.tril(rng.normal(size=(n, 64, 64)), -1)
+    base_mean = rng.normal(size=(n, 64))
+    z = rng.normal(size=(n, 64))
+    inputs = [a.copy() for a in (lower, base_mean, z)]
+    out = run_block_chain(lower, base_mean, z)
+    assert out.shape == (n, 64)
+    for i in range(n):
+        assert np.array_equal(out[i],
+                              run_block_chain(lower[i], base_mean[i], z[i]))
+    for a, before in zip((lower, base_mean, z), inputs):
+        assert np.array_equal(a, before)
+
+
 def test_mixed_chunk_rows_match_blocks_discretized_alone():
     # ``_grid`` picks its path once per call: a chunk with a zero or a
     # subnormal deviation anywhere takes the careful path for every row.
